@@ -2,11 +2,12 @@
 
 Every command resolves its configuration from built-in defaults, then an
 optional JSON --config file (unknown keys rejected), then explicit
-command-line flags, then the FPQ_SEED / FPQ_THREADS environment
-overrides.  Each run appends one JSON record per result to the report
-stream (file via --report, stdout otherwise) echoing the fully resolved
-config, so a run can be replayed exactly.  Validation problems are
-collected and reported together as machine-readable JSON on stderr.
+command-line flags, then the FPQ_SEED environment override.  Each run
+appends one JSON record per result to the report stream (file via
+--report, stdout otherwise) echoing the fully resolved config, so a run
+can be replayed exactly.  Validation problems are collected and reported
+together as machine-readable JSON on stderr with exit code 2, and so is
+an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -71,15 +72,6 @@ def _resolve_config(ctx: click.Context, defaults: dict, config_path: str | None)
             resolved["seed"] = int(raw)
         except ValueError:
             problems.append(f"env: FPQ_SEED must be an integer, got {raw!r}")
-    if os.environ.get("FPQ_THREADS"):
-        raw = os.environ["FPQ_THREADS"]
-        try:
-            threads = int(raw)
-            if threads < 1:
-                raise ValueError
-            resolved["threads"] = threads
-        except ValueError:
-            problems.append(f"env: FPQ_THREADS must be a positive integer, got {raw!r}")
     return resolved, problems
 
 
@@ -132,6 +124,13 @@ def _read(path, problems: list[str]):
     except (OSError, tensorfile.TensorFileError) as exc:
         problems.append(f"input: {path}: {exc}")
         return None
+
+
+def _write(path, array, kind: str) -> None:
+    try:
+        tensorfile.write_tensor(path, array, kind=kind)
+    except (OSError, ValueError) as exc:
+        _fail([f"output: {path}: {exc}"])
 
 
 def _emit(report_path, record: dict) -> None:
@@ -207,8 +206,8 @@ def cli_quantize(ctx, **_kw) -> None:
 
     out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
     out_scales = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
-    tensorfile.write_tensor(out_codes, q.codes, kind=_codes_kind(fmt))
-    tensorfile.write_tensor(out_scales, np.asarray(q.scales, dtype=np.float64), kind="f64")
+    _write(out_codes, q.codes, _codes_kind(fmt))
+    _write(out_scales, np.asarray(q.scales, dtype=np.float64), "f64")
     cfg.update(out_codes=out_codes, out_scales=out_scales, layer=layer)
     _emit(
         ctx.params["report_path"],
@@ -273,10 +272,10 @@ def cli_dfq(ctx, **_kw) -> None:
         "neg_scales": f"{prefix}.neg_scales.fpqt",
         "pos_scales": f"{prefix}.pos_scales.fpqt",
     }
-    tensorfile.write_tensor(paths["neg_codes"], r.neg_codes, kind="code4")
-    tensorfile.write_tensor(paths["pos_codes"], r.pos_codes, kind="code4")
-    tensorfile.write_tensor(paths["neg_scales"], np.asarray(r.s_neg, dtype=np.float64), kind="f64")
-    tensorfile.write_tensor(paths["pos_scales"], np.asarray(r.s_pos, dtype=np.float64), kind="f64")
+    _write(paths["neg_codes"], r.neg_codes, _codes_kind(neg_fmt))
+    _write(paths["pos_codes"], r.pos_codes, _codes_kind(pos_fmt))
+    _write(paths["neg_scales"], np.asarray(r.s_neg, dtype=np.float64), "f64")
+    _write(paths["pos_scales"], np.asarray(r.s_pos, dtype=np.float64), "f64")
     cfg["out_prefix"] = prefix
     cfg["layer"] = layer
     _emit(
@@ -363,7 +362,7 @@ def cli_rotate(ctx, **_kw) -> None:
     except ValueError as exc:
         _fail([f"rotate: {exc}"])
     out = hadamard.apply_ght(x, cfgh)
-    tensorfile.write_tensor(cfg["output_path"], out.astype(x.dtype), kind=loaded.kind)
+    _write(cfg["output_path"], out.astype(x.dtype), loaded.kind)
     _emit(
         ctx.params["report_path"],
         _record(
@@ -472,7 +471,7 @@ def cli_galt(ctx, **_kw) -> None:
 
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
-    tensorfile.write_tensor(out_lambda, best_lam, kind="f64")
+    _write(out_lambda, best_lam, "f64")
     cfg.update(out_lambda=out_lambda, layer=layer, schedule=list(schedule))
     for epoch, loss in enumerate(history):
         _emit(ctx.params["report_path"], {"layer": layer, "epoch": epoch, "loss": loss})

@@ -10,6 +10,12 @@ decodes to a finite real number.
 The value grid is symmetric about zero and there are two zero encodings
 (both sign values with E = M = 0); ``encode`` always emits the all-zeros
 pattern so lookup tables never see the redundant code.
+
+Rounding (``round_to_grid``, ``nearest_codes``) is one binary search of
+the input over the midpoints between neighbouring signed grid values.
+Midpoints whose tie belongs to the lower neighbour sit one ulp higher, so
+the search alone applies round-half-to-even on the magnitude code, the
+tie rule of the OCP microscaling formats.
 """
 
 from __future__ import annotations
@@ -184,37 +190,51 @@ def encode(fmt: FpFormat, value: float) -> FpCode:
     return FpCode(bits, fmt)
 
 
-def _nearest_indices(fmt: FpFormat, mag: np.ndarray) -> np.ndarray:
-    """Index of the nearest grid magnitude; exact ties pick the even index.
+@lru_cache(maxsize=None)
+def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(thresholds, values, codes)`` over the signed grid.
 
-    Adjacent magnitudes have adjacent codes, so exactly one side of a tie
-    has an even magnitude code (round-half-to-even in code space).
-    Magnitudes beyond the grid maximum saturate to the last index.
+    ``values`` is ``grid_values(fmt)`` and ``codes`` their canonical bit
+    patterns.  Threshold i separates values i and i + 1: it is their
+    midpoint, moved up one ulp when an exact tie belongs to value i.
+    Ties go to the even magnitude code.  Counting from zero, the value
+    with signed index j has magnitude code |j|, so neighbours have codes
+    of opposite parity and the midpoints that move are those whose lower
+    neighbour has an even signed index.  ``searchsorted(thresholds, x,
+    side="right")`` counts the thresholds at or below x, which is the
+    index of the nearest value; inputs beyond the grid saturate to its
+    ends.
     """
     mags = _magnitudes(fmt)
-    m = np.minimum(mag, mags[-1])
-    hi = np.minimum(np.searchsorted(mags, m), len(mags) - 1)
-    lo = np.maximum(hi - 1, 0)
-    d_lo = m - mags[lo]
-    d_hi = mags[hi] - m
-    idx = np.where(d_hi < d_lo, hi, lo)
-    tie = d_hi == d_lo
-    return np.where(tie, np.where(lo % 2 == 0, lo, hi), idx)
+    n = len(mags)
+    values = grid_values(fmt)
+    sign = 1 << (fmt.exp_bits + fmt.man_bits)
+    mag_codes = np.arange(n)
+    codes = np.concatenate([mag_codes[:0:-1] | sign, mag_codes]).astype(code_dtype(fmt))
+    thresholds = (values[:-1] + values[1:]) / 2
+    lower = np.arange(len(thresholds)) - (n - 1)  # signed index of the value below
+    even_below = lower % 2 == 0
+    thresholds[even_below] = np.nextafter(thresholds[even_below], np.inf)
+    for table in (thresholds, values, codes):
+        table.flags.writeable = False
+    return thresholds, values, codes
+
+
+def _grid_indices(fmt: FpFormat, x, op: str) -> np.ndarray:
+    """Signed-grid index of the nearest value of ``fmt`` for each input."""
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{op} requires finite input")
+    return np.searchsorted(_rounding_tables(fmt)[0], arr, side="right")
 
 
 def round_to_grid(fmt: FpFormat, x):
     """Round scalars or arrays to the nearest grid value of ``fmt``.
 
     Saturates beyond +-max_value; exact ties resolve to the neighbor whose
-    magnitude code is even, applied per magnitude so the result is odd
-    symmetric in the input.
+    magnitude code is even, so the result is odd symmetric in the input.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("round_to_grid requires finite input")
-    mags = _magnitudes(fmt)
-    idx = _nearest_indices(fmt, np.abs(arr))
-    out = np.where((arr < 0) & (idx > 0), -mags[idx], mags[idx])
+    out = _rounding_tables(fmt)[1][_grid_indices(fmt, x, "round_to_grid")]
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -233,10 +253,4 @@ def nearest_codes(fmt: FpFormat, x) -> np.ndarray:
     Same rounding as ``round_to_grid`` but returning codes directly; this
     is the hot path used by the quantizers.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("nearest_codes requires finite input")
-    idx = _nearest_indices(fmt, np.abs(arr))
-    sign = ((arr < 0) & (idx > 0)).astype(np.int64)
-    codes = (sign << (fmt.exp_bits + fmt.man_bits)) | idx
-    return codes.astype(code_dtype(fmt))
+    return _rounding_tables(fmt)[2][_grid_indices(fmt, x, "nearest_codes")]

@@ -23,6 +23,7 @@ from .formats import (
     decode_bits,
     max_value,
     nearest_codes,
+    round_to_grid,
 )
 
 __all__ = [
@@ -192,6 +193,19 @@ def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> Qua
     scales = _unit_scales(absmax, max_value(fmt))
     codes = nearest_codes(fmt, arr / _per_element_scales(scales, arr.shape, g))
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
+
+
+def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
+    """``dequantize(quantize(x, fmt, g))`` without the codes.
+
+    Rounds the scaled input straight to grid values, which are the decoded
+    values of the codes ``quantize`` would emit, and multiplies by the same
+    expanded scales, so the result is bit-identical.
+    """
+    arr = _validate_input(x, "quantize")
+    scales = _unit_scales(_absmax_per_unit(arr, g), max_value(fmt))
+    s = _per_element_scales(scales, arr.shape, g)
+    return round_to_grid(fmt, arr / s) * s
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:

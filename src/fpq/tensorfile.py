@@ -53,8 +53,6 @@ def _default_kind(arr: np.ndarray) -> str:
 
 
 def _pack_code4(flat: np.ndarray) -> bytes:
-    if np.any(flat > 15):
-        raise ValueError("code4 payload requires values below 16")
     if flat.size % 2:
         flat = np.concatenate([flat, np.zeros(1, dtype=np.uint8)])
     return (flat[0::2] | (flat[1::2] << 4)).tobytes()
@@ -69,7 +67,11 @@ def _unpack_code4(payload: bytes, count: int) -> np.ndarray:
 
 
 def write_tensor(path, array, kind: str | None = None) -> None:
-    """Write an array atomically; kind defaults from the dtype."""
+    """Write an array atomically; kind defaults from the dtype.
+
+    Code payloads must already fit their field: values outside 0..15
+    (code4) or 0..255 (code8) raise ValueError instead of wrapping.
+    """
     arr = np.asarray(array)
     if kind is None:
         kind = _default_kind(arr)
@@ -81,6 +83,9 @@ def write_tensor(path, array, kind: str | None = None) -> None:
     elif kind == "f64":
         payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     else:
+        limit = 16 if kind == "code4" else 256
+        if arr.size and (np.min(arr) < 0 or np.max(arr) >= limit):
+            raise ValueError(f"{kind} payload requires non-negative values below {limit}")
         flat = np.ascontiguousarray(arr, dtype=np.uint8).ravel()
         payload = _pack_code4(flat) if kind == "code4" else flat.tobytes()
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpq.formats import (
     E1M2,
@@ -184,6 +186,58 @@ class TestRoundToGrid:
         np.testing.assert_array_equal(decode_bits(E2M1, codes), round_to_grid(E2M1, xs))
         assert codes.dtype == np.uint8
         assert 0b1000 not in codes  # canonical zero only
+
+
+def _rounding_inputs(fmt: FpFormat) -> st.SearchStrategy[float]:
+    """Exact midpoints and their float neighbours, signed zeros,
+    subnormals, values past +-max, and arbitrary finite floats."""
+    g = grid_values(fmt)
+    mids = st.sampled_from(((g[:-1] + g[1:]) / 2).tolist())
+    beside_mid = st.builds(
+        lambda m, up: float(np.nextafter(m, np.inf if up else -np.inf)), mids, st.booleans()
+    )
+    tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310])
+    top = float(g[-1])
+    beyond = st.builds(
+        lambda v, neg: -v if neg else v,
+        st.floats(np.nextafter(top, np.inf), 1e300),
+        st.booleans(),
+    )
+    return st.one_of(
+        mids,
+        beside_mid,
+        tiny,
+        beyond,
+        st.floats(-2 * top, 2 * top),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+class TestRoundingProperties:
+    """The threshold-search kernel against the independent scan oracle."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_matches_scan_oracle(self, fmt: FpFormat, data) -> None:
+        xs = np.array(data.draw(st.lists(_rounding_inputs(fmt), min_size=1, max_size=20)))
+        want = np.array([_nearest_by_scan(fmt, x) for x in xs])
+        got = round_to_grid(fmt, xs)
+        np.testing.assert_array_equal(got, want)
+        assert not np.any(np.signbit(got) & (got == 0))  # zero is always +0
+        codes = nearest_codes(fmt, xs)
+        assert codes.dtype == np.uint8
+        assert codes.tolist() == [encode(fmt, v).bits for v in want]
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_scalar_matches_array(self, fmt: FpFormat, data) -> None:
+        x = data.draw(_rounding_inputs(fmt))
+        assert round_to_grid(fmt, x) == round_to_grid(fmt, np.array([x]))[0]
+        assert nearest_codes(fmt, x) == nearest_codes(fmt, np.array([x]))[0]
+
+    def test_rejects_non_finite(self) -> None:
+        with pytest.raises(ValueError, match="nearest_codes requires finite"):
+            nearest_codes(E2M1, np.array([1.0, np.nan]))
 
 
 class TestProductFormats:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpq.hadamard import (
     HadamardConfig,
@@ -82,7 +85,11 @@ class TestApplyGht:
     def test_single_group_is_full_transform(self) -> None:
         x = np.random.default_rng(3).standard_normal((4, 64))
         cfg = HadamardConfig(dim=64, group_size=64)
-        np.testing.assert_allclose(apply_ght(x, cfg), fwht(x, normalized=True), rtol=1e-14)
+        # The matmul and the butterfly sum in different orders, so entries
+        # that cancel to near zero differ by a few ulps of the O(1) inputs.
+        np.testing.assert_allclose(
+            apply_ght(x, cfg), fwht(x, normalized=True), rtol=1e-14, atol=1e-14
+        )
 
     def test_norm_preservation(self) -> None:
         x = np.random.default_rng(4).standard_normal((16, 512))
@@ -110,6 +117,58 @@ class TestApplyGht:
             HadamardConfig(dim=256, group_size=100)
         with pytest.raises(ValueError, match="multiple"):
             HadamardConfig(dim=200, group_size=128)
+
+
+def _draw_matrix(draw, dtype, shape) -> np.ndarray:
+    """Floats in [-1e3, 1e3]; magnitudes below 1e-3 become zero, because
+    values near the float32 underflow limit lose precision to subnormals,
+    which is not a property of the transform."""
+    x = draw(arrays(dtype, shape, elements=st.floats(-1e3, 1e3, width=32)))
+    x[np.abs(x) < 1e-3] = 0
+    return x
+
+
+@st.composite
+def _ght_cases(draw, dtype):
+    """A config and an input of 1-3 dims whose last axis matches it."""
+    group = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64, 128]))
+    cfg = HadamardConfig(dim=group * draw(st.integers(1, 4)), group_size=group)
+    lead = draw(st.lists(st.integers(1, 5), max_size=2))
+    x = _draw_matrix(draw, dtype, (*lead, cfg.dim))
+    return cfg, x
+
+
+class TestGhtProperties:
+    """The matmul GHT against the butterfly oracle, in both float widths."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_matches_fwht(self, dtype, data) -> None:
+        cfg, x = data.draw(_ght_cases(dtype))
+        got = apply_ght(x, cfg)
+        grouped = x.reshape(*x.shape[:-1], cfg.num_blocks, cfg.group_size)
+        ref = fwht(grouped, normalized=True).reshape(x.shape)
+        assert got.dtype == dtype and got.shape == x.shape
+        eps = np.finfo(dtype).eps
+        atol = 4 * cfg.group_size * eps * max(float(np.abs(x).max(initial=0)), 1.0)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    def test_preserves_product(self, dtype, data) -> None:
+        cfg, x = data.draw(_ght_cases(dtype))
+        x = x.reshape(-1, cfg.dim)
+        w = _draw_matrix(data.draw, dtype, (data.draw(st.integers(1, 6)), cfg.dim))
+        ref = x.astype(np.float64) @ w.T.astype(np.float64)
+        got = apply_ght(x, cfg) @ fuse_weight_rotation(w, cfg).T
+        eps = np.finfo(dtype).eps
+        bound = 8 * cfg.dim * eps * np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(w, axis=1))
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_integer_input_computes_in_float64(self) -> None:
+        out = apply_ght(np.arange(8), HadamardConfig(dim=8, group_size=4))
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out[:4], fwht(np.arange(4.0), normalized=True))
 
 
 class TestFuse:

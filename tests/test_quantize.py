@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fpq.formats import E1M2, E2M1, E3M0, grid_values, max_value
+from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
     IntFormat,
+    _fake_quantize,
     afpq_quantize,
     compute_scale,
     dequantize,
@@ -265,3 +269,33 @@ class TestQuantMse:
     def test_shape_mismatch(self) -> None:
         with pytest.raises(ValueError, match="shape mismatch"):
             quant_mse(np.ones(3), np.ones(4))
+
+
+_GRANULARITIES = [
+    Granularity.per_tensor(),
+    Granularity.per_channel(),
+    Granularity.per_token(),
+    Granularity.per_group(4),
+    Granularity.per_group(8, pad_partial=True),
+]
+
+
+class TestFakeQuantize:
+    """The code-free path GALT uses must equal dequantize(quantize(...))."""
+
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    @given(data=st.data())
+    def test_bit_identical_to_round_trip(self, g: Granularity, data) -> None:
+        fmt = data.draw(st.sampled_from(sorted(FORMATS.values(), key=lambda f: f.name)))
+        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
+        if g.pad_partial:
+            cols += data.draw(st.integers(0, 7))
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), cols), elements=values))
+        got = _fake_quantize(x, fmt, g)
+        want = dequantize(quantize(x, fmt, g))
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_rejects_non_finite(self) -> None:
+        with pytest.raises(ValueError, match="finite"):
+            _fake_quantize(np.array([[1.0, np.inf]]), E2M1, PT)

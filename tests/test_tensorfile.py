@@ -73,6 +73,21 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="below 16"):
             write_tensor(tmp_path / "bad.fpqt", np.array([16], dtype=np.uint8), kind="code4")
 
+    @pytest.mark.parametrize("value", [-1, 256])
+    def test_code8_rejects_out_of_range(self, tmp_path, value: int) -> None:
+        path = tmp_path / "bad.fpqt"
+        with pytest.raises(ValueError, match="non-negative values below 256"):
+            write_tensor(path, np.array([3, value], dtype=np.int16), kind="code8")
+        assert not path.exists()
+
+    def test_code8_rejects_negative_int8(self, tmp_path) -> None:
+        with pytest.raises(ValueError, match="below 256"):
+            write_tensor(tmp_path / "bad.fpqt", np.array([-1], dtype=np.int8), kind="code8")
+
+    def test_code4_rejects_values_that_would_wrap(self, tmp_path) -> None:
+        with pytest.raises(ValueError, match="below 16"):
+            write_tensor(tmp_path / "bad.fpqt", np.array([256, -256]), kind="code4")
+
     def test_unknown_kind(self, tmp_path) -> None:
         with pytest.raises(ValueError, match="unknown tensor kind"):
             write_tensor(tmp_path / "k.fpqt", np.ones(2), kind="f16")
