@@ -133,6 +133,13 @@ def _write(path, array, kind: str) -> None:
         _fail([f"output: {path}: {exc}"])
 
 
+def _search(tensors, gran):
+    try:
+        return dfq_search_format(tensors, gran)
+    except ValueError as exc:
+        _fail([f"search: {exc}"])
+
+
 def _emit(report_path, record: dict) -> None:
     line = json.dumps(record, sort_keys=True)
     if report_path:
@@ -256,7 +263,7 @@ def cli_dfq(ctx, **_kw) -> None:
         _fail(problems)
 
     if cfg["search"]:
-        neg_fmt, pos_fmt = dfq_search_format([x], gran)
+        neg_fmt, pos_fmt = _search([x], gran)
         cfg["neg_format"], cfg["pos_format"] = neg_fmt.name, pos_fmt.name
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     try:
@@ -318,7 +325,7 @@ def cli_search(ctx, **_kw) -> None:
     tensors = [_read(p, problems) for p in cfg["input_paths"]]
     if problems:
         _fail(problems)
-    neg_fmt, pos_fmt = dfq_search_format(tensors, gran)
+    neg_fmt, pos_fmt = _search(tensors, gran)
     _emit(
         ctx.params["report_path"],
         _record(

@@ -37,8 +37,7 @@ from .quantize import (
     DfqResult,
     Granularity,
     QuantizedTensor,
-    _per_element_scales,
-    _unit_scales,
+    _dfq_split,
     _validate_input,
 )
 
@@ -180,18 +179,15 @@ def lut_quantize(x, scale: float, luts: LutTables | None = None) -> np.ndarray:
 def dfq_lut_quantize(x, luts: LutTables | None = None) -> DfqResult:
     """Dual-format quantization through the branch tables (per-tensor).
 
-    Split and scales follow the reference dual-format quantizer exactly;
-    each branch addresses its table with the doubled snapped magnitude, so
-    the code planes are bit-identical to the reference path.
+    Split and scales come from the reference quantizer's helper; each
+    branch addresses its table with the doubled snapped magnitude, so the
+    code planes are bit-identical to the reference path.
     """
     arr = _validate_input(x, "dfq_lut_quantize")
     if luts is None:
         luts = build_tables()
     g = Granularity.per_tensor()
-    neg_part = np.where(arr <= 0, arr, 0.0)
-    pos_part = np.where(arr > 0, arr, 0.0)
-    s_neg = _unit_scales(np.max(np.abs(neg_part)), max_value(DFQ_NEG_FORMAT))
-    s_pos = _unit_scales(np.max(np.abs(pos_part)), max_value(DFQ_POS_FORMAT))
+    neg_part, pos_part, s_neg, s_pos = _dfq_split(arr, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g)
     # E1M2 magnitudes are uniform at step 1/2, so rounding the doubled
     # magnitude to an integer is the grid rounding (ties to even match the
     # even-code rule).
@@ -271,20 +267,24 @@ def _gemm_planes(
 ) -> np.ndarray:
     """Group-by-group integer matmul of doubled values, rescaled per group.
 
-    Integer partial sums stay below 144 * group_size, far inside exact
-    float64 range, so the BLAS matmul reproduces the lookup-table
-    accumulation integer for integer (the exhaustive product tests pin the
-    per-pair identity).  Groups accumulate in ascending order.
+    Partial sums are integers of at most max|a| * max|b| * group width;
+    below 2^24 float32 holds them exactly in any BLAS summation order, else
+    float64 does, so the matmul reproduces the lookup-table accumulation
+    integer for integer (the exhaustive product tests pin the per-pair
+    identity).  The rescale is float64; groups accumulate in ascending order.
     """
-    w_vals = _doubled_values(ACT_FORMAT)[w_codes]
+    w_tab = _doubled_values(ACT_FORMAT)
+    peak = max(np.abs(_doubled_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
+    dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
+    w_vals = w_tab.astype(dtype)[w_codes]
     rows = code_planes[0][0].shape[0]
     out = np.zeros((rows, w_codes.shape[0]))
     for gi, (c0, c1) in enumerate(groups):
         wj = w_vals[:, c0:c1]
         sw = w_scales_2d[:, gi]
         for codes, fmt, sx in code_planes:
-            xa = _doubled_values(fmt)[codes[:, c0:c1]]
-            acc = xa @ wj.T
+            xa = _doubled_values(fmt).astype(dtype)[codes[:, c0:c1]]
+            acc = (xa @ wj.T).astype(np.float64, copy=False)
             out += acc * (sx[:, gi][:, None] * sw[None, :]) * 0.25
     return out
 
@@ -375,8 +375,8 @@ def verify_quantizer_parity(
     dfq_ok = bool(
         np.array_equal(ref_dfq.neg_codes, lut_dfq.neg_codes)
         and np.array_equal(ref_dfq.pos_codes, lut_dfq.pos_codes)
-        and np.isclose(float(ref_dfq.s_neg), float(lut_dfq.s_neg))
-        and np.isclose(float(ref_dfq.s_pos), float(lut_dfq.s_pos))
+        and np.array_equal(ref_dfq.s_neg, lut_dfq.s_neg)
+        and np.array_equal(ref_dfq.s_pos, lut_dfq.s_pos)
     )
     return {
         "quantizer_parity": "pass" if (e2m1_ok and dfq_ok) else "fail",

@@ -4,8 +4,8 @@ Implements absmax-scaled nearest-grid quantization (scale = max|X| /
 max_value), a round-to-nearest integer baseline, asymmetric FP
 quantization (one grid, two scales), dual-format quantization (separate
 grids and scales for the non-positive and positive parts), and the
-exhaustive 3x3 FP4 format search that picks the grid pair minimizing
-reconstruction MSE over a calibration set.
+separable 3x3 FP4 format search (each sign part rounded once per grid;
+earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 """
 
 from __future__ import annotations
@@ -236,6 +236,15 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
+def _dfq_split(arr: np.ndarray, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
+    """The DFQ sign split: zero-filled parts <= 0 and > 0, and each part's unit scales."""
+    neg_part = np.where(arr <= 0, arr, 0.0)
+    pos_part = np.where(arr > 0, arr, 0.0)
+    s_neg = _unit_scales(_absmax_per_unit(neg_part, g), max_value(neg_fmt))
+    s_pos = _unit_scales(_absmax_per_unit(pos_part, g), max_value(pos_fmt))
+    return neg_part, pos_part, s_neg, s_pos
+
+
 def dfq_quantize(
     x,
     neg_format: FpFormat,
@@ -249,10 +258,7 @@ def dfq_quantize(
     by the positive peak.  Dequantization is neg*s_neg + pos*s_pos.
     """
     arr = _validate_input(x, "dfq_quantize")
-    neg_part = np.where(arr <= 0, arr, 0.0)
-    pos_part = np.where(arr > 0, arr, 0.0)
-    s_neg = _unit_scales(_absmax_per_unit(neg_part, g), max_value(neg_format))
-    s_pos = _unit_scales(_absmax_per_unit(pos_part, g), max_value(pos_format))
+    neg_part, pos_part, s_neg, s_pos = _dfq_split(arr, neg_format, pos_format, g)
     neg_codes = nearest_codes(neg_format, neg_part / _per_element_scales(s_neg, arr.shape, g))
     pos_codes = nearest_codes(pos_format, pos_part / _per_element_scales(s_pos, arr.shape, g))
     return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
@@ -266,30 +272,40 @@ def afpq_quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -
 DFQ_CANDIDATE_FORMATS: tuple[FpFormat, ...] = (E1M2, E2M1, E3M0)
 
 
+def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndarray:
+    """[i, j] sums the MSE of ``dfq_quantize(t, C[i], C[j], g)`` over the tensors; each
+    part's squared error is zero on the other part, so en[i] + ep[j] is exact."""
+    cands = DFQ_CANDIDATE_FORMATS
+    totals = np.zeros((len(cands), len(cands)))
+    for t in tensors:
+        en, ep = [], []
+        for fmt in cands:
+            neg_part, pos_part, s_neg, s_pos = _dfq_split(t, fmt, fmt, g)
+            for part, s, errs in ((neg_part, s_neg, en), (pos_part, s_pos, ep)):
+                s = _per_element_scales(s, t.shape, g)
+                errs.append((part - round_to_grid(fmt, part / s) * s) ** 2)
+        for i, j in np.ndindex(totals.shape):
+            totals[i, j] += np.mean(en[i] + ep[j])
+    return totals
+
+
 def dfq_search_format(
     calib: Sequence[np.ndarray],
     g: Granularity = Granularity.per_tensor(),
 ) -> tuple[FpFormat, FpFormat]:
-    """Exhaustive search for the best (negative, positive) grid pair.
+    """Search the (negative, positive) grid pair with the least MSE.
 
-    Minimizes reconstruction MSE summed over the calibration tensors; on
-    ties the earliest candidate pair in enumeration order wins.
+    Scores all 3x3 FP4 pairs by MSE summed over the calibration tensors,
+    rounding each sign part once per candidate grid; on ties the earliest
+    pair in (negative, positive) enumeration order wins.
     """
-    tensors = [np.asarray(t, dtype=np.float64) for t in calib]
+    tensors = [_validate_input(t, "dfq_search_format") for t in calib]
     if not tensors:
         raise ValueError("dfq_search_format requires a nonempty calibration set")
-    best: tuple[FpFormat, FpFormat] | None = None
-    best_mse = np.inf
-    for neg_fmt in DFQ_CANDIDATE_FORMATS:
-        for pos_fmt in DFQ_CANDIDATE_FORMATS:
-            total = 0.0
-            for t in tensors:
-                total += quant_mse(t, dequantize(dfq_quantize(t, neg_fmt, pos_fmt, g)))
-            if total < best_mse:
-                best_mse = total
-                best = (neg_fmt, pos_fmt)
-    assert best is not None
-    return best
+    totals = _dfq_search_totals(tensors, g)
+    # argmin returns the first minimum in (negative, positive) row-major order.
+    i, j = np.unravel_index(np.argmin(totals), totals.shape)
+    return DFQ_CANDIDATE_FORMATS[i], DFQ_CANDIDATE_FORMATS[j]
 
 
 def quant_mse(x, x_hat) -> float:

@@ -1,4 +1,4 @@
-"""CLI tests: the dfq code planes, write failures, and the environment."""
+"""CLI tests: the dfq code planes, write and search failures, and the environment."""
 
 from __future__ import annotations
 
@@ -53,6 +53,30 @@ class TestErrors:
         assert result.exit_code == 2
         problems = json.loads(result.stderr)["problems"]
         assert len(problems) == 1 and problems[0].startswith("output: ")
+
+
+class TestSearchErrors:
+    @pytest.fixture(params=["nan", "partial_group"])
+    def bad_input(self, request, tmp_path):
+        x = np.random.default_rng(1).standard_normal((4, 200))
+        if request.param == "nan":
+            x[1, 3] = np.nan
+            flags = []
+        else:
+            flags = ["--granularity", "per_group", "--group", "128"]
+        path = tmp_path / "bad.fpqt"
+        write_tensor(path, x)
+        return ["--input", str(path), *flags], request.param
+
+    @pytest.mark.parametrize("command", [["search"], ["dfq", "--search"]])
+    def test_search_value_error_is_a_json_error(self, tmp_path, bad_input, command) -> None:
+        args, kind = bad_input
+        result = CliRunner().invoke(main, [*command, *args, "--report", str(tmp_path / "r.jsonl")])
+        assert result.exit_code == 2, result.output
+        (problem,) = json.loads(result.stderr)["problems"]
+        want = "requires finite input" if kind == "nan" else "not divisible by group size 128"
+        assert problem.startswith("search: ") and want in problem
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestEnvironment:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fpq import hwemu
 from fpq.formats import E1M2, E2M1, E3M4, E4M3, decode_bits, encode
 from fpq.hwemu import (
     build_dfq_luts,
@@ -292,6 +293,19 @@ class TestEmuGemm:
                 )
                 assert out[t, o] == pytest.approx(acc, rel=1e-12)
 
+    def test_float64_fallback_beyond_float32_bound(self) -> None:
+        # One 2^17-wide group: 144 * width passes 2^24, so the float32 path
+        # would round the odd sum 144 * (2^17 - 1) + 1.
+        n = 2**17
+        x = np.full((1, n), 6.0)
+        x[0, 0] = 0.5
+        xq = quantize(x, E2M1, Granularity.per_token())
+        wq = quantize(x, E2M1, Granularity.per_channel())
+        acc = emu_dot(xq.codes[0], wq.codes[0], LUTS)
+        assert acc == 144 * (n - 1) + 1 and acc > 2**24 and acc % 2
+        out = emu_gemm(xq, wq, LUTS)
+        assert out[0, 0] == rescale(acc, float(xq.scales[0]), float(wq.scales[0]))
+
     def test_group_misalignment_rejected(self) -> None:
         x = np.random.default_rng(14).standard_normal((4, 256))
         w = np.random.default_rng(15).standard_normal((4, 256))
@@ -311,3 +325,14 @@ class TestParitySuite:
     def test_verify_quantizer_parity(self) -> None:
         report = verify_quantizer_parity(50_000, seed=1, luts=LUTS)
         assert report["quantizer_parity"] == "pass"
+
+    def test_dfq_scales_compared_exactly(self, monkeypatch) -> None:
+        def nudged(x, luts=None):
+            r = dfq_lut_quantize(x, luts)
+            r.s_neg = np.nextafter(r.s_neg, np.inf)
+            return r
+
+        monkeypatch.setattr(hwemu, "dfq_lut_quantize", nudged)
+        report = verify_quantizer_parity(1_000, seed=2, luts=LUTS)
+        assert report["dfq_bit_identical"] is False
+        assert report["quantizer_parity"] == "fail"

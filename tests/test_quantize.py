@@ -15,6 +15,7 @@ from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
     IntFormat,
+    _dfq_search_totals,
     _fake_quantize,
     afpq_quantize,
     compute_scale,
@@ -250,6 +251,14 @@ class TestFormatSearch:
         with pytest.raises(ValueError, match="nonempty"):
             dfq_search_format([])
 
+    def test_non_finite_tensor_rejected(self) -> None:
+        with pytest.raises(ValueError, match="dfq_search_format requires finite input"):
+            dfq_search_format([np.ones((2, 4)), np.array([[1.0, np.nan]])])
+
+    def test_empty_tensor_rejected(self) -> None:
+        with pytest.raises(ValueError, match="dfq_search_format requires a nonempty tensor"):
+            dfq_search_format([np.ones(4), np.array([])])
+
 
 class TestQuantMse:
     def test_identical_is_zero(self) -> None:
@@ -299,3 +308,63 @@ class TestFakeQuantize:
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="finite"):
             _fake_quantize(np.array([[1.0, np.inf]]), E2M1, PT)
+
+
+def _search_oracle(tensors, g: Granularity):
+    """The exhaustive search: nine full dual quantizations per tensor, scanned
+    with strict ``<`` in (negative, positive) order.  Returns the pick and the
+    3x3 table of summed MSEs."""
+    best, best_mse = None, np.inf
+    totals = np.zeros((3, 3))
+    for i, neg_fmt in enumerate(DFQ_CANDIDATE_FORMATS):
+        for j, pos_fmt in enumerate(DFQ_CANDIDATE_FORMATS):
+            total = 0.0
+            for t in tensors:
+                total += quant_mse(t, dequantize(dfq_quantize(t, neg_fmt, pos_fmt, g)))
+            totals[i, j] = total
+            if total < best_mse:
+                best_mse, best = total, (neg_fmt, pos_fmt)
+    return best, totals
+
+
+class TestSeparableSearch:
+    """The per-plane search must reproduce the exhaustive loop bit for bit."""
+
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @given(data=st.data())
+    def test_matches_exhaustive_loop(self, g: Granularity, data) -> None:
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        tensors = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
+            if g.pad_partial:
+                cols += data.draw(st.integers(0, 7))
+            shape = (data.draw(st.integers(1, 5)), cols)
+            tensors.append(data.draw(arrays(np.float64, shape, elements=values)))
+        try:
+            want_pick, want_totals = _search_oracle(tensors, g)
+        except ValueError:
+            # A unit whose absmax is a tiny subnormal gets a scale of 0; both
+            # searches must then reject the set.
+            with pytest.raises(ValueError, match="finite"):
+                dfq_search_format(tensors, g)
+            return
+        assert dfq_search_format(tensors, g) == want_pick
+        got_totals = _dfq_search_totals(tensors, g)
+        assert got_totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    @pytest.mark.parametrize("sign", ["positive", "non_positive", "zero"])
+    def test_tied_plane_picks_e1m2_first(self, g: Granularity, sign: str) -> None:
+        rng = np.random.default_rng(21)
+        tensors = [rng.uniform(0.1, 5.0, (3, 16)) for _ in range(2)]
+        if sign == "non_positive":
+            tensors = [np.where(t < 1.0, 0.0, -t) for t in tensors]
+        elif sign == "zero":
+            tensors = [np.zeros_like(t) for t in tensors]
+        pick = dfq_search_format(tensors, g)
+        assert pick == _search_oracle(tensors, g)[0]
+        tied = {"positive": pick[:1], "non_positive": pick[1:], "zero": pick}[sign]
+        assert all(f == E1M2 for f in tied)
