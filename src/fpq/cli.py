@@ -2,7 +2,8 @@
 
 Every command resolves its configuration from built-in defaults, then an
 optional JSON --config file (unknown keys rejected), then explicit
-command-line flags, then the FPQ_SEED environment override.  Each run
+command-line flags, then the FPQ_SEED environment override; config and
+environment values go through the option's click type.  Each run
 appends one JSON record per result to the report stream (file via
 --report, stdout otherwise) echoing the fully resolved config, so a run
 can be replayed exactly.  Validation problems are collected and reported
@@ -60,19 +61,24 @@ def _resolve_config(ctx: click.Context, defaults: dict, config_path: str | None)
         unknown = sorted(set(doc) - set(defaults))
         for key in unknown:
             problems.append(f"config: unknown key {key!r}")
-        for key in set(doc) & set(defaults):
-            resolved[key] = doc[key]
+        for key in sorted(set(doc) & set(defaults)):
+            _cast(ctx, key, doc[key], resolved, problems, f"config: {key}")
     for key in defaults:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
 
     if "seed" in resolved and os.environ.get("FPQ_SEED"):
-        raw = os.environ["FPQ_SEED"]
-        try:
-            resolved["seed"] = int(raw)
-        except ValueError:
-            problems.append(f"env: FPQ_SEED must be an integer, got {raw!r}")
+        _cast(ctx, "seed", os.environ["FPQ_SEED"], resolved, problems, "env: FPQ_SEED")
     return resolved, problems
+
+
+def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str], where: str):
+    """Store ``raw`` converted by the type of the command's ``key`` option."""
+    param = next(p for p in ctx.command.params if p.name == key)
+    try:
+        resolved[key] = param.type_cast_value(ctx, raw)
+    except click.BadParameter as exc:
+        problems.append(f"{where}: {exc.message}")
 
 
 def _parse_format(name, problems: list[str]):
@@ -100,10 +106,8 @@ def _parse_granularity(cfg: dict, problems: list[str]):
 
 
 def _parse_schedule(raw, problems: list[str]):
-    if isinstance(raw, (list, tuple)):
-        items = list(raw)
-    else:
-        items = [s for s in str(raw).replace(" ", "").split(",") if s]
+    # A config list arrives as its string form, "[1, 4, 9]".
+    items = [s for s in str(raw).strip("[]").replace(" ", "").split(",") if s]
     try:
         counts = tuple(int(v) for v in items)
     except (TypeError, ValueError):
@@ -392,7 +396,7 @@ def cli_rotate(ctx, **_kw) -> None:
 @click.option("--out-features", "out_features", default=256, help="synthetic weight rows [256]")
 @click.option("--schedule", "schedule", default="1,4,9,16,25,36,64,100,169,256",
               help="per-step token counts")
-@click.option("--seed", "seed", default=0, help="synthetic data seed [0]")
+@click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed [0]")
 @click.option("--outlier-channels", "outlier_channels", default=4)
 @click.option("--outlier-magnitude", "outlier_magnitude", default=50.0)
 @click.option("--format", "format_name", default="E2M1")
@@ -501,7 +505,7 @@ def cli_galt(ctx, **_kw) -> None:
 
 @main.command("emu-check")
 @click.option("--samples", "samples", default=1_000_000, help="parity sample count [1000000]")
-@click.option("--seed", "seed", default=0)
+@click.option("--seed", "seed", default=0, type=click.IntRange(min=0))
 @click.option("--report", "report_path", default=None, type=click.Path())
 @click.option("--config", "config_path", default=None, type=click.Path())
 @click.pass_context
@@ -541,14 +545,20 @@ def cli_report(input_path: str) -> None:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             problems.append(f"line {i + 1}: invalid JSON: {exc}")
+            continue
+        if isinstance(rec, dict):
+            records.append(rec)
+        else:
+            problems.append(f"line {i + 1}: expected a JSON object, got {type(rec).__name__}")
     if problems:
         _fail(problems)
     by_command: dict[str, int] = {}
     for rec in records:
-        by_command[rec.get("command", "history")] = by_command.get(rec.get("command", "history"), 0) + 1
+        cmd = rec.setdefault("command", "history")
+        by_command[cmd] = by_command.get(cmd, 0) + 1
     click.echo(f"{len(records)} records in {input_path}")
     for cmd, count in sorted(by_command.items()):
         click.echo(f"  {cmd}: {count}")

@@ -11,11 +11,12 @@ The value grid is symmetric about zero and there are two zero encodings
 (both sign values with E = M = 0); ``encode`` always emits the all-zeros
 pattern so lookup tables never see the redundant code.
 
-Rounding (``round_to_grid``, ``nearest_codes``) is one binary search of
-the input over the midpoints between neighbouring signed grid values.
-Midpoints whose tie belongs to the lower neighbour sit one ulp higher, so
-the search alone applies round-half-to-even on the magnitude code, the
-tie rule of the OCP microscaling formats.
+Rounding (``round_to_grid``, ``nearest_codes``) is one lookup, like a
+hardware quantizer's LUT, addressed by the input's float64 sign, exponent
+and top k + 1 mantissa bits plus one bit for "exactly on that bucket's
+lower edge".  Every midpoint between grid neighbours has at most k + 1
+significant bits, so it is such an edge.  Ties go to the even magnitude
+code, the tie rule of the OCP microscaling formats.
 """
 
 from __future__ import annotations
@@ -179,31 +180,28 @@ def encode(fmt: FpFormat, value: float) -> FpCode:
     """
     if not np.isfinite(value):
         raise ValueError(f"cannot encode non-finite value {value!r}")
-    mags = _magnitudes(fmt)
-    mag = abs(value)
-    i = int(np.searchsorted(mags, mag))
-    if i == len(mags) or mags[i] != mag:
+    hits = np.flatnonzero(_magnitudes(fmt) == abs(value))
+    if not hits.size:
         raise ValueError(f"{value!r} is not on the {fmt.name} grid")
-    bits = i
-    if value < 0 and i > 0:
+    bits = int(hits[0])
+    if value < 0 and bits > 0:
         bits |= 1 << (fmt.exp_bits + fmt.man_bits)
     return FpCode(bits, fmt)
 
 
-@lru_cache(maxsize=None)
-def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ``(thresholds, values, codes)`` over the signed grid.
+def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
+    """``(thresholds, codes)`` over the signed grid: the reference rounding
+    that ``_bucket_codes`` evaluates once per bucket.
 
-    ``values`` is ``grid_values(fmt)`` and ``codes`` their canonical bit
-    patterns.  Threshold i separates values i and i + 1: it is their
-    midpoint, moved up one ulp when an exact tie belongs to value i.
-    Ties go to the even magnitude code.  Counting from zero, the value
-    with signed index j has magnitude code |j|, so neighbours have codes
-    of opposite parity and the midpoints that move are those whose lower
-    neighbour has an even signed index.  ``searchsorted(thresholds, x,
-    side="right")`` counts the thresholds at or below x, which is the
-    index of the nearest value; inputs beyond the grid saturate to its
-    ends.
+    ``codes`` are the canonical bit patterns of ``grid_values(fmt)``.
+    Threshold i separates values i and i + 1: it is their midpoint, moved
+    up one ulp when an exact tie belongs to value i, so ties go to the
+    even magnitude code.  Counting from zero, the value with signed index
+    j has magnitude code |j|, so neighbours have codes of opposite parity
+    and the midpoints that move are those whose lower neighbour has an
+    even signed index.  ``searchsorted(thresholds, x, side="right")`` is
+    then the index of the value nearest x; inputs beyond the grid
+    saturate to its ends.
     """
     mags = _magnitudes(fmt)
     n = len(mags)
@@ -215,17 +213,44 @@ def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     lower = np.arange(len(thresholds)) - (n - 1)  # signed index of the value below
     even_below = lower % 2 == 0
     thresholds[even_below] = np.nextafter(thresholds[even_below], np.inf)
-    for table in (thresholds, values, codes):
-        table.flags.writeable = False
-    return thresholds, values, codes
+    return thresholds, codes
 
 
-def _grid_indices(fmt: FpFormat, x, op: str) -> np.ndarray:
-    """Signed-grid index of the nearest value of ``fmt`` for each input."""
+@lru_cache(maxsize=None)
+def _bucket_codes(fmt: FpFormat) -> np.ndarray:
+    """Read-only nearest code for every key that ``_nearest`` computes.
+
+    Bucket i holds the float64 bit patterns i << s .. (i << s) + 2**s - 1
+    with s = 51 - k; key 2i + 1 is its lower edge alone and key 2i the
+    rest.  Each threshold is a midpoint, which is a bucket edge, or the
+    float next to one, so it never parts two floats inside (edge, top]:
+    the build checks that the float just above each finite bucket's edge
+    rounds like its top.
+    """
+    thresholds, codes = _rounding_tables(fmt)
+    s = 51 - fmt.man_bits
+    edge = np.arange(1 << (64 - s), dtype=np.uint64) << s
+    probes = np.stack([edge + 1, edge, edge | ((1 << s) - 1)]).view(np.float64)
+    found = codes[np.searchsorted(thresholds, probes, side="right")]
+    if np.any((found[0] != found[2]) & np.isfinite(probes[1])):
+        raise RuntimeError(f"{fmt.name}: a rounding threshold falls inside a float64 bucket")
+    table = found[:2].T.ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _nearest(fmt: FpFormat, x, op: str) -> np.ndarray:
+    """Nearest code for each input, looked up by its float64 sign, exponent
+    and top k + 1 mantissa bits, then 1 if the rest are zero."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op} requires finite input")
-    return np.searchsorted(_rounding_tables(fmt)[0], arr, side="right")
+    b = arr.view(np.uint64)
+    s = 51 - fmt.man_bits
+    key = b >> s
+    key <<= 1
+    key |= (b << (64 - s)) == 0
+    return _bucket_codes(fmt).take(key.view(np.int64))
 
 
 def round_to_grid(fmt: FpFormat, x):
@@ -233,8 +258,9 @@ def round_to_grid(fmt: FpFormat, x):
 
     Saturates beyond +-max_value; exact ties resolve to the neighbor whose
     magnitude code is even, so the result is odd symmetric in the input.
+    The result is the decoded ``nearest_codes`` (zero is always +0).
     """
-    out = _rounding_tables(fmt)[1][_grid_indices(fmt, x, "round_to_grid")]
+    out = _decode_table(fmt).take(_nearest(fmt, x, "round_to_grid"))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -253,4 +279,4 @@ def nearest_codes(fmt: FpFormat, x) -> np.ndarray:
     Same rounding as ``round_to_grid`` but returning codes directly; this
     is the hot path used by the quantizers.
     """
-    return _rounding_tables(fmt)[2][_grid_indices(fmt, x, "nearest_codes")]
+    return _nearest(fmt, x, "nearest_codes")

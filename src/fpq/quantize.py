@@ -175,15 +175,16 @@ def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granulari
 
 
 def _unit_scales(absmax: np.ndarray, peak: float) -> np.ndarray:
-    """scale = absmax / peak, with all-zero units getting scale 1."""
-    return np.where(absmax > 0, absmax / peak, 1.0)
+    """scale = absmax / peak where that is > 0, else 1 (all-zero units, and
+    units so tiny that the quotient underflows)."""
+    scales = absmax / peak
+    return np.where(scales > 0, scales, 1.0)
 
 
 def compute_scale(unit_values, fmt: FpFormat) -> float:
-    """Quantization scale of one unit: max|X| / max_value (1 if all zero)."""
+    """Quantization scale of one unit, as ``quantize`` computes it."""
     arr = _validate_input(unit_values, "compute_scale")
-    peak = float(np.max(np.abs(arr)))
-    return peak / max_value(fmt) if peak > 0 else 1.0
+    return float(_unit_scales(np.max(np.abs(arr)), max_value(fmt)))
 
 
 def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:

@@ -90,3 +90,71 @@ class TestEnvironment:
         assert result.exit_code == 0, result.output
         (record,) = _records(report)
         assert "threads" not in record["config"]
+
+
+def _problems(result) -> list[str]:
+    assert result.exit_code == 2, result.output
+    return json.loads(result.stderr)["problems"]
+
+
+class TestReport:
+    def test_non_object_line_is_a_json_error(self, tmp_path) -> None:
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"command": "rotate", "metrics": {}}\n[1, 2]\n')
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert _problems(result) == ["line 2: expected a JSON object, got list"]
+
+    def test_metrics_without_command_go_to_history(self, tmp_path) -> None:
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"metrics": {"mse": 0.5}}\n{"epoch": 0, "loss": 1.0}\n')
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert lines[1] == "  history: 2"
+        assert json.loads(lines[2]) == {"command": "history", "metrics": {"mse": 0.5}}
+
+
+class TestConfigTypes:
+    """Config-file and environment values go through the option's click type."""
+
+    @pytest.mark.parametrize("command, doc, key", [
+        (["rotate", "--output", "rot.fpqt"], {"group_size": "abc"}, "group_size"),
+        (["galt", "--synth"], {"epochs": "x"}, "epochs"),
+        (["galt", "--synth"], {"lr": "x"}, "lr"),
+        (["emu-check"], {"seed": "x"}, "seed"),
+        (["emu-check"], {"seed": -1}, "seed"),
+    ])
+    def test_bad_config_value_is_a_json_error(self, tmp_path, activation, command, doc, key) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        args = [*command, "--config", str(config), "--report", str(tmp_path / "r.jsonl")]
+        if command[0] == "rotate":
+            args += ["--input", str(activation)]
+        (problem,) = _problems(CliRunner().invoke(main, args))
+        assert problem.startswith(f"config: {key}: ")
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("raw", ["x", "-1"])
+    def test_bad_fpq_seed_is_a_json_error(self, raw) -> None:
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "10"], env={"FPQ_SEED": raw})
+        (problem,) = _problems(result)
+        assert problem.startswith("env: FPQ_SEED: ")
+
+    def test_negative_seed_flag_is_a_usage_error(self) -> None:
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "-1 is not in the range" in result.stderr
+
+    def test_config_values_are_converted(self, tmp_path) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schedule": [1, 4], "epochs": "1", "dim": 8, "group_size": 8}))
+        report = tmp_path / "r.jsonl"
+        result = CliRunner().invoke(main, [
+            "galt", "--synth", "--out-features", "4", "--config", str(config),
+            "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        record = _records(report)[-1]
+        assert record["config"]["schedule"] == [1, 4]
+        assert record["config"]["epochs"] == 1
+        assert record["metrics"]["epochs"] == 1

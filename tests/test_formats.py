@@ -18,6 +18,8 @@ from fpq.formats import (
     FORMATS,
     FpCode,
     FpFormat,
+    _bucket_codes,
+    _rounding_tables,
     decode,
     decode_bits,
     encode,
@@ -214,7 +216,7 @@ def _rounding_inputs(fmt: FpFormat) -> st.SearchStrategy[float]:
 
 
 class TestRoundingProperties:
-    """The threshold-search kernel against the independent scan oracle."""
+    """The bucket-table kernel against the independent scan oracle."""
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     @given(data=st.data())
@@ -238,6 +240,62 @@ class TestRoundingProperties:
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="nearest_codes requires finite"):
             nearest_codes(E2M1, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+    def test_raw_bit_patterns_match_scan_oracle(self, fmt: FpFormat, bits) -> None:
+        xs = np.array(bits, dtype=np.uint64).view(np.float64)
+        xs = xs[np.isfinite(xs)]
+        want = [_nearest_by_scan(fmt, x) for x in xs]
+        assert round_to_grid(fmt, xs).tolist() == want
+        assert nearest_codes(fmt, xs).tolist() == [encode(fmt, v).bits for v in want]
+
+
+def _bucket_probes(fmt: FpFormat) -> np.ndarray:
+    """Every finite float64 bucket's lower edge, the floats on either side of
+    it, and its top float (buckets as in ``formats._bucket_codes``)."""
+    s = 51 - fmt.man_bits
+    edge = np.arange(1 << (64 - s), dtype=np.uint64) << s
+    probes = np.concatenate([edge, edge - 1, edge + 1, edge | ((1 << s) - 1)]).view(np.float64)
+    return probes[np.isfinite(probes)]
+
+
+class TestBucketTable:
+    """The bit-addressed table against the threshold search it is built from."""
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_every_bucket_matches_threshold_search(self, fmt: FpFormat) -> None:
+        xs = _bucket_probes(fmt)
+        thresholds, codes = _rounding_tables(fmt)
+        want = codes[np.searchsorted(thresholds, xs, side="right")]
+        np.testing.assert_array_equal(nearest_codes(fmt, xs), want)
+        table = _bucket_codes(fmt)
+        assert table.dtype == np.uint8 and len(table) == 1 << (14 + fmt.man_bits)
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    def test_round_is_decoded_codes(self, fmt: FpFormat) -> None:
+        xs = np.concatenate([_bucket_probes(fmt)[::7], grid_values(fmt)])
+        np.testing.assert_array_equal(round_to_grid(fmt, xs), decode_bits(fmt, nearest_codes(fmt, xs)))
+
+    @pytest.mark.parametrize("fmt", [E2M1, E3M4], ids=lambda f: f.name)
+    def test_layouts(self, fmt: FpFormat) -> None:
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-2, 2, (6, 10)) * max_value(fmt)
+        want = np.array([[_nearest_by_scan(fmt, v) for v in row] for row in x])
+        for view, ref in ((x.astype(">f8"), want), (x[::2, 1::3], want[::2, 1::3]), (x.T, want.T)):
+            np.testing.assert_array_equal(round_to_grid(fmt, view), ref)
+            np.testing.assert_array_equal(decode_bits(fmt, nearest_codes(fmt, view)), ref)
+        zero_d = np.asarray(x[1, 2])
+        assert round_to_grid(fmt, zero_d) == want[1, 2]
+        assert decode_bits(fmt, int(nearest_codes(fmt, zero_d))) == want[1, 2]
+        assert np.ndim(nearest_codes(fmt, zero_d)) == 0
+
+    def test_build_rejects_thresholds_inside_a_bucket(self) -> None:
+        # Grid values near 2^-1070 sit among float64 subnormals, whose buckets
+        # are too coarse to hold the midpoints.
+        with pytest.raises(RuntimeError, match="inside a float64 bucket"):
+            _bucket_codes(FpFormat("E2M3_tiny", 2, 3, 1070))
 
 
 class TestProductFormats:

@@ -79,6 +79,14 @@ class TestLutQuantize:
             lut_quantize(x, float(ref.scales), LUTS), ref.codes
         )
 
+    def test_underflowing_unit_scale(self) -> None:
+        x = np.array([5e-324, -1e-323, 0.0])
+        scale = compute_scale(x, E2M1)
+        assert scale == 1.0
+        ref = quantize(x, E2M1, PT)
+        np.testing.assert_array_equal(lut_quantize(x, scale, LUTS), ref.codes)
+        assert not ref.codes.any()
+
     def test_rejects_bad_scale(self) -> None:
         with pytest.raises(ValueError, match="positive"):
             lut_quantize(np.ones(4), 0.0, LUTS)

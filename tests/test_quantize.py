@@ -17,6 +17,7 @@ from fpq.quantize import (
     IntFormat,
     _dfq_search_totals,
     _fake_quantize,
+    _unit_scales,
     afpq_quantize,
     compute_scale,
     dequantize,
@@ -44,6 +45,51 @@ class TestComputeScale:
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="finite"):
             compute_scale([1.0, float("nan")], E2M1)
+
+    def test_underflowing_scale_is_one(self) -> None:
+        assert compute_scale([5e-324, -5e-324], E2M1) == 1.0
+
+
+# Units whose absmax / max_value underflows to 0: the scale falls back to 1.
+TINY = np.array([[5e-324, -5e-324, 1e-323, 0.0], [1.5, -2.0, 5e-324, 0.0]])
+
+
+class TestTinyUnits:
+    def test_unit_scales_unchanged_where_positive(self) -> None:
+        rng = np.random.default_rng(4)
+        absmax = np.concatenate([[0.0, 5e-324, 1e-323, 3e-323, 1e-310], rng.uniform(0, 1e3, 100)])
+        for peak in (3.5, 6.0, 16.0, 7.0):
+            plain = np.where(absmax > 0, absmax / peak, 1.0)  # all-zero units at 1 only
+            got = _unit_scales(absmax, peak)
+            kept = plain > 0
+            assert got[kept].view(np.uint64).tolist() == plain[kept].view(np.uint64).tolist()
+            assert np.any(~kept) and np.all(got[~kept] == 1.0)
+
+    @pytest.mark.parametrize("g, x, scales", [
+        (PT, TINY[:1], 1.0),
+        (Granularity.per_token(), TINY, [1.0, 2.0 / 6]),
+        (Granularity.per_group(2), TINY, [[1.0, 1.0], [2.0 / 6, 1.0]]),
+    ], ids=["per_tensor", "per_token", "per_group2"])
+    def test_quantize_and_fake_quantize(self, g: Granularity, x, scales) -> None:
+        q = quantize(x, E2M1, g)
+        assert q.scales.tolist() == scales
+        want = dequantize(q)
+        np.testing.assert_array_equal(want[np.abs(x) < 1e-300], 0.0)
+        assert _fake_quantize(x, E2M1, g).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_dfq_quantize(self) -> None:
+        r = dfq_quantize(TINY, E1M2, E2M1, Granularity.per_token())
+        assert r.s_neg.tolist() == [1.0, 2.0 / 3.5]
+        assert r.s_pos.tolist() == [1.0, 1.5 / 6]
+        assert not r.neg_codes[0].any() and not r.pos_codes[0].any()
+
+    @pytest.mark.parametrize("g", [PT, Granularity.per_token(), Granularity.per_group(2)],
+                             ids=lambda g: f"{g.kind}{g.group_size}")
+    def test_search(self, g: Granularity) -> None:
+        tensors = [TINY, TINY[:1] * 0.5]
+        want_pick, want_totals = _search_oracle(tensors, g)
+        assert dfq_search_format(tensors, g) == want_pick
+        assert _dfq_search_totals(tensors, g).tolist() == want_totals.tolist()
 
 
 class TestQuantize:
@@ -331,8 +377,6 @@ class TestSeparableSearch:
     """The per-plane search must reproduce the exhaustive loop bit for bit."""
 
     @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(data=st.data())
     def test_matches_exhaustive_loop(self, g: Granularity, data) -> None:
         values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
@@ -343,14 +387,7 @@ class TestSeparableSearch:
                 cols += data.draw(st.integers(0, 7))
             shape = (data.draw(st.integers(1, 5)), cols)
             tensors.append(data.draw(arrays(np.float64, shape, elements=values)))
-        try:
-            want_pick, want_totals = _search_oracle(tensors, g)
-        except ValueError:
-            # A unit whose absmax is a tiny subnormal gets a scale of 0; both
-            # searches must then reject the set.
-            with pytest.raises(ValueError, match="finite"):
-                dfq_search_format(tensors, g)
-            return
+        want_pick, want_totals = _search_oracle(tensors, g)
         assert dfq_search_format(tensors, g) == want_pick
         got_totals = _dfq_search_totals(tensors, g)
         assert got_totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
