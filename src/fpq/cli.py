@@ -75,6 +75,12 @@ def _resolve_config(ctx: click.Context, defaults: dict, config_path: str | None)
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str], where: str):
     """Store ``raw`` converted by the type of the command's ``key`` option."""
     param = next(p for p in ctx.command.params if p.name == key)
+    # click.Path would pass a number on to os.stat as a file descriptor.
+    paths = raw if param.multiple and isinstance(raw, list) else [raw]
+    if isinstance(param.type, click.Path) and raw is not None:
+        if not all(isinstance(v, str) for v in paths):
+            problems.append(f"{where}: expected a path string, got {raw!r}")
+            return
     try:
         resolved[key] = param.type_cast_value(ctx, raw)
     except click.BadParameter as exc:
@@ -392,17 +398,18 @@ def cli_rotate(ctx, **_kw) -> None:
               help="per-step activation files, coarse to fine")
 @click.option("--synth", "synth", is_flag=True, default=False,
               help="use the seeded synthetic calibration instead of files")
-@click.option("--dim", "dim", default=256, help="channel count for --synth [256]")
-@click.option("--out-features", "out_features", default=256, help="synthetic weight rows [256]")
+@click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="channel count for --synth [256]")
+@click.option("--out-features", "out_features", default=256, type=click.IntRange(min=1),
+              help="synthetic weight rows [256]")
 @click.option("--schedule", "schedule", default="1,4,9,16,25,36,64,100,169,256",
               help="per-step token counts")
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed [0]")
-@click.option("--outlier-channels", "outlier_channels", default=4)
+@click.option("--outlier-channels", "outlier_channels", default=4, type=click.IntRange(min=0))
 @click.option("--outlier-magnitude", "outlier_magnitude", default=50.0)
 @click.option("--format", "format_name", default="E2M1")
 @click.option("--granularity", default="per_group")
 @click.option("--group", "group_size", default=128)
-@click.option("--epochs", "epochs", default=50, help="optimization epochs [50]")
+@click.option("--epochs", "epochs", default=50, type=click.IntRange(min=0), help="optimization epochs [50]")
 @click.option("--lr", "lr", default=0.01, help="learning rate [0.01]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
@@ -440,18 +447,25 @@ def cli_galt(ctx, **_kw) -> None:
         problems.append("calib: provide --calib files or --synth")
     if not cfg["synth"] and not cfg["weight_path"]:
         problems.append("weight: required unless --synth generates one")
+    if cfg["outlier_channels"] > cfg["dim"]:
+        problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
+    if not np.isfinite(cfg["outlier_magnitude"]):
+        problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
     if problems:
         _fail(problems)
 
     if cfg["synth"]:
-        calib = galt.synth_calibration(
-            seed=cfg["seed"],
-            schedule=schedule,
-            dim=cfg["dim"],
-            outliers=galt.OutlierSpec(
-                count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"]
-            ),
-        )
+        try:
+            calib = galt.synth_calibration(
+                seed=cfg["seed"],
+                schedule=schedule,
+                dim=cfg["dim"],
+                outliers=galt.OutlierSpec(
+                    count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"]
+                ),
+            )
+        except ValueError as exc:
+            _fail([f"galt: {exc}"])
         if cfg["weight_path"]:
             w = _read(cfg["weight_path"], problems)
         else:
@@ -476,9 +490,9 @@ def cli_galt(ctx, **_kw) -> None:
     try:
         hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
         problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
+        best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
     except ValueError as exc:
         _fail([f"galt: {exc}"])
-    best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
 
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"

@@ -167,15 +167,22 @@ def _check_lambda(lam: np.ndarray, dim: int) -> None:
         raise ValueError("lambda must be strictly positive")
 
 
-def _forward(problem: GaltProblem, step: int, lam: np.ndarray):
+def _weight_hat(problem: GaltProblem, lam: np.ndarray) -> np.ndarray:
+    """Fake-quantized fused weight: columns scaled by 1/lambda, rotated."""
+    w_rot = apply_ght(problem.weight / lam, problem.hadamard)
+    return _fake_quantize(w_rot, problem.quant_format, problem.granularity)
+
+
+def _forward(problem: GaltProblem, step: int, lam: np.ndarray, w_hat: np.ndarray | None = None):
     """Quantized forward pass of one step; returns the pieces the STE
-    backward needs."""
+    backward needs.  ``w_hat`` is ``_weight_hat(problem, lam)``, built
+    here when not given."""
     x = problem.calib.per_step[step]
     w = problem.weight
     a_rot = apply_ght(x * lam, problem.hadamard)
-    w_rot = apply_ght(w / lam, problem.hadamard)
     a_hat = _fake_quantize(a_rot, problem.quant_format, problem.granularity)
-    w_hat = _fake_quantize(w_rot, problem.quant_format, problem.granularity)
+    if w_hat is None:
+        w_hat = _weight_hat(problem, lam)
     resid = a_hat @ w_hat.T - x @ w.T
     loss = float(np.mean(resid**2))
     return loss, resid, a_hat, w_hat, x, w
@@ -186,17 +193,20 @@ def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray):
 
     The quantizers are identity in the backward pass, so the gradient
     flows through the bilinear product and both rotations (the blocks are
-    symmetric and orthonormal, so the adjoint of the rotation is the
-    rotation itself), reaching lambda via the activation scaling and the
-    inverse weight scaling.
+    symmetric, so the adjoint of the rotation H is H itself), reaching
+    lambda via the activation scaling and the inverse weight scaling.
+
+    The weight half is summed on the token side.  With R the residual,
+    A the quantized activation and W the weight, for any block matrix H
+    sum_i W[i,j] * ((R.T A) H)[i,j] == sum_t (R W)[t,j] * (A H)[t,j],
+    so it rotates the T rows of A instead of the out rows of R.T A, at the
+    same matmul cost.
     """
     loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam)
     coef = 2.0 / resid.size
-    g_a_rot = coef * (resid @ w_hat)
-    g_w_rot = coef * (resid.T @ a_hat)
-    g_a = apply_ght(g_a_rot, problem.hadamard)
-    g_w_fused = apply_ght(g_w_rot, problem.hadamard)
-    grad = (x * g_a).sum(axis=0) - (w * g_w_fused).sum(axis=0) / (lam * lam)
+    g_a = apply_ght(coef * (resid @ w_hat), problem.hadamard)
+    g_w = ((coef * (resid @ w)) * apply_ght(a_hat, problem.hadamard)).sum(axis=0)
+    grad = (x * g_a).sum(axis=0) - g_w / (lam * lam)
     return loss, grad
 
 
@@ -267,12 +277,16 @@ def optimize_galt(
     step; the epoch loss is the sum of the per-step losses seen before
     each update.  Returns the lambda snapshot with the best epoch loss and
     the loss history, whose first entry is the update-free baseline at the
-    initial lambda (so the result never regresses past it).
+    initial lambda (so the result never regresses past it).  ``lr`` must
+    be finite and positive.
     """
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     num_steps = problem.calib.num_steps
     lam = np.array(problem.lam, dtype=np.float64, copy=True)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
-    baseline = sum(_forward(problem, j, lam)[0] for j in range(num_steps))
+    w_hat = _weight_hat(problem, lam)
+    baseline = sum(_forward(problem, j, lam, w_hat)[0] for j in range(num_steps))
     best_loss = baseline
     best_lam = lam.copy()
     history = [baseline]

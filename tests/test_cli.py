@@ -123,12 +123,17 @@ class TestConfigTypes:
         (["galt", "--synth"], {"lr": "x"}, "lr"),
         (["emu-check"], {"seed": "x"}, "seed"),
         (["emu-check"], {"seed": -1}, "seed"),
+        # click.Path would take a number as a file descriptor.
+        (["quantize"], {"out_codes": 7}, "out_codes"),
+        (["quantize"], {"out_codes": ["a"]}, "out_codes"),
+        (["dfq"], {"out_prefix": 7}, "out_prefix"),
+        (["galt", "--synth"], {"out_lambda": 7}, "out_lambda"),
     ])
     def test_bad_config_value_is_a_json_error(self, tmp_path, activation, command, doc, key) -> None:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         args = [*command, "--config", str(config), "--report", str(tmp_path / "r.jsonl")]
-        if command[0] == "rotate":
+        if command[0] in ("rotate", "quantize", "dfq"):
             args += ["--input", str(activation)]
         (problem,) = _problems(CliRunner().invoke(main, args))
         assert problem.startswith(f"config: {key}: ")
@@ -158,3 +163,33 @@ class TestConfigTypes:
         assert record["config"]["schedule"] == [1, 4]
         assert record["config"]["epochs"] == 1
         assert record["metrics"]["epochs"] == 1
+
+
+class TestGaltInputs:
+    """Bad numbers for ``galt --synth`` end in exit 2, never a traceback."""
+
+    def _invoke(self, tmp_path, flags):
+        return CliRunner().invoke(main, [
+            "galt", "--synth", "--dim", "16", "--group", "16", "--out-features", "8",
+            "--epochs", "1", *flags, "--out-lambda", str(tmp_path / "lam.fpqt"),
+            "--report", str(tmp_path / "r.jsonl"),
+        ])
+
+    @pytest.mark.parametrize("flags, want", [
+        (["--lr", "nan"], "galt: lr must be finite and positive, got nan"),
+        (["--lr", "inf"], "galt: lr must be finite and positive, got inf"),
+        (["--dim", "64", "--outlier-channels", "100"], "outlier_channels: 100 exceeds dim 64"),
+        (["--outlier-magnitude", "nan"], "outlier_magnitude: must be finite, got nan"),
+    ])
+    def test_bad_value_is_a_json_error(self, tmp_path, flags, want) -> None:
+        assert _problems(self._invoke(tmp_path, flags)) == [want]
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "0"], ["--out-features", "0"], ["--epochs", "-3"], ["--outlier-channels", "-1"],
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, flags) -> None:
+        result = self._invoke(tmp_path, flags)
+        assert result.exit_code == 2
+        assert f"{flags[1]} is not in the range" in result.stderr
+        assert not (tmp_path / "r.jsonl").exists()

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpq.formats import E2M1, FpFormat
+from fpq.formats import E1M2, E2M1, E3M2, FpFormat
 from fpq.galt import (
     CalibrationSet,
     GaltProblem,
@@ -22,7 +24,7 @@ from fpq.galt import (
     synth_calibration,
 )
 from fpq.hadamard import HadamardConfig, apply_ght, fuse_weight_rotation
-from fpq.quantize import Granularity, dequantize, quantize
+from fpq.quantize import Granularity, _fake_quantize, dequantize, quantize
 
 GS = Granularity.per_group(128)
 
@@ -35,6 +37,42 @@ def _problem(seed: int = 7, dim: int = 256, out: int = 256) -> GaltProblem:
     rng = np.random.default_rng(seed + 100)
     w = rng.standard_normal((out, dim)) * 0.5
     return GaltProblem(calib, w, HadamardConfig(dim=dim, group_size=128), E2M1, GS)
+
+
+def _grad_oracle(problem: GaltProblem, step: int, lam: np.ndarray):
+    """Per-step loss and the weight-side straight-through gradient: the
+    weight half rotates the out x dim matrix R.T @ A_hat and sums its
+    columns against W."""
+    x = problem.calib.per_step[step]
+    w = problem.weight
+    cfg, fmt, g = problem.hadamard, problem.quant_format, problem.granularity
+    a_hat = _fake_quantize(apply_ght(x * lam, cfg), fmt, g)
+    w_hat = _fake_quantize(apply_ght(w / lam, cfg), fmt, g)
+    resid = a_hat @ w_hat.T - x @ w.T
+    coef = 2.0 / resid.size
+    g_a = apply_ght(coef * (resid @ w_hat), cfg)
+    g_w_fused = apply_ght(coef * (resid.T @ a_hat), cfg)
+    grad = (x * g_a).sum(axis=0) - (w * g_w_fused).sum(axis=0) / (lam * lam)
+    return float(np.mean(resid**2)), grad
+
+
+def _optimize_oracle(problem: GaltProblem, epochs: int, lr: float = 0.01):
+    """``optimize_galt`` as a plain loop over ``_grad_oracle``."""
+    lam = problem.lam.copy()
+    state = OptimizerState.fresh(problem.calib.dim, lr=lr)
+    steps = range(problem.calib.num_steps)
+    history = [sum(_grad_oracle(problem, j, lam)[0] for j in steps)]
+    best_lam = lam.copy()
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        for j in steps:
+            loss, grad = _grad_oracle(problem, j, lam)
+            lam = adamw_step(state, lam, grad)
+            epoch_loss += loss
+        if epoch_loss < min(history):
+            best_lam = lam.copy()
+        history.append(epoch_loss)
+    return best_lam, history
 
 
 class TestCalibration:
@@ -146,6 +184,30 @@ class TestLossAndGrad:
         fine = GaltProblem(prob.calib, prob.weight, prob.hadamard, FINE, GS)
         assert np.abs(galt_grad(fine, 4)).max() < 1e-3 * fp4_scale
 
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_token_side_gradient_matches_weight_side(self, data) -> None:
+        # Step 0 has fewer tokens than weight rows, step 1 more.  Entries
+        # that cancel to near zero drift more than the rest, so the bound
+        # is on the norm of the difference.
+        gs = data.draw(st.sampled_from([8, 16, 32, 64]))
+        dim = gs * data.draw(st.integers(1, 2))
+        kind = data.draw(st.sampled_from(["per_group", "per_token", "per_tensor"]))
+        g = Granularity.per_group(gs) if kind == "per_group" else Granularity(kind)
+        cfg = HadamardConfig(dim=dim, group_size=gs, normalized=data.draw(st.booleans()))
+        fmt = data.draw(st.sampled_from([E2M1, E3M2, E1M2]))
+        out = data.draw(st.integers(4, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        calib = synth_calibration(seed, schedule=(3, 48), dim=dim,
+                                  outliers=OutlierSpec(count=2, magnitude=20.0))
+        rng = np.random.default_rng(seed)
+        lam = np.exp(rng.uniform(-1.0, 1.0, dim))
+        prob = GaltProblem(calib, rng.standard_normal((out, dim)), cfg, fmt, g, lam=lam)
+        for step in (0, 1):
+            _, want = _grad_oracle(prob, step, lam)
+            got = galt_grad(prob, step)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
     def test_gradient_matches_surrogate_finite_differences(self) -> None:
         # The straight-through backward differentiates the forward with the
         # quantization residual frozen at the evaluation point; central
@@ -205,7 +267,24 @@ class TestOptimize:
         lam, history = optimize_galt(prob, epochs=0)
         np.testing.assert_array_equal(lam, np.ones(128))
         baseline = sum(galt_loss(prob, j) for j in range(prob.calib.num_steps))
-        assert history == [pytest.approx(baseline)]
+        assert history == [baseline]
+
+    @pytest.mark.parametrize("epochs", [2, 10])
+    @pytest.mark.parametrize("seed, out", [(3, 384), (4, 128), (5, 512)])
+    def test_matches_oracle_loop(self, seed: int, out: int, epochs: int) -> None:
+        base = _problem(seed, dim=128, out=out)
+        prob = GaltProblem(base.calib, base.weight, HadamardConfig(dim=128, group_size=64),
+                           E2M1, Granularity.per_group(64))
+        lam, history = optimize_galt(prob, epochs=epochs)
+        want_lam, want_history = _optimize_oracle(prob, epochs)
+        assert history[0] == want_history[0]
+        np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(lam, want_lam, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.01])
+    def test_rejects_bad_learning_rate(self, lr: float) -> None:
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            optimize_galt(_problem(dim=128, out=8), epochs=1, lr=lr)
 
     def test_loss_improves_on_planted_outliers(self) -> None:
         prob = _problem()
