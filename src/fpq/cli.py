@@ -454,16 +454,22 @@ def cli_galt(ctx, **_kw) -> None:
     if problems:
         _fail(problems)
 
+    # Overflow raises in the synthetic build and the fit, never reaching lambda.
+    source = f"outlier_magnitude: {cfg['outlier_magnitude']:g}" if cfg["synth"] else "galt: input"
+    overflow = f"{source} overflows float64 in the GALT fit"
     if cfg["synth"]:
         try:
-            calib = galt.synth_calibration(
-                seed=cfg["seed"],
-                schedule=schedule,
-                dim=cfg["dim"],
-                outliers=galt.OutlierSpec(
-                    count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"]
-                ),
-            )
+            with np.errstate(over="raise", invalid="raise"):
+                calib = galt.synth_calibration(
+                    seed=cfg["seed"],
+                    schedule=schedule,
+                    dim=cfg["dim"],
+                    outliers=galt.OutlierSpec(
+                        count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"]
+                    ),
+                )
+        except FloatingPointError:
+            _fail([overflow])
         except ValueError as exc:
             _fail([f"galt: {exc}"])
         if cfg["weight_path"]:
@@ -488,9 +494,12 @@ def cli_galt(ctx, **_kw) -> None:
         _fail(problems)
 
     try:
-        hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
-        problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
-        best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
+        with np.errstate(over="raise", invalid="raise"):
+            hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
+            problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
+            best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
+    except FloatingPointError:
+        _fail([overflow])
     except ValueError as exc:
         _fail([f"galt: {exc}"])
 

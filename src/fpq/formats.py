@@ -16,7 +16,10 @@ hardware quantizer's LUT, addressed by the input's float64 sign, exponent
 and top k + 1 mantissa bits plus one bit for "exactly on that bucket's
 lower edge".  Every midpoint between grid neighbours has at most k + 1
 significant bits, so it is such an edge.  Ties go to the even magnitude
-code, the tie rule of the OCP microscaling formats.
+code, the tie rule of the OCP microscaling formats.  The sign bit of the
+key selects the grid: a pair table rounds the key half with it clear like
+a positive format and the other half like a negative one, both at the
+wider k.  Dual format quantization rounds through such a pair table.
 """
 
 from __future__ import annotations
@@ -217,40 +220,46 @@ def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _bucket_codes(fmt: FpFormat) -> np.ndarray:
-    """Read-only nearest code for every key that ``_nearest`` computes.
+def _bucket_codes(neg: FpFormat, pos: FpFormat) -> np.ndarray:
+    """Read-only nearest code for every key that ``_nearest`` computes: keys
+    with the float64 sign bit set round like ``neg``, the rest like ``pos``.
 
     Bucket i holds the float64 bit patterns i << s .. (i << s) + 2**s - 1
-    with s = 51 - k; key 2i + 1 is its lower edge alone and key 2i the
-    rest.  Each threshold is a midpoint, which is a bucket edge, or the
-    float next to one, so it never parts two floats inside (edge, top]:
-    the build checks that the float just above each finite bucket's edge
-    rounds like its top.
+    with s = 51 - k, k the wider mantissa of the two formats; key 2i + 1 is
+    its lower edge alone and key 2i the rest.  Each threshold is a midpoint,
+    which is a bucket edge, or the float next to one, so it never parts two
+    floats inside (edge, top]: the build checks that the float just above
+    each finite bucket's edge rounds like its top.
     """
-    thresholds, codes = _rounding_tables(fmt)
-    s = 51 - fmt.man_bits
+    s = 51 - max(neg.man_bits, pos.man_bits)
     edge = np.arange(1 << (64 - s), dtype=np.uint64) << s
     probes = np.stack([edge + 1, edge, edge | ((1 << s) - 1)]).view(np.float64)
-    found = codes[np.searchsorted(thresholds, probes, side="right")]
+    half = len(edge) // 2
+    halves = []
+    for fmt, part in ((pos, probes[:, :half]), (neg, probes[:, half:])):
+        thresholds, codes = _rounding_tables(fmt)
+        halves.append(codes[np.searchsorted(thresholds, part, side="right")])
+    found = np.concatenate(halves, axis=1)
     if np.any((found[0] != found[2]) & np.isfinite(probes[1])):
-        raise RuntimeError(f"{fmt.name}: a rounding threshold falls inside a float64 bucket")
+        raise RuntimeError(f"{neg.name}/{pos.name}: a rounding threshold falls inside a float64 bucket")
     table = found[:2].T.ravel()
     table.flags.writeable = False
     return table
 
 
-def _nearest(fmt: FpFormat, x, op: str) -> np.ndarray:
-    """Nearest code for each input, looked up by its float64 sign, exponent
-    and top k + 1 mantissa bits, then 1 if the rest are zero."""
+def _nearest(neg: FpFormat, pos: FpFormat, x, op: str) -> np.ndarray:
+    """Nearest code for each input, on the ``neg`` grid where its sign bit is
+    set and on the ``pos`` grid elsewhere, looked up by its float64 sign,
+    exponent and top k + 1 mantissa bits, then 1 if the rest are zero."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op} requires finite input")
     b = arr.view(np.uint64)
-    s = 51 - fmt.man_bits
+    s = 51 - max(neg.man_bits, pos.man_bits)
     key = b >> s
     key <<= 1
     key |= (b << (64 - s)) == 0
-    return _bucket_codes(fmt).take(key.view(np.int64))
+    return _bucket_codes(neg, pos).take(key.view(np.int64))
 
 
 def round_to_grid(fmt: FpFormat, x):
@@ -260,7 +269,7 @@ def round_to_grid(fmt: FpFormat, x):
     magnitude code is even, so the result is odd symmetric in the input.
     The result is the decoded ``nearest_codes`` (zero is always +0).
     """
-    out = _decode_table(fmt).take(_nearest(fmt, x, "round_to_grid"))
+    out = _decode_table(fmt).take(_nearest(fmt, fmt, x, "round_to_grid"))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -279,4 +288,4 @@ def nearest_codes(fmt: FpFormat, x) -> np.ndarray:
     Same rounding as ``round_to_grid`` but returning codes directly; this
     is the hot path used by the quantizers.
     """
-    return _nearest(fmt, x, "nearest_codes")
+    return _nearest(fmt, fmt, x, "nearest_codes")

@@ -38,6 +38,7 @@ from .quantize import (
     Granularity,
     QuantizedTensor,
     _dfq_split,
+    _unit_scales,
     _validate_input,
 )
 
@@ -179,32 +180,25 @@ def lut_quantize(x, scale: float, luts: LutTables | None = None) -> np.ndarray:
 def dfq_lut_quantize(x, luts: LutTables | None = None) -> DfqResult:
     """Dual-format quantization through the branch tables (per-tensor).
 
-    Split and scales come from the reference quantizer's helper; each
-    branch addresses its table with the doubled snapped magnitude, so the
-    code planes are bit-identical to the reference path.
+    Mask and scales come from the reference quantizer's split; each branch
+    addresses its table with the doubled snapped magnitude, so the code
+    planes are bit-identical to the reference path.
     """
     arr = _validate_input(x, "dfq_lut_quantize")
     if luts is None:
         luts = build_tables()
     g = Granularity.per_tensor()
-    neg_part, pos_part, s_neg, s_pos = _dfq_split(arr, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g)
+    mask, neg_absmax, pos_absmax = _dfq_split(arr, g)
+    s_neg = _unit_scales(neg_absmax, max_value(DFQ_NEG_FORMAT))
+    s_pos = _unit_scales(pos_absmax, max_value(DFQ_POS_FORMAT))
     # E1M2 magnitudes are uniform at step 1/2, so rounding the doubled
-    # magnitude to an integer is the grid rounding (ties to even match the
-    # even-code rule).
-    neg_addr = np.round(2.0 * np.abs(neg_part) / s_neg).astype(np.int64)
+    # magnitude (doubled after the division, which keeps it finite) to an
+    # integer is the grid rounding (ties to even match the even-code rule).
+    neg_addr = np.round(np.where(mask, arr, 0.0) / s_neg * -2.0).astype(np.int64)
     neg_codes = luts.dfq_lut_neg[neg_addr]
-    pos_snap = round_to_grid(DFQ_POS_FORMAT, pos_part / s_pos)
+    pos_snap = round_to_grid(DFQ_POS_FORMAT, np.where(mask, 0.0, arr) / s_pos)
     pos_codes = luts.dfq_lut_pos[(2.0 * pos_snap).astype(np.int64)]
-    return DfqResult(
-        neg_codes,
-        pos_codes,
-        np.asarray(s_neg),
-        np.asarray(s_pos),
-        DFQ_NEG_FORMAT,
-        DFQ_POS_FORMAT,
-        g,
-        arr.shape,
-    )
+    return DfqResult(neg_codes, pos_codes, s_neg, s_pos, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g, arr.shape)
 
 
 def emu_dot(codes_a, codes_b, luts: LutTables, variant: str = "e2m1") -> int:

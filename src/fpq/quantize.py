@@ -4,7 +4,7 @@ Implements absmax-scaled nearest-grid quantization (scale = max|X| /
 max_value), a round-to-nearest integer baseline, asymmetric FP
 quantization (one grid, two scales), dual-format quantization (separate
 grids and scales for the non-positive and positive parts), and the
-separable 3x3 FP4 format search (each sign part rounded once per grid;
+separable 3x3 FP4 format search (each element rounded once per grid;
 earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 """
 
@@ -20,6 +20,7 @@ from .formats import (
     E2M1,
     E3M0,
     FpFormat,
+    _nearest,
     decode_bits,
     max_value,
     nearest_codes,
@@ -142,14 +143,15 @@ def _validate_input(x: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _absmax_per_unit(x: np.ndarray, g: Granularity) -> np.ndarray:
-    """Per-unit max|x| with the unit layout of ``g``."""
+def _unit_reduce(x: np.ndarray, g: Granularity, fn) -> np.ndarray:
+    """Per-unit ``fn`` reduction (``np.max``, ``np.min``) with the unit layout
+    of ``g``; a partial final group is zero-padded when ``g`` allows it."""
     if g.kind == "per_tensor":
-        return np.max(np.abs(x))
+        return fn(x)
     if g.kind in ("per_channel", "per_token"):
         if x.ndim != 2:
             raise ValueError(f"{g.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
-        return np.max(np.abs(x), axis=1)
+        return fn(x, axis=1)
     n = x.shape[-1]
     gs = g.group_size
     if n % gs:
@@ -162,7 +164,7 @@ def _absmax_per_unit(x: np.ndarray, g: Granularity) -> np.ndarray:
         widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
         x = np.pad(x, widths)
     grouped = x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs)
-    return np.max(np.abs(grouped), axis=-1)
+    return fn(grouped, axis=-1)
 
 
 def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granularity):
@@ -190,8 +192,7 @@ def compute_scale(unit_values, fmt: FpFormat) -> float:
 def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
     """Absmax-scale each unit and round to the nearest grid value."""
     arr = _validate_input(x, "quantize")
-    absmax = _absmax_per_unit(arr, g)
-    scales = _unit_scales(absmax, max_value(fmt))
+    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
     codes = nearest_codes(fmt, arr / _per_element_scales(scales, arr.shape, g))
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
@@ -204,7 +205,7 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
     expanded scales, so the result is bit-identical.
     """
     arr = _validate_input(x, "quantize")
-    scales = _unit_scales(_absmax_per_unit(arr, g), max_value(fmt))
+    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
     s = _per_element_scales(scales, arr.shape, g)
     return round_to_grid(fmt, arr / s) * s
 
@@ -230,20 +231,29 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
         raise ValueError(f"supported integer widths are 4, 6, 8; got {bits}")
     arr = _validate_input(x, "rtn_int_quantize")
     fmt = IntFormat(f"INT{bits}", bits)
-    absmax = _absmax_per_unit(arr, g)
-    scales = _unit_scales(absmax, float(fmt.qmax))
+    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), float(fmt.qmax))
     scaled = arr / _per_element_scales(scales, arr.shape, g)
     codes = np.clip(np.round(scaled), -fmt.qmax, fmt.qmax).astype(np.int8)
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
-def _dfq_split(arr: np.ndarray, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
-    """The DFQ sign split: zero-filled parts <= 0 and > 0, and each part's unit scales."""
-    neg_part = np.where(arr <= 0, arr, 0.0)
-    pos_part = np.where(arr > 0, arr, 0.0)
-    s_neg = _unit_scales(_absmax_per_unit(neg_part, g), max_value(neg_fmt))
-    s_pos = _unit_scales(_absmax_per_unit(pos_part, g), max_value(pos_fmt))
-    return neg_part, pos_part, s_neg, s_pos
+def _dfq_split(arr: np.ndarray, g: Granularity):
+    """The DFQ sign split ``(mask, neg_absmax, pos_absmax)`` with mask = arr <= 0.
+    The parts where(mask, arr, 0) and where(mask, 0, arr) have unit absmax
+    max(-min_unit(arr), 0) and max(max_unit(arr), 0): no part is built."""
+    neg_absmax = np.maximum(-_unit_reduce(arr, g, np.min), 0.0)
+    pos_absmax = np.maximum(_unit_reduce(arr, g, np.max), 0.0)
+    return arr <= 0, neg_absmax, pos_absmax
+
+
+def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
+    """``(s_neg, s_pos, s)``: each part's unit scales, and the scale of every
+    element, ``s_neg`` where the split's mask is set and ``s_pos`` elsewhere."""
+    mask, neg_absmax, pos_absmax = split
+    s_neg = _unit_scales(neg_absmax, max_value(neg_fmt))
+    s_pos = _unit_scales(pos_absmax, max_value(pos_fmt))
+    sn, sp = (_per_element_scales(u, mask.shape, g) for u in (s_neg, s_pos))
+    return s_neg, s_pos, np.where(mask, sn, sp)
 
 
 def dfq_quantize(
@@ -254,14 +264,20 @@ def dfq_quantize(
 ) -> DfqResult:
     """Quantize with separate grids and scales for each sign.
 
-    Elements <= 0 go through ``neg_format`` scaled by the most negative
-    magnitude of the unit; elements > 0 go through ``pos_format`` scaled
-    by the positive peak.  Dequantization is neg*s_neg + pos*s_pos.
+    Elements <= 0 go through ``neg_format`` scaled by the unit's
+    max(-min(x), 0); elements > 0 go through ``pos_format`` scaled by its
+    max(max(x), 0).  Dequantization is neg*s_neg + pos*s_pos.
+
+    Each element is divided by its part's scale and rounded once in the pair
+    table of both grids; a scaled element <= 0 has its sign bit set or is a
+    zero (code 0 on both grids), so the mask splits the codes into the planes.
     """
     arr = _validate_input(x, "dfq_quantize")
-    neg_part, pos_part, s_neg, s_pos = _dfq_split(arr, neg_format, pos_format, g)
-    neg_codes = nearest_codes(neg_format, neg_part / _per_element_scales(s_neg, arr.shape, g))
-    pos_codes = nearest_codes(pos_format, pos_part / _per_element_scales(s_pos, arr.shape, g))
+    split = _dfq_split(arr, g)
+    s_neg, s_pos, s = _dfq_scales(split, neg_format, pos_format, g)
+    codes = _nearest(neg_format, pos_format, arr / s, "dfq_quantize")
+    neg_codes = np.where(split[0], codes, 0)
+    pos_codes = np.where(split[0], 0, codes)
     return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
 
 
@@ -274,19 +290,19 @@ DFQ_CANDIDATE_FORMATS: tuple[FpFormat, ...] = (E1M2, E2M1, E3M0)
 
 
 def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndarray:
-    """[i, j] sums the MSE of ``dfq_quantize(t, C[i], C[j], g)`` over the tensors; each
-    part's squared error is zero on the other part, so en[i] + ep[j] is exact."""
+    """[i, j] sums the MSE of ``dfq_quantize(t, C[i], C[j], g)`` over the tensors.
+    Each grid rounds every element once, at its part's scale; a part's error
+    is exactly 0 on the other part, so pair (i, j) has where(mask, e[i], e[j])."""
     cands = DFQ_CANDIDATE_FORMATS
     totals = np.zeros((len(cands), len(cands)))
     for t in tensors:
-        en, ep = [], []
+        split = _dfq_split(t, g)
+        errs = []
         for fmt in cands:
-            neg_part, pos_part, s_neg, s_pos = _dfq_split(t, fmt, fmt, g)
-            for part, s, errs in ((neg_part, s_neg, en), (pos_part, s_pos, ep)):
-                s = _per_element_scales(s, t.shape, g)
-                errs.append((part - round_to_grid(fmt, part / s) * s) ** 2)
+            s = _dfq_scales(split, fmt, fmt, g)[2]
+            errs.append((t - round_to_grid(fmt, t / s) * s) ** 2)
         for i, j in np.ndindex(totals.shape):
-            totals[i, j] += np.mean(en[i] + ep[j])
+            totals[i, j] += np.mean(np.where(split[0], errs[i], errs[j]))
     return totals
 
 
@@ -297,7 +313,7 @@ def dfq_search_format(
     """Search the (negative, positive) grid pair with the least MSE.
 
     Scores all 3x3 FP4 pairs by MSE summed over the calibration tensors,
-    rounding each sign part once per candidate grid; on ties the earliest
+    rounding each element once per candidate grid; on ties the earliest
     pair in (negative, positive) enumeration order wins.
     """
     tensors = [_validate_input(t, "dfq_search_format") for t in calib]

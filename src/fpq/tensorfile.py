@@ -69,8 +69,8 @@ def _unpack_code4(payload: bytes, count: int) -> np.ndarray:
 def write_tensor(path, array, kind: str | None = None) -> None:
     """Write an array atomically; kind defaults from the dtype.
 
-    Code payloads must already fit their field: values outside 0..15
-    (code4) or 0..255 (code8) raise ValueError instead of wrapping.
+    Code payloads must already fit their field: values that are not
+    integers in 0..15 (code4) or 0..255 (code8) raise ValueError.
     """
     arr = np.asarray(array)
     if kind is None:
@@ -84,6 +84,8 @@ def write_tensor(path, array, kind: str | None = None) -> None:
         payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
     else:
         limit = 16 if kind == "code4" else 256
+        if arr.dtype.kind not in "biu" and not np.all(np.isfinite(arr) & (arr == np.round(arr.real))):
+            raise ValueError(f"{kind} payload requires finite integral values")
         if arr.size and (np.min(arr) < 0 or np.max(arr) >= limit):
             raise ValueError(f"{kind} payload requires non-negative values below {limit}")
         flat = np.ascontiguousarray(arr, dtype=np.uint8).ravel()

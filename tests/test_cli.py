@@ -180,9 +180,30 @@ class TestGaltInputs:
         (["--lr", "inf"], "galt: lr must be finite and positive, got inf"),
         (["--dim", "64", "--outlier-channels", "100"], "outlier_channels: 100 exceeds dim 64"),
         (["--outlier-magnitude", "nan"], "outlier_magnitude: must be finite, got nan"),
+        (["--outlier-magnitude", "1e308"], "outlier_magnitude: 1e+308 overflows float64 in the GALT fit"),
+        (["--outlier-magnitude", "1e154"], "outlier_magnitude: 1e+154 overflows float64 in the GALT fit"),
+        (["--outlier-magnitude", "1e100"], "outlier_magnitude: 1e+100 overflows float64 in the GALT fit"),
     ])
     def test_bad_value_is_a_json_error(self, tmp_path, flags, want) -> None:
         assert _problems(self._invoke(tmp_path, flags)) == [want]
+        assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("magnitude", ["50", "1e6"])
+    def test_large_finite_magnitude_fits(self, tmp_path, magnitude: str) -> None:
+        result = self._invoke(tmp_path, ["--outlier-magnitude", magnitude])
+        assert result.exit_code == 0, result.output
+        assert _records(tmp_path / "r.jsonl")[-1]["command"] == "galt"
+
+    def test_overflowing_calibration_file_is_a_json_error(self, tmp_path) -> None:
+        calib, weight = tmp_path / "c.fpqt", tmp_path / "w.fpqt"
+        write_tensor(calib, np.random.default_rng(0).standard_normal((4, 16)) * 1e200)
+        write_tensor(weight, np.ones((8, 16)))
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(calib), "--weight", str(weight), "--group", "16",
+            "--schedule", "4", "--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt"),
+            "--report", str(tmp_path / "r.jsonl"),
+        ])
+        assert _problems(result) == ["galt: input overflows float64 in the GALT fit"]
         assert not (tmp_path / "r.jsonl").exists()
 
     @pytest.mark.parametrize("flags", [

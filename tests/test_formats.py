@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from fpq.formats import (
     FpCode,
     FpFormat,
     _bucket_codes,
+    _nearest,
     _rounding_tables,
     decode,
     decode_bits,
@@ -251,10 +254,11 @@ class TestRoundingProperties:
         assert nearest_codes(fmt, xs).tolist() == [encode(fmt, v).bits for v in want]
 
 
-def _bucket_probes(fmt: FpFormat) -> np.ndarray:
+def _bucket_probes(man_bits: int) -> np.ndarray:
     """Every finite float64 bucket's lower edge, the floats on either side of
-    it, and its top float (buckets as in ``formats._bucket_codes``)."""
-    s = 51 - fmt.man_bits
+    it, and its top float (buckets as in ``formats._bucket_codes`` at k =
+    ``man_bits``)."""
+    s = 51 - man_bits
     edge = np.arange(1 << (64 - s), dtype=np.uint64) << s
     probes = np.concatenate([edge, edge - 1, edge + 1, edge | ((1 << s) - 1)]).view(np.float64)
     return probes[np.isfinite(probes)]
@@ -265,17 +269,29 @@ class TestBucketTable:
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_every_bucket_matches_threshold_search(self, fmt: FpFormat) -> None:
-        xs = _bucket_probes(fmt)
+        xs = _bucket_probes(fmt.man_bits)
         thresholds, codes = _rounding_tables(fmt)
         want = codes[np.searchsorted(thresholds, xs, side="right")]
         np.testing.assert_array_equal(nearest_codes(fmt, xs), want)
-        table = _bucket_codes(fmt)
+        table = _bucket_codes(fmt, fmt)
         assert table.dtype == np.uint8 and len(table) == 1 << (14 + fmt.man_bits)
         assert not table.flags.writeable
 
+    @pytest.mark.parametrize("neg, pos", list(itertools.product(ALL_FORMATS, repeat=2)),
+                             ids=lambda f: f.name)
+    def test_pair_table_halves_match_threshold_search(self, neg: FpFormat, pos: FpFormat) -> None:
+        k = max(neg.man_bits, pos.man_bits)
+        xs = _bucket_probes(k)
+        for fmt, half in ((neg, np.signbit(xs)), (pos, ~np.signbit(xs))):
+            thresholds, codes = _rounding_tables(fmt)
+            want = codes[np.searchsorted(thresholds, xs[half], side="right")]
+            np.testing.assert_array_equal(_nearest(neg, pos, xs[half], "pair"), want)
+        table = _bucket_codes(neg, pos)
+        assert len(table) == 1 << (14 + k) and not table.flags.writeable
+
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_round_is_decoded_codes(self, fmt: FpFormat) -> None:
-        xs = np.concatenate([_bucket_probes(fmt)[::7], grid_values(fmt)])
+        xs = np.concatenate([_bucket_probes(fmt.man_bits)[::7], grid_values(fmt)])
         np.testing.assert_array_equal(round_to_grid(fmt, xs), decode_bits(fmt, nearest_codes(fmt, xs)))
 
     @pytest.mark.parametrize("fmt", [E2M1, E3M4], ids=lambda f: f.name)
@@ -294,8 +310,9 @@ class TestBucketTable:
     def test_build_rejects_thresholds_inside_a_bucket(self) -> None:
         # Grid values near 2^-1070 sit among float64 subnormals, whose buckets
         # are too coarse to hold the midpoints.
+        tiny = FpFormat("E2M3_tiny", 2, 3, 1070)
         with pytest.raises(RuntimeError, match="inside a float64 bucket"):
-            _bucket_codes(FpFormat("E2M3_tiny", 2, 3, 1070))
+            _bucket_codes(tiny, tiny)
 
 
 class TestProductFormats:

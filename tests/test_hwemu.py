@@ -119,6 +119,17 @@ class TestDfqLuts:
         assert float(lut.s_neg) == float(ref.s_neg)
         assert float(lut.s_pos) == float(ref.s_pos)
 
+    @pytest.mark.parametrize("x", [
+        np.array([-1.7e308, -0.6e308, -1.0, 0.0, 2.0, 1.7e308]),  # doubling would overflow
+        np.array([-5e-324, -0.0, 1e-310, 5e-324]),
+    ], ids=["near_max", "subnormal"])
+    def test_dfq_lut_quantize_extreme_values(self, x) -> None:
+        ref = dfq_quantize(x, E1M2, E2M1, PT)
+        lut = dfq_lut_quantize(x, LUTS)
+        assert lut.neg_codes.tolist() == ref.neg_codes.tolist()
+        assert lut.pos_codes.tolist() == ref.pos_codes.tolist()
+        assert (float(lut.s_neg), float(lut.s_pos)) == (float(ref.s_neg), float(ref.s_pos))
+
     def test_all_positive_input(self) -> None:
         x = np.abs(np.random.default_rng(3).standard_normal(256)) + 0.1
         r = dfq_lut_quantize(x, LUTS)

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value
+from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value, nearest_codes
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
     IntFormat,
     _dfq_search_totals,
     _fake_quantize,
+    _per_element_scales,
+    _unit_reduce,
     _unit_scales,
     afpq_quantize,
     compute_scale,
@@ -30,6 +33,7 @@ from fpq.quantize import (
 from fpq.synth import gelu_activations
 
 PT = Granularity.per_tensor()
+_SHIPPED = sorted(FORMATS.values(), key=lambda f: f.name)
 
 
 class TestComputeScale:
@@ -354,6 +358,47 @@ class TestFakeQuantize:
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="finite"):
             _fake_quantize(np.array([[1.0, np.inf]]), E2M1, PT)
+
+
+def _dfq_oracle(x, neg_fmt, pos_fmt, g: Granularity):
+    """The two-plane DFQ: zero-filled parts <= 0 and > 0, each scaled by its
+    own unit absmax and rounded on its own grid."""
+    arr = np.asarray(x, dtype=np.float64)
+    planes = []
+    for fmt, part in ((neg_fmt, np.where(arr <= 0, arr, 0.0)), (pos_fmt, np.where(arr > 0, arr, 0.0))):
+        scales = _unit_scales(_unit_reduce(np.abs(part), g, np.max), max_value(fmt))
+        planes.append((nearest_codes(fmt, part / _per_element_scales(scales, arr.shape, g)), scales))
+    (neg_codes, s_neg), (pos_codes, s_pos) = planes
+    return neg_codes, pos_codes, s_neg, s_pos
+
+
+class TestDfqOneRounding:
+    """One rounding per element in the pair table must give the two-plane
+    oracle's codes and scales bit for bit, for every pair of shipped grids."""
+
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_matches_two_plane_oracle(self, g: Granularity, data) -> None:
+        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
+        if g.pad_partial:
+            cols += data.draw(st.integers(0, 7))
+        tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), cols),
+                             elements=st.one_of(tiny, st.floats(-1e6, 1e6))))
+        for row, sign in zip(x, data.draw(st.lists(st.sampled_from("+-~"), min_size=len(x), max_size=len(x)))):
+            if sign == "+":
+                row[:] = np.abs(row) + 5e-324  # all positive
+            elif sign == "-":
+                row[:] = -np.abs(row)  # all non-positive
+        for neg_fmt, pos_fmt in itertools.product(_SHIPPED, repeat=2):
+            r = afpq_quantize(x, neg_fmt, g) if neg_fmt == pos_fmt else dfq_quantize(x, neg_fmt, pos_fmt, g)
+            neg_codes, pos_codes, s_neg, s_pos = _dfq_oracle(x, neg_fmt, pos_fmt, g)
+            assert r.neg_codes.dtype == neg_codes.dtype and r.pos_codes.dtype == pos_codes.dtype
+            assert r.neg_codes.tolist() == neg_codes.tolist()
+            assert r.pos_codes.tolist() == pos_codes.tolist()
+            assert np.asarray(r.s_neg).view(np.uint64).tolist() == s_neg.view(np.uint64).tolist()
+            assert np.asarray(r.s_pos).view(np.uint64).tolist() == s_pos.view(np.uint64).tolist()
 
 
 def _search_oracle(tensors, g: Granularity):

@@ -6,8 +6,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from fpq.tensorfile import MAGIC, TensorFileError, read_tensor, write_tensor
+from fpq.tensorfile import KINDS, MAGIC, TensorFileError, read_tensor, write_tensor
 
 
 class TestRoundtrip:
@@ -158,3 +161,69 @@ class TestMalformed:
         write_tensor(target, np.ones(4, dtype=np.float32))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers and target.exists()
+
+
+# Element strategy and on-disk dtype per kind.  Float kinds include NaN,
+# infinities and signed zeros, whose bits must survive the round trip.
+_KIND_CASES = {
+    "f32": (st.floats(width=32), np.float32),
+    "f64": (st.floats(), np.float64),
+    "code4": (st.integers(0, 15), np.uint8),
+    "code8": (st.integers(0, 255), np.uint8),
+}
+
+
+class TestRoundtripProperties:
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50)
+    @given(data=st.data())
+    def test_kind_shape_and_values_survive(self, tmp_path_factory, kind: str, data) -> None:
+        elements, want_dtype = _KIND_CASES[kind]
+        shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        src_dtype = data.draw(st.sampled_from(
+            [want_dtype, np.dtype(want_dtype).newbyteorder(">")] if kind in ("f32", "f64")
+            else [np.uint8, np.int16, np.int64, np.float64, ">f8"]
+        ))
+        x = data.draw(arrays(want_dtype, shape, elements=elements)).astype(src_dtype)
+        if x.ndim and data.draw(st.booleans()):
+            x = np.repeat(x, 2, axis=-1)[..., ::2]  # a strided view of the same values
+        path = tmp_path_factory.mktemp("rt") / "x.fpqt"
+        write_tensor(path, x, kind=kind)
+        got = read_tensor(path)
+        assert got.kind == kind and got.data.shape == x.shape and got.data.dtype == want_dtype
+        assert got.data.tobytes() == np.ascontiguousarray(x, dtype=want_dtype).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 15])
+    def test_code4_odd_and_empty_lengths(self, tmp_path, count: int) -> None:
+        path = tmp_path / "c4.fpqt"
+        codes = (np.arange(count) % 16).astype(np.uint8)
+        write_tensor(path, codes, kind="code4")
+        assert path.stat().st_size == 8 + 8 + (count + 1) // 2
+        got = read_tensor(path)
+        assert got.kind == "code4" and got.data.tolist() == codes.tolist()
+
+    def test_bool_codes_accepted(self, tmp_path) -> None:
+        path = tmp_path / "b.fpqt"
+        write_tensor(path, np.array([True, False, True]), kind="code4")
+        assert read_tensor(path).data.tolist() == [1, 0, 1]
+
+
+class TestCodePayloadRejection:
+    @pytest.mark.parametrize("kind, values", [
+        ("code4", [3.9]),
+        ("code8", [1.5, 2.0]),
+        ("code4", [np.nan]),
+        ("code8", [2.0, np.inf]),
+        ("code8", [-np.inf]),
+        ("code4", [3, 1 + 2j]),
+    ])
+    def test_non_integral_or_non_finite_raises(self, tmp_path, kind: str, values) -> None:
+        path = tmp_path / "bad.fpqt"
+        with pytest.raises(ValueError, match=f"{kind} payload requires finite integral values"):
+            write_tensor(path, np.array(values), kind=kind)
+        assert not path.exists()
+
+    def test_integral_floats_accepted(self, tmp_path) -> None:
+        path = tmp_path / "f.fpqt"
+        write_tensor(path, np.array([[3.0, -0.0], [15.0, 0.0]]), kind="code4")
+        assert read_tensor(path).data.tolist() == [[3, 0], [15, 0]]
