@@ -50,9 +50,8 @@ from .hadamard import (
 )
 from .hwemu import (
     LutTables,
-    build_dfq_luts,
+    build_address_lut,
     build_mul_lut,
-    build_quant_lut,
     build_tables,
     dfq_lut_quantize,
     emu_dot,

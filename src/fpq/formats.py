@@ -247,14 +247,19 @@ def _bucket_codes(neg: FpFormat, pos: FpFormat) -> np.ndarray:
     return table
 
 
-def _nearest(neg: FpFormat, pos: FpFormat, x, op: str) -> np.ndarray:
-    """Nearest code for each input, on the ``neg`` grid where its sign bit is
-    set and on the ``pos`` grid elsewhere, looked up by its float64 sign,
-    exponent and top k + 1 mantissa bits, then 1 if the rest are zero."""
+def _finite(x, op: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op} requires finite input")
-    b = arr.view(np.uint64)
+    return arr
+
+
+def _nearest(neg: FpFormat, pos: FpFormat, x) -> np.ndarray:
+    """Nearest code for each finite input, on the ``neg`` grid where its sign
+    bit is set and on the ``pos`` grid elsewhere, looked up by its float64
+    sign, exponent and top k + 1 mantissa bits, then 1 if the rest are zero.
+    Unchecked: the quantizers pass finite input over finite positive scales."""
+    b = np.asarray(x, dtype=np.float64).view(np.uint64)
     s = 51 - max(neg.man_bits, pos.man_bits)
     key = b >> s
     key <<= 1
@@ -269,8 +274,13 @@ def round_to_grid(fmt: FpFormat, x):
     magnitude code is even, so the result is odd symmetric in the input.
     The result is the decoded ``nearest_codes`` (zero is always +0).
     """
-    out = _decode_table(fmt).take(_nearest(fmt, fmt, x, "round_to_grid"))
+    out = _round(fmt, _finite(x, "round_to_grid"))
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _round(fmt: FpFormat, x) -> np.ndarray:
+    """``round_to_grid`` of finite input, unchecked."""
+    return _decode_table(fmt).take(_nearest(fmt, fmt, x))
 
 
 def code_dtype(fmt: FpFormat) -> type:
@@ -288,4 +298,4 @@ def nearest_codes(fmt: FpFormat, x) -> np.ndarray:
     Same rounding as ``round_to_grid`` but returning codes directly; this
     is the hot path used by the quantizers.
     """
-    return _nearest(fmt, fmt, x, "nearest_codes")
+    return _nearest(fmt, fmt, _finite(x, "nearest_codes"))

@@ -1,12 +1,21 @@
 """Bit-exact software model of a LUT-based FP4 multiply-accumulate datapath.
 
-Quantizers are 32/16-entry code lookup tables addressed by doubled grid
-values offset into a non-negative range; multipliers are 256-entry tables
-addressed by a concatenated code pair, returning an 8-bit FP product code
-that a second table converts to the exact integer 4x(product).  Dot
-products therefore accumulate in pure integer arithmetic, and a final
-multiply by s_act * s_wt / 4 produces the real result; the only rounding
-in a whole GEMM is that last rescale.
+A quantizer saturates the scaled input q = x / s to its bus range,
+truncates it to two fractional bits, f = floor(4q) (two's complement, so
+no separate sign), and adds a sticky bit for any lower bit set: the 7-bit
+signed address 2f + sticky is the point q = f/4 when even and the open
+quarter above it when odd.  Every midpoint of the E2M1 and E1M2 grids is a
+multiple of 1/4, so no bucket holds a rounding threshold and each table
+entry is the reference code, ties included.  At one fractional bit the
+midpoints 0.25, 0.75, ... fall inside buckets; the 5-bit rounded address
+clip(round(2q), +-12) gives the wrong code for 2.3% of Gaussian inputs
+(q in (2.5, 2.75) rounds to 2.5, which ties to 2, while 3 is nearest).
+
+Multipliers are 256-entry tables addressed by a concatenated code pair,
+returning an 8-bit FP product code that a second table converts to the
+exact integer 4x(product).  Dot products therefore accumulate in pure
+integer arithmetic, and a final multiply by s_act * s_wt / 4 produces the
+real result; the only rounding in a whole GEMM is that last rescale.
 
 Every pairwise grid product is exactly representable in the chosen
 product formats, which makes the lookup path equal, integer for integer,
@@ -27,18 +36,17 @@ from .formats import (
     E3M4,
     E4M3,
     FpFormat,
+    _nearest,
     decode_bits,
     encode,
     max_value,
-    nearest_codes,
-    round_to_grid,
 )
 from .quantize import (
     DfqResult,
     Granularity,
     QuantizedTensor,
+    _dfq_scales,
     _dfq_split,
-    _unit_scales,
     _validate_input,
 )
 
@@ -49,8 +57,8 @@ __all__ = [
     "DFQ_POS_FORMAT",
     "PRODUCT_FORMAT",
     "DFQ_PRODUCT_FORMAT",
-    "build_quant_lut",
-    "build_dfq_luts",
+    "ADDR_FRAC_BITS",
+    "build_address_lut",
     "build_mul_lut",
     "build_tables",
     "lut_quantize",
@@ -70,59 +78,45 @@ PRODUCT_FORMAT = E4M3
 # 21 = 2^4 * 1.3125), which E4M3 cannot hold, so the mixed-grid table uses
 # E3M4 (max 31 >= 21, subnormal step 2^-6 <= 1/4).
 DFQ_PRODUCT_FORMAT = E3M4
-
-# Doubling the E2M1 grid makes every value an integer; +12 shifts the
-# doubled range [-12, 12] to non-negative addresses 0..24 in a 5-bit space.
-_QUANT_LUT_OFFSET = 12
-_QUANT_LUT_LIVE = 25
+ADDR_FRAC_BITS = 2
 
 
 @dataclass(frozen=True)
 class LutTables:
     """All datapath tables, immutable after construction."""
 
-    quant_lut: np.ndarray  # (32,) E2M1 codes, address = 2*value + 12
-    dfq_lut_neg: np.ndarray  # (16,) E1M2 codes, address = 2*|value|
-    dfq_lut_pos: np.ndarray  # (16,) E2M1 codes, address = 2*value
+    quant_lut: np.ndarray  # (128,) E2M1 codes by address 2*floor(4q) + sticky
+    dfq_lut: np.ndarray  # (128,) E1M2 codes at negative addresses, E2M1 at the rest
     mul_lut: np.ndarray  # (256,) E4M3 product codes, address = (a << 4) | b
     prod_to_int: np.ndarray  # (256,) int32: 4 * decoded E4M3 value
     dfq_mul_lut: np.ndarray  # (256,) E3M4 codes for E1M2 x E2M1 pairs
     dfq_prod_to_int: np.ndarray  # (256,) int32: 4 * decoded E3M4 value
+    addr_frac_bits: int  # fractional bits of the truncated quotient
 
 
-def build_quant_lut() -> np.ndarray:
-    """32-entry address-to-code table for the E2M1 quantizer.
+def build_address_lut(neg_fmt: FpFormat, pos_fmt: FpFormat, frac_bits: int = ADDR_FRAC_BITS) -> np.ndarray:
+    """Code for every signed address 2*floor(2^F q) + sticky, F = frac_bits,
+    on a bus whose integer bits put every grid value below its top; negative
+    addresses index from the end, as their two's complement bits would.
 
-    Live addresses 0..24 map their representative value (address - 12) / 2
-    to the code of the nearest grid value; the 7 dead addresses sit beyond
-    the positive end of the range and hold the saturation code.
+    The reference rounding runs once over each bucket's edge, the float
+    above it and the float below the next edge, on the ``neg_fmt`` grid
+    where q < 0 and the ``pos_fmt`` grid elsewhere.  Rounding is monotone,
+    so an odd bucket whose two ends agree is uniform; otherwise the build
+    raises.  Quotients beyond the bus saturate into its end buckets, which
+    round like the grid ends.
     """
-    lut = np.zeros(32, dtype=np.uint8)
-    for addr in range(_QUANT_LUT_LIVE):
-        v = (addr - _QUANT_LUT_OFFSET) / 2.0
-        lut[addr] = encode(ACT_FORMAT, round_to_grid(ACT_FORMAT, v)).bits
-    lut[_QUANT_LUT_LIVE:] = encode(ACT_FORMAT, max_value(ACT_FORMAT)).bits
-    return lut
-
-
-def build_dfq_luts() -> tuple[np.ndarray, np.ndarray]:
-    """(negative, positive) 16-entry magnitude-address tables.
-
-    The negative table covers the uniform E1M2 magnitudes (doubled:
-    addresses 0..7) and returns sign-set codes; the positive table covers
-    the doubled E2M1 magnitudes up to address 12.  Dead addresses hold the
-    saturation code of their branch.
-    """
-    neg = np.zeros(16, dtype=np.uint8)
-    for addr in range(8):
-        neg[addr] = encode(DFQ_NEG_FORMAT, -addr / 2.0).bits
-    neg[8:] = encode(DFQ_NEG_FORMAT, -max_value(DFQ_NEG_FORMAT)).bits
-    pos = np.zeros(16, dtype=np.uint8)
-    for addr in range(13):
-        v = addr / 2.0
-        pos[addr] = encode(DFQ_POS_FORMAT, round_to_grid(DFQ_POS_FORMAT, v)).bits
-    pos[13:] = encode(DFQ_POS_FORMAT, max_value(DFQ_POS_FORMAT)).bits
-    return neg, pos
+    int_bits = int(max(max_value(neg_fmt), max_value(pos_fmt))).bit_length()
+    step = 2.0**-frac_bits
+    edge = np.arange(-(1 << (int_bits + frac_bits)), 1 << (int_bits + frac_bits)) * step
+    probes = np.stack([edge, np.nextafter(edge, np.inf), np.nextafter(edge + step, -np.inf)])
+    found = _nearest(neg_fmt, pos_fmt, probes)
+    if np.any(found[1] != found[2]):
+        raise RuntimeError(f"{neg_fmt.name}/{pos_fmt.name}: a rounding threshold falls inside "
+                           f"an address bucket at {frac_bits} fractional bits")
+    table = np.roll(found[:2].T.ravel(), len(edge))
+    table.flags.writeable = False
+    return table
 
 
 def build_mul_lut(
@@ -151,54 +145,63 @@ def build_mul_lut(
 
 def build_tables() -> LutTables:
     """Construct the full table set for both GEMM variants."""
-    quant_lut = build_quant_lut()
-    dfq_neg, dfq_pos = build_dfq_luts()
+    quant_lut = build_address_lut(ACT_FORMAT, ACT_FORMAT)
+    dfq_lut = build_address_lut(DFQ_NEG_FORMAT, DFQ_POS_FORMAT)
     mul_lut, prod_to_int = build_mul_lut()
     dfq_mul, dfq_p2i = build_mul_lut(DFQ_NEG_FORMAT, ACT_FORMAT, DFQ_PRODUCT_FORMAT)
-    for t in (quant_lut, dfq_neg, dfq_pos, mul_lut, prod_to_int, dfq_mul, dfq_p2i):
+    for t in (mul_lut, prod_to_int, dfq_mul, dfq_p2i):
         t.flags.writeable = False
-    return LutTables(quant_lut, dfq_neg, dfq_pos, mul_lut, prod_to_int, dfq_mul, dfq_p2i)
+    return LutTables(quant_lut, dfq_lut, mul_lut, prod_to_int, dfq_mul, dfq_p2i, ADDR_FRAC_BITS)
+
+
+def _lookup(lut: np.ndarray, q: np.ndarray, frac_bits: int) -> np.ndarray:
+    """Codes of the quotients ``q`` (overwritten) from an address table: q
+    saturates to the bus range, and the low bits of the int8 address
+    2*floor(2^F q) + sticky, read unsigned, index the table."""
+    top = len(lut) >> (frac_bits + 2)
+    np.clip(q, -top, top - 2.0 ** -(frac_bits + 1), out=q)
+    q *= 1 << frac_bits
+    addr = np.floor(q, out=np.empty(q.shape, np.int8), casting="unsafe")
+    sticky = q != addr
+    addr <<= 1
+    addr += sticky
+    addr &= len(lut) - 1
+    return lut.take(addr.view(np.uint8))
 
 
 def lut_quantize(x, scale: float, luts: LutTables | None = None) -> np.ndarray:
-    """E2M1 codes via the address table; bit-identical to the reference.
-
-    The scaled input snaps to the grid (same nearest/tie rule as the
-    reference quantizer) before addressing, so only live doubled-grid
-    addresses are ever hit and the table returns exactly the reference
-    code.
-    """
+    """E2M1 codes of x / scale from the address table; bit-identical to
+    ``quantize`` at per_tensor with its scale.  A quotient beyond the bus
+    range, which only a caller's scale can give, saturates."""
     arr = _validate_input(x, "lut_quantize")
     if not np.isfinite(scale) or scale <= 0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    table = luts.quant_lut if luts is not None else build_quant_lut()
-    snapped = round_to_grid(ACT_FORMAT, arr / scale)
-    addr = (2.0 * snapped).astype(np.int64) + _QUANT_LUT_OFFSET
-    return table[addr]
+    if luts is None:
+        luts = build_tables()
+    with np.errstate(over="ignore"):
+        q = np.divide(arr, scale, out=np.empty_like(arr))  # an array even when 0-d
+    return _lookup(luts.quant_lut, q, luts.addr_frac_bits)
 
 
 def dfq_lut_quantize(x, luts: LutTables | None = None) -> DfqResult:
-    """Dual-format quantization through the branch tables (per-tensor).
+    """Dual-format quantization through the address table (per-tensor).
 
-    Mask and scales come from the reference quantizer's split; each branch
-    addresses its table with the doubled snapped magnitude, so the code
-    planes are bit-identical to the reference path.
+    Mask and scales come from the reference quantizer's split.  Each element
+    is divided by its part's scale and looked up once: a part <= 0 gives a
+    negative address or 0, whose entries hold E1M2 codes (0 for zero), and a
+    part > 0 a positive one, holding E2M1 codes.  The mask splits the codes
+    into the planes, bit-identical to ``dfq_quantize``.
     """
     arr = _validate_input(x, "dfq_lut_quantize")
     if luts is None:
         luts = build_tables()
     g = Granularity.per_tensor()
-    mask, neg_absmax, pos_absmax = _dfq_split(arr, g)
-    s_neg = _unit_scales(neg_absmax, max_value(DFQ_NEG_FORMAT))
-    s_pos = _unit_scales(pos_absmax, max_value(DFQ_POS_FORMAT))
-    # E1M2 magnitudes are uniform at step 1/2, so rounding the doubled
-    # magnitude (doubled after the division, which keeps it finite) to an
-    # integer is the grid rounding (ties to even match the even-code rule).
-    neg_addr = np.round(np.where(mask, arr, 0.0) / s_neg * -2.0).astype(np.int64)
-    neg_codes = luts.dfq_lut_neg[neg_addr]
-    pos_snap = round_to_grid(DFQ_POS_FORMAT, np.where(mask, 0.0, arr) / s_pos)
-    pos_codes = luts.dfq_lut_pos[(2.0 * pos_snap).astype(np.int64)]
-    return DfqResult(neg_codes, pos_codes, s_neg, s_pos, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g, arr.shape)
+    split = _dfq_split(arr, g)
+    s_neg, s_pos, s = _dfq_scales(split, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g)
+    codes = _lookup(luts.dfq_lut, np.divide(arr, s, out=s), luts.addr_frac_bits)
+    neg = codes * split[0]  # the bool mask keeps the codes of parts <= 0
+    pos = codes - neg
+    return DfqResult(neg, pos, s_neg, s_pos, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g, arr.shape)
 
 
 def emu_dot(codes_a, codes_b, luts: LutTables, variant: str = "e2m1") -> int:
@@ -207,10 +210,12 @@ def emu_dot(codes_a, codes_b, luts: LutTables, variant: str = "e2m1") -> int:
     Returns sum_i prod_to_int[mul_lut[(a_i << 4) | b_i]], which is exactly
     4x the real dot product of the decoded values.
     """
-    a = np.asarray(codes_a, dtype=np.int64)
-    b = np.asarray(codes_b, dtype=np.int64)
+    a, b = np.asarray(codes_a), np.asarray(codes_b)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    for c in (a, b):
+        if c.size and not (np.issubdtype(c.dtype, np.integer) and c.min() >= 0 and c.max() <= 15):
+            raise ValueError("codes must be integers in 0..15")
     if variant == "e2m1":
         mul, p2i = luts.mul_lut, luts.prod_to_int
     elif variant == "dfq":
@@ -359,22 +364,26 @@ def verify_quantizer_parity(
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n_samples)
     ref = quantize(x, ACT_FORMAT, Granularity.per_tensor())
-    lut_codes = lut_quantize(x, float(ref.scales), luts)
-    e2m1_ok = bool(np.array_equal(ref.codes, lut_codes))
+    e2m1_bad = int(np.count_nonzero(lut_quantize(x, float(ref.scales), luts) != ref.codes))
 
     # Skewed data exercises both branches of the dual-format path.
     y = np.where(x > 1.2, x, -np.abs(x) * 0.05)
     ref_dfq = dfq_quantize(y, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, Granularity.per_tensor())
     lut_dfq = dfq_lut_quantize(y, luts)
+    dfq_bad = int(np.count_nonzero(
+        (lut_dfq.neg_codes != ref_dfq.neg_codes) | (lut_dfq.pos_codes != ref_dfq.pos_codes)
+    ))
     dfq_ok = bool(
-        np.array_equal(ref_dfq.neg_codes, lut_dfq.neg_codes)
-        and np.array_equal(ref_dfq.pos_codes, lut_dfq.pos_codes)
+        dfq_bad == 0
         and np.array_equal(ref_dfq.s_neg, lut_dfq.s_neg)
         and np.array_equal(ref_dfq.s_pos, lut_dfq.s_pos)
     )
     return {
-        "quantizer_parity": "pass" if (e2m1_ok and dfq_ok) else "fail",
+        "quantizer_parity": "pass" if (e2m1_bad == 0 and dfq_ok) else "fail",
+        "addr_frac_bits": luts.addr_frac_bits,
         "e2m1_samples": n_samples,
-        "e2m1_bit_identical": e2m1_ok,
+        "e2m1_mismatches": e2m1_bad,
+        "e2m1_bit_identical": e2m1_bad == 0,
+        "dfq_mismatches": dfq_bad,
         "dfq_bit_identical": dfq_ok,
     }

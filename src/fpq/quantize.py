@@ -21,10 +21,10 @@ from .formats import (
     E3M0,
     FpFormat,
     _nearest,
+    _round,
     decode_bits,
     max_value,
     nearest_codes,
-    round_to_grid,
 )
 
 __all__ = [
@@ -207,7 +207,7 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
     arr = _validate_input(x, "quantize")
     scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
     s = _per_element_scales(scales, arr.shape, g)
-    return round_to_grid(fmt, arr / s) * s
+    return _round(fmt, arr / s) * s
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
@@ -275,7 +275,7 @@ def dfq_quantize(
     arr = _validate_input(x, "dfq_quantize")
     split = _dfq_split(arr, g)
     s_neg, s_pos, s = _dfq_scales(split, neg_format, pos_format, g)
-    codes = _nearest(neg_format, pos_format, arr / s, "dfq_quantize")
+    codes = _nearest(neg_format, pos_format, arr / s)
     neg_codes = np.where(split[0], codes, 0)
     pos_codes = np.where(split[0], 0, codes)
     return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
@@ -300,7 +300,7 @@ def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndar
         errs = []
         for fmt in cands:
             s = _dfq_scales(split, fmt, fmt, g)[2]
-            errs.append((t - round_to_grid(fmt, t / s) * s) ** 2)
+            errs.append((t - _round(fmt, t / s) * s) ** 2)
         for i, j in np.ndindex(totals.shape):
             totals[i, j] += np.mean(np.where(split[0], errs[i], errs[j]))
     return totals

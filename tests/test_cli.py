@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fpq import hwemu
 from fpq.cli import main
 from fpq.formats import E2M1, E2M3
 from fpq.quantize import dfq_quantize
@@ -214,3 +216,27 @@ class TestGaltInputs:
         assert result.exit_code == 2
         assert f"{flags[1]} is not in the range" in result.stderr
         assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestEmuCheck:
+    def test_passes_on_the_shipped_tables(self) -> None:
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "20000"])
+        assert result.exit_code == 0, result.output
+        metrics = json.loads(result.stdout)["metrics"]
+        assert metrics["quantizer_parity"] == "pass"
+        assert (metrics["addr_frac_bits"], metrics["e2m1_mismatches"], metrics["dfq_mismatches"]) == (2, 0, 0)
+
+    def test_flipped_quantizer_entry_fails(self, monkeypatch) -> None:
+        build = hwemu.build_tables
+
+        def flipped():
+            luts = build()
+            lut = luts.quant_lut.copy()
+            lut[3] ^= 1  # q in (0.25, 0.5): code 1 becomes 0
+            return replace(luts, quant_lut=lut)
+
+        monkeypatch.setattr(hwemu, "build_tables", flipped)
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "20000"])
+        assert result.exit_code == 1
+        assert '"quantizer_parity": "fail"' in result.stdout
+        assert json.loads(result.stdout)["metrics"]["e2m1_mismatches"] > 0

@@ -285,7 +285,7 @@ class TestBucketTable:
         for fmt, half in ((neg, np.signbit(xs)), (pos, ~np.signbit(xs))):
             thresholds, codes = _rounding_tables(fmt)
             want = codes[np.searchsorted(thresholds, xs[half], side="right")]
-            np.testing.assert_array_equal(_nearest(neg, pos, xs[half], "pair"), want)
+            np.testing.assert_array_equal(_nearest(neg, pos, xs[half]), want)
         table = _bucket_codes(neg, pos)
         assert len(table) == 1 << (14 + k) and not table.flags.writeable
 

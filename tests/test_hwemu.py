@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fpq import hwemu
-from fpq.formats import E1M2, E2M1, E3M4, E4M3, decode_bits, encode
+from fpq.formats import (
+    E1M2,
+    E2M1,
+    E3M4,
+    E4M3,
+    _rounding_tables,
+    decode_bits,
+    encode,
+    grid_values,
+    nearest_codes,
+    round_to_grid,
+)
 from fpq.hwemu import (
-    build_dfq_luts,
+    build_address_lut,
     build_mul_lut,
-    build_quant_lut,
     build_tables,
     dfq_lut_quantize,
     emu_dot,
@@ -33,26 +47,87 @@ from fpq.synth import gelu_activations
 
 LUTS = build_tables()
 PT = Granularity.per_tensor()
+ADDRESSES = range(-64, 64)  # the 7-bit signed bus
+TABLE_PAIRS = [(E2M1, E2M1), (E1M2, E2M1)]
+
+
+def _bucket(addr: int) -> tuple[float, float]:
+    """Quotients of one address: the point f/4 for even 2f, the open quarter
+    above it for odd 2f + 1, as (lowest, highest) float64."""
+    edge = (addr >> 1) / 4
+    if addr % 2 == 0:
+        return edge, edge
+    return float(np.nextafter(edge, np.inf)), float(np.nextafter(edge + 0.25, -np.inf))
+
+
+def _address(q: float) -> int:
+    """The address the hardware forms: q saturates to [-8, 8 - 1/8], then
+    2 * floor(4q) plus the sticky bit."""
+    q4 = 4 * min(max(q, -8.0), 7.875)
+    return 2 * math.floor(q4) + (q4 != math.floor(q4))
+
+
+def _reference_code(neg, pos, q: float) -> int:
+    """Threshold-search rounding on the grid the sign of q selects."""
+    thresholds, codes = _rounding_tables(neg if np.signbit(q) else pos)
+    return int(codes[np.searchsorted(thresholds, q, side="right")])
 
 
 class TestQuantLut:
     def test_grid_max_address(self) -> None:
-        lut = build_quant_lut()
-        assert lut[24] == 0b0111  # +6.0
-        assert lut[12] == 0b0000  # zero
-        assert lut[0] == encode(E2M1, -6.0).bits
+        lut = build_address_lut(E2M1, E2M1)
+        assert len(lut) == 128
+        assert lut[48] == 0b0111  # q = +6.0
+        assert lut[0] == 0b0000  # zero
+        assert lut[-48] == encode(E2M1, -6.0).bits
 
     def test_live_addresses_match_reference_rounding(self) -> None:
-        from fpq.formats import round_to_grid
-
-        lut = build_quant_lut()
-        for addr in range(25):
-            v = (addr - 12) / 2.0
-            assert decode_bits(E2M1, int(lut[addr])) == round_to_grid(E2M1, v)
+        lut = build_address_lut(E2M1, E2M1)
+        for addr in ADDRESSES:
+            for q in _bucket(addr):
+                assert decode_bits(E2M1, int(lut[addr])) == round_to_grid(E2M1, q)
 
     def test_dead_addresses_saturate(self) -> None:
-        lut = build_quant_lut()
-        assert all(lut[a] == 0b0111 for a in range(25, 32))
+        # Addresses past the grid's ends, q beyond +-6, hold the saturation codes.
+        lut = build_address_lut(E2M1, E2M1)
+        assert all(lut[a] == 0b0111 for a in range(49, 64))
+        assert all(lut[a] == 0b1111 for a in range(-64, -48))
+
+
+class TestAddressTables:
+    @pytest.mark.parametrize("neg, pos", TABLE_PAIRS, ids=lambda f: f.name)
+    def test_every_bucket_matches_reference(self, neg, pos) -> None:
+        lut = build_address_lut(neg, pos)
+        rng = np.random.default_rng(0)
+        for addr in ADDRESSES:
+            lo, hi = _bucket(addr)
+            inside = [lo, hi, *rng.uniform(lo, hi, 8)]
+            if addr == 63:
+                inside += [8.0, 1e300, np.finfo(np.float64).max]
+            if addr == -64:
+                inside += [-8.5, -1e300, -np.finfo(np.float64).max]
+            for q in inside:
+                assert _address(q) == addr
+                assert lut[addr] == _reference_code(neg, pos, q), (addr, q)
+
+    @pytest.mark.parametrize("neg, pos", TABLE_PAIRS, ids=lambda f: f.name)
+    def test_one_fractional_bit_puts_midpoints_inside_buckets(self, neg, pos) -> None:
+        with pytest.raises(RuntimeError, match="inside an address bucket at 1 fractional bits"):
+            build_address_lut(neg, pos, frac_bits=1)
+
+    def test_tables_record_their_width(self) -> None:
+        assert LUTS.addr_frac_bits == 2
+        for lut in (LUTS.quant_lut, LUTS.dfq_lut):
+            assert len(lut) == 128 and lut.dtype == np.uint8 and not lut.flags.writeable
+
+    def test_quantizers_form_the_address(self) -> None:
+        # Through a table that echoes its index, the quantizer returns the
+        # address itself, modulo the bus width.
+        echo = replace(LUTS, quant_lut=np.arange(128, dtype=np.uint8))
+        rng = np.random.default_rng(1)
+        q = np.concatenate([rng.uniform(-9, 9, 2000), np.arange(-36, 36) / 4, [-0.0, 5e-324, -5e-324]])
+        got = lut_quantize(q, 1.0, echo)
+        assert got.tolist() == [_address(float(v)) % 128 for v in q]
 
 
 class TestLutQuantize:
@@ -93,22 +168,107 @@ class TestLutQuantize:
         with pytest.raises(ValueError, match="positive"):
             lut_quantize(np.ones(4), -1.0, LUTS)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310, 5e-324])
+    def test_tiny_caller_scale_saturates(self, scale) -> None:
+        # The quotients overflow float64; they saturate, with no warning.
+        x = np.array([1e300, -1e300, 7.0, -7.0, 0.0, -0.0])
+        assert lut_quantize(x, scale, LUTS).tolist() == [7, 15, 7, 15, 0, 0]
+
+    @pytest.mark.parametrize("x", [2.2, -1.3, -0.0], ids=str)
+    def test_zero_d_input_matches_reference(self, x) -> None:
+        ref = quantize(x, E2M1, PT)
+        got, want = dfq_lut_quantize(x, LUTS), dfq_quantize(x, E1M2, E2M1, PT)
+        pairs = [(lut_quantize(x, float(ref.scales), LUTS), ref.codes),
+                 (got.neg_codes, want.neg_codes), (got.pos_codes, want.pos_codes)]
+        for a, b in pairs:
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.shape, a.dtype, a.tolist()) == (b.shape, b.dtype, b.tolist())
+
+    def test_returns_fresh_writable_codes(self) -> None:
+        codes = lut_quantize(np.linspace(-1, 1, 9), 1.0, LUTS)
+        assert codes.dtype == np.uint8 and codes.flags.writeable
+        r = dfq_lut_quantize(np.linspace(-1, 1, 9), LUTS)
+        assert r.neg_codes.flags.writeable and r.pos_codes.flags.writeable
+        assert not np.shares_memory(r.neg_codes, r.pos_codes)
+
+
+def _five_bit_codes(x, scale: float) -> np.ndarray:
+    """The rounded 5-bit address clip(round(2q), +-12) read through a table
+    of the grid value nearest each doubled address."""
+    doubled = np.clip(np.round(2 * (x / scale)), -12, 12)
+    return nearest_codes(E2M1, doubled / 2)
+
+
+def test_five_bit_rounded_address_misses_codes() -> None:
+    x = np.random.default_rng(0).standard_normal(1_000_000)
+    ref = quantize(x, E2M1, PT)
+    scale = float(ref.scales)
+    rate = np.mean(_five_bit_codes(x, scale) != ref.codes)
+    assert 0.020 <= rate <= 0.026
+    assert np.array_equal(lut_quantize(x, scale, LUTS), ref.codes)
+
+
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.7e308, -1.7e308]
+
+
+@st.composite
+def _lut_inputs(draw) -> np.ndarray:
+    """Tensors whose quotients hit grid points, midpoints and their float
+    neighbours exactly, or arbitrary floats with zeros, subnormals and
+    near-maximum values; optionally all positive or all non-positive."""
+    if draw(st.booleans()):
+        s = draw(st.sampled_from([1.0, 0.375, 2.0**-30, 5 * 2.0**60, 2.0**-1060]))
+        neg_q = np.concatenate([grid_values(E1M2), grid_values(E2M1)])
+        neg_q = neg_q[neg_q <= 0]
+        pos_q = grid_values(E2M1)[7:]
+        mids = [(g[:-1] + g[1:]) / 2 for g in (neg_q, pos_q)]
+        qs = draw(st.lists(st.sampled_from(np.concatenate([neg_q, pos_q, *mids]).tolist()), max_size=16))
+        # Anchors give the scales s exactly: neg absmax 3.5 s, pos absmax 6 s.
+        x = np.array([*qs, -3.5, 6.0]) * s
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    else:
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIALS))
+        x = np.array(draw(st.lists(values, min_size=1, max_size=32)))
+    keep = draw(st.sampled_from(["all", "positive", "nonpositive"]))
+    if keep == "positive":
+        x = x[x > 0] if np.any(x > 0) else np.array([1.0])
+    elif keep == "nonpositive":
+        x = x[x <= 0] if np.any(x <= 0) else np.array([-0.0])
+    return x
+
+
+class TestAgainstReference:
+    @given(x=_lut_inputs())
+    def test_lut_quantize_matches_quantize(self, x) -> None:
+        ref = quantize(x, E2M1, PT)
+        scale = compute_scale(x, E2M1)
+        assert np.float64(scale).view(np.uint64) == ref.scales.view(np.uint64)
+        got = lut_quantize(x, scale, LUTS)
+        assert got.dtype == ref.codes.dtype and got.tolist() == ref.codes.tolist()
+
+    @given(x=_lut_inputs())
+    def test_dfq_lut_quantize_matches_dfq_quantize(self, x) -> None:
+        ref = dfq_quantize(x, E1M2, E2M1, PT)
+        got = dfq_lut_quantize(x, LUTS)
+        for a, b in ((got.neg_codes, ref.neg_codes), (got.pos_codes, ref.pos_codes)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        for a, b in ((got.s_neg, ref.s_neg), (got.s_pos, ref.s_pos)):
+            assert np.asarray(a).view(np.uint64) == np.asarray(b).view(np.uint64)
+
 
 class TestDfqLuts:
     def test_reference_entries(self) -> None:
-        neg, pos = build_dfq_luts()
-        assert pos[12] == 0b0111  # +6.0 in E2M1
-        assert neg[7] == 0b1111  # -3.5 in E1M2
-        assert neg[0] == 0 and pos[0] == 0
+        lut = build_address_lut(E1M2, E2M1)
+        assert lut[48] == 0b0111  # q = +6.0 in E2M1
+        assert lut[-28] == 0b1111  # q = -3.5 in E1M2
+        assert lut[0] == 0
 
     def test_branch_domains_match_reference(self) -> None:
-        from fpq.formats import round_to_grid
-
-        neg, pos = build_dfq_luts()
-        for addr in range(8):
-            assert decode_bits(E1M2, int(neg[addr])) == -addr / 2.0
-        for addr in range(13):
-            assert decode_bits(E2M1, int(pos[addr])) == round_to_grid(E2M1, addr / 2.0)
+        lut = build_address_lut(E1M2, E2M1)
+        for addr in ADDRESSES:
+            fmt = E1M2 if addr < 0 else E2M1
+            for q in _bucket(addr):
+                assert decode_bits(fmt, int(lut[addr])) == round_to_grid(fmt, q)
 
     def test_dfq_lut_quantize_bit_exact(self) -> None:
         x = gelu_activations(2, (128, 128))
@@ -224,6 +384,19 @@ class TestEmuDot:
     def test_unknown_variant(self) -> None:
         with pytest.raises(ValueError, match="variant"):
             emu_dot([1], [1], LUTS, variant="nope")
+
+    @pytest.mark.parametrize("variant", ["e2m1", "dfq"])
+    @pytest.mark.parametrize("a, b", [
+        ([2], [16]),  # (2 << 4) | 16 would alias the pair (3, 0)
+        ([-1], [3]),  # would read like code 15
+        ([1.7], [2]),  # would truncate to 1
+        ([16], [0]),  # would index past the table
+        (np.array([1, 2], dtype=np.uint8), [1, 300]),
+        ([True], [1]),
+    ], ids=["alias", "negative", "fraction", "past_table", "wide", "bool"])
+    def test_rejects_bad_codes(self, a, b, variant) -> None:
+        with pytest.raises(ValueError, match="integers in 0..15"):
+            emu_dot(a, b, LUTS, variant=variant)
 
 
 class TestRescale:
@@ -344,6 +517,19 @@ class TestParitySuite:
     def test_verify_quantizer_parity(self) -> None:
         report = verify_quantizer_parity(50_000, seed=1, luts=LUTS)
         assert report["quantizer_parity"] == "pass"
+        assert report["addr_frac_bits"] == 2
+        assert report["e2m1_mismatches"] == report["dfq_mismatches"] == 0
+
+    # q in (0.25, 0.5) for the E2M1 table; in (-0.5, -0.25) for the DFQ
+    # table, whose positive part the parity data keeps above q = 1.
+    @pytest.mark.parametrize("field, addr", [("quant_lut", 3), ("dfq_lut", -3)])
+    def test_flipped_table_entry_is_counted(self, field, addr) -> None:
+        lut = getattr(LUTS, field).copy()
+        lut[addr] ^= 1
+        report = verify_quantizer_parity(50_000, seed=1, luts=replace(LUTS, **{field: lut}))
+        assert report["quantizer_parity"] == "fail"
+        key = "e2m1_mismatches" if field == "quant_lut" else "dfq_mismatches"
+        assert report[key] > 0
 
     def test_dfq_scales_compared_exactly(self, monkeypatch) -> None:
         def nudged(x, luts=None):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value, nearest_codes
+from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value, nearest_codes, round_to_grid
+from fpq.hwemu import dfq_lut_quantize, lut_quantize
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
@@ -450,3 +451,28 @@ class TestSeparableSearch:
         assert pick == _search_oracle(tensors, g)[0]
         tied = {"positive": pick[:1], "non_positive": pick[1:], "zero": pick}[sign]
         assert all(f == E1M2 for f in tied)
+
+
+_CHECKED = {
+    "quantize": lambda x: quantize(x, E2M1),
+    "_fake_quantize": lambda x: _fake_quantize(x, E2M1, PT),
+    "rtn_int_quantize": lambda x: rtn_int_quantize(x, 4),
+    "afpq_quantize": lambda x: afpq_quantize(x, E2M1),
+    "dfq_quantize": lambda x: dfq_quantize(x, E1M2, E2M1),
+    "dfq_search_format": lambda x: dfq_search_format([x]),
+    "compute_scale": lambda x: compute_scale(x, E2M1),
+    "lut_quantize": lambda x: lut_quantize(x, 1.0),
+    "dfq_lut_quantize": lambda x: dfq_lut_quantize(x),
+    "nearest_codes": lambda x: nearest_codes(E2M1, x),
+    "round_to_grid": lambda x: round_to_grid(E2M1, x),
+}
+# The op each function names in its error.
+_NAMED = {"_fake_quantize": "quantize", "afpq_quantize": "dfq_quantize"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_CHECKED))
+def test_non_finite_input_raises_once_checked(name, bad) -> None:
+    op = _NAMED.get(name, name)
+    with pytest.raises(ValueError, match=f"^{op} requires finite input$"):
+        _CHECKED[name](np.array([1.0, bad, -2.0]))
