@@ -44,7 +44,6 @@ from .hadamard import (
     HadamardConfig,
     apply_ght,
     fuse_weight_rotation,
-    fwht,
     ght_flops,
     hadamard_matrix,
 )

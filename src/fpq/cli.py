@@ -1,14 +1,16 @@
 """Command-line surface: quantize/rotate/smooth tensors in FPQT files.
 
-Every command resolves its configuration from built-in defaults, then an
-optional JSON --config file (unknown keys rejected), then explicit
-command-line flags, then the FPQ_SEED environment override; config and
-environment values go through the option's click type.  Each run
-appends one JSON record per result to the report stream (file via
---report, stdout otherwise) echoing the fully resolved config, so a run
-can be replayed exactly.  Validation problems are collected and reported
-together as machine-readable JSON on stderr with exit code 2, and so is
-an output file that cannot be written.
+Each command's click options are the one table of its settings: apart
+from the shared --report and --config, their names are the config keys
+and the keys of the record's config.  Every command resolves its
+configuration from the option defaults, then an optional JSON --config
+file (unknown keys rejected), then explicit command-line flags, then the
+FPQ_SEED environment override; config and environment values go through
+the option's click type.  Each run appends one JSON record per result to
+the report stream (file via --report, stdout otherwise) echoing the fully
+resolved config, so a run can be replayed exactly.  Validation problems
+are collected and reported together as machine-readable JSON on stderr
+with exit code 2, and so is an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from click.core import ParameterSource
 
 from . import formats, galt, hadamard, hwemu, tensorfile
 from .quantize import (
+    _KINDS,
     Granularity,
     dequantize,
     dfq_quantize,
@@ -33,7 +36,8 @@ from .quantize import (
     quantize,
 )
 
-_GRANULARITIES = ("per_tensor", "per_channel", "per_token", "per_group")
+# The options every command shares; they are not config keys.
+_SHARED = ("report_path", "config_path")
 
 
 def _fail(problems: list[str]) -> None:
@@ -42,10 +46,16 @@ def _fail(problems: list[str]) -> None:
     sys.exit(2)
 
 
-def _resolve_config(ctx: click.Context, defaults: dict, config_path: str | None):
-    """defaults < config file < explicit flags < environment overrides."""
+def _resolve_config(ctx: click.Context):
+    """option defaults < config file < explicit flags < environment overrides.
+
+    Also starts the clock that ``_report`` reads.
+    """
+    ctx.meta["fpq.started"] = time.perf_counter()
     problems: list[str] = []
-    resolved = dict(defaults)
+    resolved = {k: v for k, v in ctx.params.items() if k not in _SHARED}
+    keys = set(resolved)
+    config_path = ctx.params["config_path"]
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text())
@@ -58,12 +68,11 @@ def _resolve_config(ctx: click.Context, defaults: dict, config_path: str | None)
         if not isinstance(doc, dict):
             problems.append("config: top level must be a JSON object")
             doc = {}
-        unknown = sorted(set(doc) - set(defaults))
-        for key in unknown:
+        for key in sorted(set(doc) - keys):
             problems.append(f"config: unknown key {key!r}")
-        for key in sorted(set(doc) & set(defaults)):
+        for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems, f"config: {key}")
-    for key in defaults:
+    for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
 
@@ -97,12 +106,10 @@ def _parse_format(name, problems: list[str]):
 
 def _parse_granularity(cfg: dict, problems: list[str]):
     kind = cfg["granularity"]
-    if kind not in _GRANULARITIES:
-        problems.append(
-            f"granularity: unknown kind {kind!r}; one of {', '.join(_GRANULARITIES)}"
-        )
+    if kind not in _KINDS:
+        problems.append(f"granularity: unknown kind {kind!r}; one of {', '.join(_KINDS)}")
         return None
-    group = cfg.get("group_size", 128)
+    group = cfg["group_size"]
     if not isinstance(group, int) or group < 1:
         problems.append(f"group_size: must be a positive integer, got {group!r}")
         return None
@@ -129,11 +136,16 @@ def _parse_schedule(raw, problems: list[str]):
 
 
 def _read(path, problems: list[str]):
+    """The float tensor in ``path``; on failure None, with the problem added."""
     try:
-        return tensorfile.read_tensor(path).data
+        t = tensorfile.read_tensor(path)
     except (OSError, tensorfile.TensorFileError) as exc:
         problems.append(f"input: {path}: {exc}")
         return None
+    if t.kind not in ("f32", "f64"):
+        problems.append(f"input: {path}: expected a float tensor, got {t.kind}")
+        return None
+    return t
 
 
 def _write(path, array, kind: str) -> None:
@@ -159,13 +171,14 @@ def _emit(report_path, record: dict) -> None:
         click.echo(line)
 
 
-def _record(command: str, config: dict, metrics: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "config": {k: v for k, v in sorted(config.items())},
+def _report(ctx: click.Context, cfg: dict, metrics: dict) -> None:
+    """Emit the command's record: its resolved config, metrics and wall time."""
+    _emit(ctx.params["report_path"], {
+        "command": ctx.info_name,
+        "config": dict(sorted(cfg.items())),
         "metrics": metrics,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+        "wall_time_s": round(time.perf_counter() - ctx.meta["fpq.started"], 6),
+    })
 
 
 def _codes_kind(fmt: formats.FpFormat) -> str:
@@ -177,7 +190,22 @@ def main() -> None:
     """Low-bit floating-point quantization toolkit."""
 
 
-@main.command("quantize")
+def _command(name: str):
+    """Register a ``main`` command whose callback takes the click context;
+    --report and --config follow the command's own options."""
+
+    def register(f):
+        cmd = main.command(name)(click.pass_context(f))
+        cmd.params += [
+            click.Option(["--report", "report_path"], type=click.Path()),
+            click.Option(["--config", "config_path"], type=click.Path()),
+        ]
+        return cmd
+
+    return register
+
+
+@_command("quantize")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--format", "format_name", default="E2M1", help="grid format [E2M1]")
 @click.option("--granularity", default="per_tensor", help="per_tensor|per_channel|per_token|per_group [per_tensor]")
@@ -186,34 +214,16 @@ def main() -> None:
 @click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
 @click.option("--out-codes", "out_codes", default=None, type=click.Path())
 @click.option("--out-scales", "out_scales", default=None, type=click.Path())
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_quantize(ctx, **_kw) -> None:
     """Quantize one tensor file; write codes + scales and an MSE record."""
-    started = time.perf_counter()
-    defaults = {
-        "input_path": ctx.params["input_path"],
-        "format_name": "E2M1",
-        "granularity": "per_tensor",
-        "group_size": 128,
-        "pad_partial": False,
-        "layer": None,
-        "out_codes": None,
-        "out_scales": None,
-    }
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
+    cfg, problems = _resolve_config(ctx)
     fmt = _parse_format(cfg["format_name"], problems)
-    cfg["granularity"] = str(cfg["granularity"])
-    gran = _parse_granularity(
-        {"granularity": cfg["granularity"], "group_size": cfg["group_size"],
-         "pad_partial": cfg["pad_partial"]},
-        problems,
-    )
-    x = _read(cfg["input_path"], problems)
+    gran = _parse_granularity(cfg, problems)
+    t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
 
+    x = t.data
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     try:
         q = quantize(x, fmt, gran)
@@ -226,18 +236,10 @@ def cli_quantize(ctx, **_kw) -> None:
     _write(out_codes, q.codes, _codes_kind(fmt))
     _write(out_scales, np.asarray(q.scales, dtype=np.float64), "f64")
     cfg.update(out_codes=out_codes, out_scales=out_scales, layer=layer)
-    _emit(
-        ctx.params["report_path"],
-        _record(
-            "quantize",
-            cfg,
-            {"layer": layer, "format": fmt.name, "granularity": gran.kind, "mse": mse},
-            started,
-        ),
-    )
+    _report(ctx, cfg, {"layer": layer, "format": fmt.name, "granularity": gran.kind, "mse": mse})
 
 
-@main.command("dfq")
+@_command("dfq")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--neg-format", "neg_format", default="E1M2", help="negative-branch grid [E1M2]")
 @click.option("--pos-format", "pos_format", default="E2M1", help="positive-branch grid [E2M1]")
@@ -246,32 +248,17 @@ def cli_quantize(ctx, **_kw) -> None:
 @click.option("--group", "group_size", default=128, help="per_group size [128]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_dfq(ctx, **_kw) -> None:
     """Dual-format quantization of one tensor file (two code planes)."""
-    started = time.perf_counter()
-    defaults = {
-        "input_path": ctx.params["input_path"],
-        "neg_format": "E1M2",
-        "pos_format": "E2M1",
-        "search": False,
-        "granularity": "per_tensor",
-        "group_size": 128,
-        "layer": None,
-        "out_prefix": None,
-    }
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
-    gran = _parse_granularity(
-        {"granularity": cfg["granularity"], "group_size": cfg["group_size"]}, problems
-    )
-    x = _read(cfg["input_path"], problems)
+    cfg, problems = _resolve_config(ctx)
+    gran = _parse_granularity(cfg, problems)
+    t = _read(cfg["input_path"], problems)
     neg_fmt = _parse_format(cfg["neg_format"], problems)
     pos_fmt = _parse_format(cfg["pos_format"], problems)
     if problems:
         _fail(problems)
 
+    x = t.data
     if cfg["search"]:
         neg_fmt, pos_fmt = _search([x], gran)
         cfg["neg_format"], cfg["pos_format"] = neg_fmt.name, pos_fmt.name
@@ -293,106 +280,57 @@ def cli_dfq(ctx, **_kw) -> None:
     _write(paths["pos_codes"], r.pos_codes, _codes_kind(pos_fmt))
     _write(paths["neg_scales"], np.asarray(r.s_neg, dtype=np.float64), "f64")
     _write(paths["pos_scales"], np.asarray(r.s_pos, dtype=np.float64), "f64")
-    cfg["out_prefix"] = prefix
-    cfg["layer"] = layer
-    _emit(
-        ctx.params["report_path"],
-        _record(
-            "dfq",
-            cfg,
-            {
-                "layer": layer,
-                "neg_format": neg_fmt.name,
-                "pos_format": pos_fmt.name,
-                "granularity": gran.kind,
-                "mse": mse,
-                "outputs": paths,
-            },
-            started,
-        ),
-    )
+    cfg.update(out_prefix=prefix, layer=layer)
+    _report(ctx, cfg, {
+        "layer": layer,
+        "neg_format": neg_fmt.name,
+        "pos_format": pos_fmt.name,
+        "granularity": gran.kind,
+        "mse": mse,
+        "outputs": paths,
+    })
 
 
-@main.command("search")
+@_command("search")
 @click.option("--input", "input_paths", required=True, multiple=True, type=click.Path())
 @click.option("--granularity", default="per_tensor")
 @click.option("--group", "group_size", default=128)
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_search(ctx, **_kw) -> None:
     """Search the best dual-format grid pair over calibration tensors."""
-    started = time.perf_counter()
-    defaults = {
-        "input_paths": list(ctx.params["input_paths"]),
-        "granularity": "per_tensor",
-        "group_size": 128,
-    }
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
-    gran = _parse_granularity(
-        {"granularity": cfg["granularity"], "group_size": cfg["group_size"]}, problems
-    )
+    cfg, problems = _resolve_config(ctx)
+    gran = _parse_granularity(cfg, problems)
     tensors = [_read(p, problems) for p in cfg["input_paths"]]
     if problems:
         _fail(problems)
-    neg_fmt, pos_fmt = _search(tensors, gran)
-    _emit(
-        ctx.params["report_path"],
-        _record(
-            "search",
-            cfg,
-            {"neg_format": neg_fmt.name, "pos_format": pos_fmt.name,
-             "num_tensors": len(tensors)},
-            started,
-        ),
-    )
+    neg_fmt, pos_fmt = _search([t.data for t in tensors], gran)
+    _report(ctx, cfg, {"neg_format": neg_fmt.name, "pos_format": pos_fmt.name,
+                       "num_tensors": len(tensors)})
 
 
-@main.command("rotate")
+@_command("rotate")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--group", "group_size", default=128, help="rotation block size [128]")
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_rotate(ctx, **_kw) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
-    started = time.perf_counter()
-    defaults = {
-        "input_path": ctx.params["input_path"],
-        "output_path": ctx.params["output_path"],
-        "group_size": 128,
-    }
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
-    loaded = None
-    try:
-        loaded = tensorfile.read_tensor(cfg["input_path"])
-    except (OSError, tensorfile.TensorFileError) as exc:
-        problems.append(f"input: {cfg['input_path']}: {exc}")
-    if loaded is not None and loaded.kind not in ("f32", "f64"):
-        problems.append(f"input: rotate expects a float tensor, got {loaded.kind}")
+    cfg, problems = _resolve_config(ctx)
+    t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
-    x = loaded.data
+    x = t.data
+    if x.ndim == 0:
+        _fail([f"input: {cfg['input_path']}: rotate needs a channel axis, got a 0-d tensor"])
     try:
         cfgh = hadamard.HadamardConfig(dim=x.shape[-1], group_size=cfg["group_size"])
     except ValueError as exc:
         _fail([f"rotate: {exc}"])
     out = hadamard.apply_ght(x, cfgh)
-    _write(cfg["output_path"], out.astype(x.dtype), loaded.kind)
-    _emit(
-        ctx.params["report_path"],
-        _record(
-            "rotate",
-            cfg,
-            {"shape": list(x.shape), "group_size": cfg["group_size"],
-             "blocks": cfgh.num_blocks},
-            started,
-        ),
-    )
+    _write(cfg["output_path"], out.astype(x.dtype), t.kind)
+    _report(ctx, cfg, {"shape": list(x.shape), "group_size": cfg["group_size"],
+                       "blocks": cfgh.num_blocks})
 
 
-@main.command("galt")
+@_command("galt")
 @click.option("--weight", "weight_path", default=None, type=click.Path())
 @click.option("--calib", "calib_paths", multiple=True, type=click.Path(),
               help="per-step activation files, coarse to fine")
@@ -413,41 +351,17 @@ def cli_rotate(ctx, **_kw) -> None:
 @click.option("--lr", "lr", default=0.01, help="learning rate [0.01]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_galt(ctx, **_kw) -> None:
     """Fit the per-channel smoothing vector; write it and the loss history."""
-    started = time.perf_counter()
-    defaults = {
-        "weight_path": ctx.params["weight_path"],
-        "calib_paths": list(ctx.params["calib_paths"]),
-        "synth": False,
-        "dim": 256,
-        "out_features": 256,
-        "schedule": "1,4,9,16,25,36,64,100,169,256",
-        "seed": 0,
-        "outlier_channels": 4,
-        "outlier_magnitude": 50.0,
-        "format_name": "E2M1",
-        "granularity": "per_group",
-        "group_size": 128,
-        "epochs": 50,
-        "lr": 0.01,
-        "layer": None,
-        "out_lambda": None,
-    }
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
+    cfg, problems = _resolve_config(ctx)
     fmt = _parse_format(cfg["format_name"], problems)
-    gran = _parse_granularity(
-        {"granularity": cfg["granularity"], "group_size": cfg["group_size"]}, problems
-    )
+    gran = _parse_granularity(cfg, problems)
     schedule = _parse_schedule(cfg["schedule"], problems)
     if not cfg["synth"] and not cfg["calib_paths"]:
         problems.append("calib: provide --calib files or --synth")
     if not cfg["synth"] and not cfg["weight_path"]:
         problems.append("weight: required unless --synth generates one")
-    if cfg["outlier_channels"] > cfg["dim"]:
+    if cfg["synth"] and cfg["outlier_channels"] > cfg["dim"]:
         problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
     if not np.isfinite(cfg["outlier_magnitude"]):
         problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
@@ -472,26 +386,22 @@ def cli_galt(ctx, **_kw) -> None:
             _fail([overflow])
         except ValueError as exc:
             _fail([f"galt: {exc}"])
-        if cfg["weight_path"]:
-            w = _read(cfg["weight_path"], problems)
-        else:
-            rng = np.random.default_rng(cfg["seed"] + 1)
-            w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
     else:
         steps = [_read(p, problems) for p in cfg["calib_paths"]]
-        w = _read(cfg["weight_path"], problems)
-        if problems:
-            _fail(problems)
-        try:
-            calib = galt.CalibrationSet(
-                [np.asarray(s, dtype=np.float64) for s in steps],
-                tuple(s.shape[0] for s in steps),
-                steps[0].shape[-1],
-            )
-        except ValueError as exc:
-            _fail([f"calib: {exc}"])
+    weight = _read(cfg["weight_path"], problems) if cfg["weight_path"] else None
     if problems:
         _fail(problems)
+    if not cfg["synth"]:
+        steps = [np.asarray(s.data, dtype=np.float64) for s in steps]
+        try:
+            calib = galt.CalibrationSet(steps, tuple(s.shape[0] for s in steps), steps[0].shape[-1])
+        except ValueError as exc:
+            _fail([f"calib: {exc}"])
+    if weight is None:
+        rng = np.random.default_rng(cfg["seed"] + 1)
+        w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
+    else:
+        w = weight.data
 
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -506,37 +416,26 @@ def cli_galt(ctx, **_kw) -> None:
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
     _write(out_lambda, best_lam, "f64")
-    cfg.update(out_lambda=out_lambda, layer=layer, schedule=list(schedule))
+    # The schedule and dim that ran: calibration files set their own.
+    cfg.update(out_lambda=out_lambda, layer=layer,
+               schedule=list(calib.step_token_counts), dim=calib.dim)
     for epoch, loss in enumerate(history):
         _emit(ctx.params["report_path"], {"layer": layer, "epoch": epoch, "loss": loss})
-    _emit(
-        ctx.params["report_path"],
-        _record(
-            "galt",
-            cfg,
-            {
-                "layer": layer,
-                "baseline_loss": history[0],
-                "best_loss": min(history),
-                "improvement": history[0] / min(history) if min(history) > 0 else float("inf"),
-                "epochs": cfg["epochs"],
-            },
-            started,
-        ),
-    )
+    _report(ctx, cfg, {
+        "layer": layer,
+        "baseline_loss": history[0],
+        "best_loss": min(history),
+        "improvement": history[0] / min(history) if min(history) > 0 else float("inf"),
+        "epochs": cfg["epochs"],
+    })
 
 
-@main.command("emu-check")
+@_command("emu-check")
 @click.option("--samples", "samples", default=1_000_000, help="parity sample count [1000000]")
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0))
-@click.option("--report", "report_path", default=None, type=click.Path())
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.pass_context
 def cli_emu_check(ctx, **_kw) -> None:
     """Exhaustive multiplier and quantizer-parity suites for the LUT path."""
-    started = time.perf_counter()
-    defaults = {"samples": 1_000_000, "seed": 0}
-    cfg, problems = _resolve_config(ctx, defaults, ctx.params["config_path"])
+    cfg, problems = _resolve_config(ctx)
     if not isinstance(cfg["samples"], int) or cfg["samples"] < 1:
         problems.append(f"samples: must be a positive integer, got {cfg['samples']!r}")
     if problems:
@@ -544,7 +443,7 @@ def cli_emu_check(ctx, **_kw) -> None:
     luts = hwemu.build_tables()
     metrics = dict(hwemu.verify_mul_tables(luts))
     metrics.update(hwemu.verify_quantizer_parity(cfg["samples"], cfg["seed"], luts))
-    _emit(ctx.params["report_path"], _record("emu-check", cfg, metrics, started))
+    _report(ctx, cfg, metrics)
     ok = (
         metrics["mul_lut_exact"] == "256/256"
         and metrics["dfq_mul_exact"] == "256/256"

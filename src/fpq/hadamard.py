@@ -10,8 +10,7 @@ orthonormal and symmetric, so the same routine applies the inverse.
 ``apply_ght`` runs as a single matrix product: the input is viewed as
 rows of group_size and multiplied by one cached block, which hands the
 work to BLAS.  At the block sizes used here that beats the O(n log n)
-butterfly of ``fwht``, which stays as the reference the tests check
-against.
+fast Walsh-Hadamard butterfly, which the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 __all__ = [
     "HadamardConfig",
     "hadamard_matrix",
-    "fwht",
     "apply_ght",
     "fuse_weight_rotation",
     "ght_flops",
@@ -64,33 +62,6 @@ def hadamard_matrix(n: int) -> np.ndarray:
     while h.shape[0] < n:
         h = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int64), h)
     return h
-
-
-def fwht(x, normalized: bool = False) -> np.ndarray:
-    """Fast Walsh-Hadamard transform along the last axis.
-
-    Equals hadamard_matrix(n) @ v per last-axis vector, computed with the
-    O(n log n) butterfly in a fixed summation order, independent of
-    ``apply_ght`` and used as its reference.  Floating inputs keep their
-    dtype (float32 stays float32); everything else computes in float64.
-    """
-    arr = np.asarray(x)
-    dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64
-    n = arr.shape[-1]
-    if not _is_pow2(n):
-        raise ValueError(f"transform length must be a power of two, got {n}")
-    flat = arr.astype(dtype).reshape(-1, n)
-    h = 1
-    while h < n:
-        v = flat.reshape(-1, n // (2 * h), 2, h)
-        top = v[:, :, 0, :] + v[:, :, 1, :]
-        bot = v[:, :, 0, :] - v[:, :, 1, :]
-        flat = np.stack((top, bot), axis=2).reshape(-1, n)
-        h *= 2
-    out = flat.reshape(arr.shape)
-    if normalized:
-        out = out * dtype.type(1.0 / np.sqrt(n))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -45,6 +45,7 @@ from .quantize import (
     DfqResult,
     Granularity,
     QuantizedTensor,
+    _dfq_planes,
     _dfq_scales,
     _dfq_split,
     _validate_input,
@@ -199,8 +200,7 @@ def dfq_lut_quantize(x, luts: LutTables | None = None) -> DfqResult:
     split = _dfq_split(arr, g)
     s_neg, s_pos, s = _dfq_scales(split, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g)
     codes = _lookup(luts.dfq_lut, np.divide(arr, s, out=s), luts.addr_frac_bits)
-    neg = codes * split[0]  # the bool mask keeps the codes of parts <= 0
-    pos = codes - neg
+    neg, pos = _dfq_planes(codes, split[0])
     return DfqResult(neg, pos, s_neg, s_pos, DFQ_NEG_FORMAT, DFQ_POS_FORMAT, g, arr.shape)
 
 

@@ -246,6 +246,14 @@ def _dfq_split(arr: np.ndarray, g: Granularity):
     return arr <= 0, neg_absmax, pos_absmax
 
 
+def _dfq_planes(codes, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split one code array into the DFQ ``(neg, pos)`` planes: the split's
+    mask keeps the codes of the part <= 0 in neg, and pos holds the rest.
+    Both are fresh uint8 arrays, also for 0-d input."""
+    neg = np.multiply(codes, mask, out=np.empty(mask.shape, np.uint8))
+    return neg, np.subtract(codes, neg, out=np.empty_like(neg))
+
+
 def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
     """``(s_neg, s_pos, s)``: each part's unit scales, and the scale of every
     element, ``s_neg`` where the split's mask is set and ``s_pos`` elsewhere."""
@@ -276,8 +284,7 @@ def dfq_quantize(
     split = _dfq_split(arr, g)
     s_neg, s_pos, s = _dfq_scales(split, neg_format, pos_format, g)
     codes = _nearest(neg_format, pos_format, arr / s)
-    neg_codes = np.where(split[0], codes, 0)
-    pos_codes = np.where(split[0], 0, codes)
+    neg_codes, pos_codes = _dfq_planes(codes, split[0])
     return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
 
 

@@ -240,3 +240,202 @@ class TestEmuCheck:
         assert result.exit_code == 1
         assert '"quantizer_parity": "fail"' in result.stdout
         assert json.loads(result.stdout)["metrics"]["e2m1_mismatches"] > 0
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def wide(tmp_path):
+    """A float tensor wide enough for every command's default group."""
+    path = tmp_path / "wide.fpqt"
+    write_tensor(path, np.random.default_rng(2).standard_normal((4, 128)))
+    return str(path)
+
+
+def _base_args(command: str, tmp_path, wide: str) -> list[str]:
+    """A small invocation of each command that succeeds on its own."""
+    return {
+        "quantize": ["quantize", "--input", wide],
+        "dfq": ["dfq", "--input", wide],
+        "search": ["search", "--input", wide],
+        "rotate": ["rotate", "--input", wide, "--output", str(tmp_path / "rot.fpqt")],
+        "galt": ["galt", "--synth", "--dim", "16", "--group", "16", "--out-features", "8",
+                 "--schedule", "1,4", "--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt")],
+        "emu-check": ["emu-check", "--samples", "2000"],
+    }[command]
+
+
+COMMANDS = ("quantize", "dfq", "search", "rotate", "galt", "emu-check")
+
+
+class TestPrecedence:
+    """option default < --config < flag < FPQ_SEED, seen in the record."""
+
+    # command: (config key, flag, default, config value, flag value)
+    CASES = {
+        "quantize": ("format_name", "--format", "E2M1", "E3M0", "E1M2"),
+        "dfq": ("pos_format", "--pos-format", "E2M1", "E3M0", "E1M2"),
+        "search": ("granularity", "--granularity", "per_tensor", "per_token", "per_channel"),
+        "rotate": ("group_size", "--group", 128, 64, 32),
+        "galt": ("seed", "--seed", 0, 3, 5),
+        "emu-check": ("seed", "--seed", 0, 3, 5),
+    }
+
+    def _config(self, tmp_path, wide, command, extra, env=None) -> dict:
+        report = tmp_path / "r.jsonl"
+        report.unlink(missing_ok=True)
+        result = CliRunner().invoke(
+            main, [*_base_args(command, tmp_path, wide), *extra, "--report", str(report)], env=env
+        )
+        assert result.exit_code == 0, result.output
+        return _records(report)[-1]["config"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_layers_in_order(self, tmp_path, wide, command) -> None:
+        key, flag, default, from_config, from_flag = self.CASES[command]
+        config = ["--config", _write_config(tmp_path, {key: from_config})]
+        seedless = {"FPQ_SEED": ""}
+        assert self._config(tmp_path, wide, command, [], seedless)[key] == default
+        assert self._config(tmp_path, wide, command, config, seedless)[key] == from_config
+        both = [*config, flag, str(from_flag)]
+        assert self._config(tmp_path, wide, command, both, seedless)[key] == from_flag
+        seeded = self._config(tmp_path, wide, command, both, {"FPQ_SEED": "7"})
+        if key == "seed":
+            assert seeded[key] == 7
+        else:
+            assert seeded[key] == from_flag and "seed" not in seeded
+
+    def test_config_value_takes_effect(self, tmp_path, wide) -> None:
+        report = tmp_path / "r.jsonl"
+        config = _write_config(tmp_path, {"format_name": "E3M0"})
+        result = CliRunner().invoke(
+            main, ["quantize", "--input", wide, "--config", config, "--report", str(report)]
+        )
+        assert result.exit_code == 0, result.output
+        assert _records(report)[0]["metrics"]["format"] == "E3M0"
+
+
+class TestOptionTable:
+    """Config keys, record keys and --help all follow each command's options."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("key", ["bogus", "report_path", "config_path"])
+    def test_unknown_config_key_is_one_problem(self, tmp_path, wide, command, key) -> None:
+        report = tmp_path / "r.jsonl"
+        args = [*_base_args(command, tmp_path, wide), "--report", str(report),
+                "--config", _write_config(tmp_path, {key: 1})]
+        assert _problems(CliRunner().invoke(main, args)) == [f"config: unknown key {key!r}"]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_record_config_keys_are_the_option_names(self, tmp_path, wide, command) -> None:
+        report = tmp_path / "r.jsonl"
+        args = [*_base_args(command, tmp_path, wide), "--report", str(report)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        names = {p.name for p in main.commands[command].params} - {"report_path", "config_path"}
+        record = _records(report)[-1]
+        assert record["command"] == command
+        assert set(record["config"]) == names
+
+    # The options of each command in --help order, with their defaults.
+    HELP = {
+        "quantize": [("--input", None), ("--format", "E2M1"), ("--granularity", "per_tensor"),
+                     ("--group", 128), ("--pad-partial", False), ("--layer", None),
+                     ("--out-codes", None), ("--out-scales", None)],
+        "dfq": [("--input", None), ("--neg-format", "E1M2"), ("--pos-format", "E2M1"),
+                ("--search", False), ("--granularity", "per_tensor"), ("--group", 128),
+                ("--layer", None), ("--out-prefix", None)],
+        "search": [("--input", None), ("--granularity", "per_tensor"), ("--group", 128)],
+        "rotate": [("--input", None), ("--output", None), ("--group", 128)],
+        "galt": [("--weight", None), ("--calib", None), ("--synth", False), ("--dim", 256),
+                 ("--out-features", 256), ("--schedule", "1,4,9,16,25,36,64,100,169,256"),
+                 ("--seed", 0), ("--outlier-channels", 4), ("--outlier-magnitude", 50.0),
+                 ("--format", "E2M1"), ("--granularity", "per_group"), ("--group", 128),
+                 ("--epochs", 50), ("--lr", 0.01), ("--layer", None), ("--out-lambda", None)],
+        "emu-check": [("--samples", 1_000_000), ("--seed", 0)],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_options_and_defaults(self, command) -> None:
+        result = CliRunner().invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        listed = [line.split()[0].rstrip(",") for line in result.stdout.splitlines()
+                  if line.startswith("  --")]
+        want = [*self.HELP[command], ("--report", None), ("--config", None)]
+        assert listed == [flag for flag, _ in want] + ["--help"]
+        params = main.commands[command].params
+        assert [(p.opts[0], p.to_info_dict()["default"]) for p in params] == want
+
+
+@pytest.fixture
+def codes_file(tmp_path):
+    path = tmp_path / "codes.fpqt"
+    write_tensor(path, np.arange(16, dtype=np.uint8).reshape(2, 8), kind="code4")
+    return str(path)
+
+
+class TestInputKinds:
+    """Every command that reads values rejects a file of FP codes."""
+
+    @pytest.mark.parametrize("command", [
+        ["quantize", "--input", "{codes}"],
+        ["dfq", "--input", "{codes}"],
+        ["search", "--input", "{codes}"],
+        ["rotate", "--input", "{codes}", "--output", "{tmp}/rot.fpqt"],
+        ["galt", "--calib", "{codes}", "--weight", "{codes}", "--group", "8"],
+        ["galt", "--synth", "--dim", "8", "--group", "8", "--weight", "{codes}"],
+    ])
+    def test_code_file_is_a_json_error(self, tmp_path, codes_file, command) -> None:
+        args = [a.format(codes=codes_file, tmp=tmp_path) for a in command]
+        if command[0] == "galt":
+            args += ["--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt")]
+        report = tmp_path / "r.jsonl"
+        problems = _problems(CliRunner().invoke(main, [*args, "--report", str(report)]))
+        assert set(problems) == {f"input: {codes_file}: expected a float tensor, got code4"}
+        assert not report.exists()
+
+    def test_rotate_scalar_is_a_json_error(self, tmp_path) -> None:
+        path = tmp_path / "scalar.fpqt"
+        write_tensor(path, np.float64(1.5))
+        result = CliRunner().invoke(
+            main, ["rotate", "--input", str(path), "--output", str(tmp_path / "rot.fpqt")]
+        )
+        (problem,) = _problems(result)
+        assert problem.startswith(f"input: {path}: ")
+        assert not (tmp_path / "rot.fpqt").exists()
+
+
+class TestGaltCalibRecord:
+    """With calibration files the record shows the schedule and dim that ran."""
+
+    def _run(self, tmp_path, *flags):
+        report = tmp_path / "r.jsonl"
+        report.unlink(missing_ok=True)
+        result = CliRunner().invoke(main, [
+            "galt", *flags, "--epochs", "2", "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        return _records(report)[-1]
+
+    def test_record_replays_the_run(self, tmp_path) -> None:
+        rng = np.random.default_rng(3)
+        calib = [tmp_path / "c0.fpqt", tmp_path / "c1.fpqt"]
+        write_tensor(calib[0], rng.standard_normal((1, 2)))
+        write_tensor(calib[1], rng.standard_normal((2, 2)))
+        weight = tmp_path / "w.fpqt"
+        write_tensor(weight, rng.standard_normal((4, 2)))
+        lam = tmp_path / "lam.fpqt"
+        record = self._run(tmp_path, "--calib", str(calib[0]), "--calib", str(calib[1]),
+                           "--weight", str(weight), "--group", "2", "--out-lambda", str(lam))
+        assert (record["config"]["schedule"], record["config"]["dim"]) == ([1, 2], 2)
+        first = read_tensor(lam).data
+        lam.unlink()
+        replay = self._run(tmp_path, "--config", _write_config(tmp_path, record["config"]))
+        assert replay["config"] == record["config"]
+        assert replay["metrics"] == record["metrics"]
+        np.testing.assert_array_equal(read_tensor(lam).data, first)

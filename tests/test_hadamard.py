@@ -12,10 +12,36 @@ from fpq.hadamard import (
     HadamardConfig,
     apply_ght,
     fuse_weight_rotation,
-    fwht,
     ght_flops,
     hadamard_matrix,
 )
+
+
+def fwht(x, normalized: bool = False) -> np.ndarray:
+    """Fast Walsh-Hadamard transform along the last axis: the oracle.
+
+    Equals hadamard_matrix(n) @ v per last-axis vector, computed with the
+    O(n log n) butterfly in a fixed summation order, independent of
+    ``apply_ght``.  Floating inputs keep their dtype (float32 stays
+    float32); everything else computes in float64.
+    """
+    arr = np.asarray(x)
+    dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
+    n = arr.shape[-1]
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"transform length must be a power of two, got {n}")
+    flat = arr.astype(dtype).reshape(-1, n)
+    h = 1
+    while h < n:
+        v = flat.reshape(-1, n // (2 * h), 2, h)
+        top = v[:, :, 0, :] + v[:, :, 1, :]
+        bot = v[:, :, 0, :] - v[:, :, 1, :]
+        flat = np.stack((top, bot), axis=2).reshape(-1, n)
+        h *= 2
+    out = flat.reshape(arr.shape)
+    if normalized:
+        out = out * dtype.type(1.0 / np.sqrt(n))
+    return out
 
 
 class TestMatrix:

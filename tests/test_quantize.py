@@ -17,6 +17,7 @@ from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
     IntFormat,
+    _dfq_planes,
     _dfq_search_totals,
     _fake_quantize,
     _per_element_scales,
@@ -400,6 +401,27 @@ class TestDfqOneRounding:
             assert r.pos_codes.tolist() == pos_codes.tolist()
             assert np.asarray(r.s_neg).view(np.uint64).tolist() == s_neg.view(np.uint64).tolist()
             assert np.asarray(r.s_pos).view(np.uint64).tolist() == s_pos.view(np.uint64).tolist()
+
+
+class TestDfqPlanes:
+    """Both DFQ quantizers split their codes with ``_dfq_planes``."""
+
+    @given(codes=arrays(np.uint8, st.integers(0, 40)), data=st.data())
+    def test_matches_where_split(self, codes, data) -> None:
+        mask = data.draw(arrays(np.bool_, codes.shape))
+        neg, pos = _dfq_planes(codes, mask)
+        assert neg.dtype == pos.dtype == np.uint8
+        assert neg.tolist() == np.where(mask, codes, 0).tolist()
+        assert pos.tolist() == np.where(mask, 0, codes).tolist()
+
+    @pytest.mark.parametrize("quantizer", [lambda x: dfq_quantize(x, E1M2, E2M1), dfq_lut_quantize],
+                             ids=["reference", "lut"])
+    @pytest.mark.parametrize("value", [-1.5, 0.0, 2.0])
+    def test_scalar_input_gives_0d_planes(self, quantizer, value: float) -> None:
+        r = quantizer(np.float64(value))
+        for plane in (r.neg_codes, r.pos_codes):
+            assert isinstance(plane, np.ndarray) and plane.shape == () and plane.dtype == np.uint8
+        assert (r.neg_codes != 0, r.pos_codes != 0) == (value < 0, value > 0)
 
 
 def _search_oracle(tensors, g: Granularity):
