@@ -84,6 +84,9 @@ def _resolve_config(ctx: click.Context):
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str], where: str):
     """Store ``raw`` converted by the type of the command's ``key`` option."""
     param = next(p for p in ctx.command.params if p.name == key)
+    if raw is None and param.default is not None:
+        problems.append(f"{where}: expected a value, got null")
+        return
     # click.Path would pass a number on to os.stat as a file descriptor.
     paths = raw if param.multiple and isinstance(raw, list) else [raw]
     if isinstance(param.type, click.Path) and raw is not None:
@@ -393,6 +396,9 @@ def cli_galt(ctx, **_kw) -> None:
         _fail(problems)
     if not cfg["synth"]:
         steps = [np.asarray(s.data, dtype=np.float64) for s in steps]
+        if any(s.ndim == 0 for s in steps):
+            _fail([f"input: {p}: a calibration step needs a token axis, got a 0-d tensor"
+                   for p, s in zip(cfg["calib_paths"], steps) if s.ndim == 0])
         try:
             calib = galt.CalibrationSet(steps, tuple(s.shape[0] for s in steps), steps[0].shape[-1])
         except ValueError as exc:

@@ -254,17 +254,22 @@ def _finite(x, op: str) -> np.ndarray:
     return arr
 
 
-def _nearest(neg: FpFormat, pos: FpFormat, x) -> np.ndarray:
-    """Nearest code for each finite input, on the ``neg`` grid where its sign
-    bit is set and on the ``pos`` grid elsewhere, looked up by its float64
-    sign, exponent and top k + 1 mantissa bits, then 1 if the rest are zero.
-    Unchecked: the quantizers pass finite input over finite positive scales."""
+def _keys(x, k: int) -> np.ndarray:
+    """Table key of each input: its float64 sign, exponent and top k + 1
+    mantissa bits, then 1 if the rest are zero."""
     b = np.asarray(x, dtype=np.float64).view(np.uint64)
-    s = 51 - max(neg.man_bits, pos.man_bits)
+    s = 51 - k
     key = b >> s
     key <<= 1
     key |= (b << (64 - s)) == 0
-    return _bucket_codes(neg, pos).take(key.view(np.int64))
+    return key.view(np.int64)
+
+
+def _nearest(neg: FpFormat, pos: FpFormat, x) -> np.ndarray:
+    """Nearest code for each finite input, on the ``neg`` grid where its sign
+    bit is set and on the ``pos`` grid elsewhere, looked up by its key.
+    Unchecked: the quantizers pass finite input over finite positive scales."""
+    return _bucket_codes(neg, pos).take(_keys(x, max(neg.man_bits, pos.man_bits)))
 
 
 def round_to_grid(fmt: FpFormat, x):
@@ -278,9 +283,17 @@ def round_to_grid(fmt: FpFormat, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _value_table(fmt: FpFormat) -> np.ndarray:
+    """Read-only float64 decoded value of every ``_bucket_codes(fmt, fmt)`` entry."""
+    table = _decode_table(fmt).take(_bucket_codes(fmt, fmt))
+    table.flags.writeable = False
+    return table
+
+
 def _round(fmt: FpFormat, x) -> np.ndarray:
-    """``round_to_grid`` of finite input, unchecked."""
-    return _decode_table(fmt).take(_nearest(fmt, fmt, x))
+    """``round_to_grid`` of finite input, unchecked: one value-table lookup."""
+    return _value_table(fmt).take(_keys(x, fmt.man_bits))
 
 
 def code_dtype(fmt: FpFormat) -> type:

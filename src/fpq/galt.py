@@ -173,23 +173,24 @@ def _weight_hat(problem: GaltProblem, lam: np.ndarray) -> np.ndarray:
     return _fake_quantize(w_rot, problem.quant_format, problem.granularity)
 
 
-def _forward(problem: GaltProblem, step: int, lam: np.ndarray, w_hat: np.ndarray | None = None):
+def _forward(problem: GaltProblem, step: int, lam: np.ndarray,
+             w_hat: np.ndarray | None = None, y: np.ndarray | None = None):
     """Quantized forward pass of one step; returns the pieces the STE
-    backward needs.  ``w_hat`` is ``_weight_hat(problem, lam)``, built
-    here when not given."""
+    backward needs.  ``w_hat`` (``_weight_hat(problem, lam)``) and ``y``
+    (``x @ w.T``) are built here when not given."""
     x = problem.calib.per_step[step]
     w = problem.weight
     a_rot = apply_ght(x * lam, problem.hadamard)
     a_hat = _fake_quantize(a_rot, problem.quant_format, problem.granularity)
     if w_hat is None:
         w_hat = _weight_hat(problem, lam)
-    resid = a_hat @ w_hat.T - x @ w.T
+    resid = a_hat @ w_hat.T - (x @ w.T if y is None else y)
     loss = float(np.mean(resid**2))
     return loss, resid, a_hat, w_hat, x, w
 
 
-def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray):
-    """Per-step MSE and its straight-through gradient w.r.t. lambda.
+def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray | None = None):
+    """Per-step MSE and its straight-through gradient w.r.t. lambda (``y`` as in ``_forward``).
 
     The quantizers are identity in the backward pass, so the gradient
     flows through the bilinear product and both rotations (the blocks are
@@ -202,7 +203,7 @@ def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray):
     so it rotates the T rows of A instead of the out rows of R.T A, at the
     same matmul cost.
     """
-    loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam)
+    loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam, y=y)
     coef = 2.0 / resid.size
     g_a = apply_ght(coef * (resid @ w_hat), problem.hadamard)
     g_w = ((coef * (resid @ w)) * apply_ght(a_hat, problem.hadamard)).sum(axis=0)
@@ -278,22 +279,23 @@ def optimize_galt(
     each update.  Returns the lambda snapshot with the best epoch loss and
     the loss history, whose first entry is the update-free baseline at the
     initial lambda (so the result never regresses past it).  ``lr`` must
-    be finite and positive.
+    be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once.
     """
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
     num_steps = problem.calib.num_steps
     lam = np.array(problem.lam, dtype=np.float64, copy=True)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
+    ys = [x @ problem.weight.T for x in problem.calib.per_step]
     w_hat = _weight_hat(problem, lam)
-    baseline = sum(_forward(problem, j, lam, w_hat)[0] for j in range(num_steps))
+    baseline = sum(_forward(problem, j, lam, w_hat, ys[j])[0] for j in range(num_steps))
     best_loss = baseline
     best_lam = lam.copy()
     history = [baseline]
     for _ in range(epochs):
         epoch_loss = 0.0
         for j in range(num_steps):
-            loss, grad = _loss_and_grad(problem, j, lam)
+            loss, grad = _loss_and_grad(problem, j, lam, ys[j])
             lam = adamw_step(state, lam, grad)
             epoch_loss += loss
         history.append(epoch_loss)

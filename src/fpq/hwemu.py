@@ -271,20 +271,23 @@ def _gemm_planes(
     float64 does, so the matmul reproduces the lookup-table accumulation
     integer for integer (the exhaustive product tests pin the per-pair
     identity).  The rescale is float64; groups accumulate in ascending order.
+    Every rescale reuses one rows x out buffer and reads acc with no float64 copy.
     """
     w_tab = _doubled_values(ACT_FORMAT)
     peak = max(np.abs(_doubled_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
     w_vals = w_tab.astype(dtype)[w_codes]
-    rows = code_planes[0][0].shape[0]
-    out = np.zeros((rows, w_codes.shape[0]))
+    out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
+    term = np.empty_like(out)
     for gi, (c0, c1) in enumerate(groups):
         wj = w_vals[:, c0:c1]
         sw = w_scales_2d[:, gi]
         for codes, fmt, sx in code_planes:
             xa = _doubled_values(fmt).astype(dtype)[codes[:, c0:c1]]
-            acc = (xa @ wj.T).astype(np.float64, copy=False)
-            out += acc * (sx[:, gi][:, None] * sw[None, :]) * 0.25
+            np.multiply.outer(sx[:, gi], sw, out=term)
+            np.multiply(xa @ wj.T, term, out=term)
+            term *= 0.25
+            out += term
     return out
 
 

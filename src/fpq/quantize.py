@@ -202,12 +202,19 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
 
     Rounds the scaled input straight to grid values, which are the decoded
     values of the codes ``quantize`` would emit, and multiplies by the same
-    expanded scales, so the result is bit-identical.
+    expanded scales, so the result is bit-identical.  The unit absmax is the
+    finiteness check: ``abs`` maps -inf to inf and ``np.max`` propagates NaN.
     """
-    arr = _validate_input(x, "quantize")
-    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
-    s = _per_element_scales(scales, arr.shape, g)
-    return _round(fmt, arr / s) * s
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("quantize requires a nonempty tensor")
+    absmax = _unit_reduce(np.abs(arr), g, np.max)
+    if not np.all(np.isfinite(absmax)):
+        raise ValueError("quantize requires finite input")
+    s = _per_element_scales(_unit_scales(absmax, max_value(fmt)), arr.shape, g)
+    out = _round(fmt, arr / s)
+    out *= s
+    return out
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
+import uuid
 from typing import NamedTuple
 
 import numpy as np
@@ -95,7 +95,9 @@ def write_tensor(path, array, kind: str | None = None) -> None:
     header += b"".join(struct.pack("<Q", d) for d in arr.shape)
 
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    # Mode 0o666 under the umask, as open() gives (mkstemp's 0o600 would stick).
+    tmp = os.path.join(os.path.dirname(path) or ".", f"tmp{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(header + payload)

@@ -331,6 +331,31 @@ class TestOptionTable:
         assert _problems(CliRunner().invoke(main, args)) == [f"config: unknown key {key!r}"]
         assert not report.exists()
 
+    @pytest.mark.parametrize("command, key", [
+        (command, p.name) for command in COMMANDS for p in main.commands[command].params
+        if p.name not in ("report_path", "config_path") and p.default is not None
+    ])
+    def test_null_for_an_option_with_a_default_is_one_problem(self, tmp_path, wide, command, key) -> None:
+        report = tmp_path / "r.jsonl"
+        args = [*_base_args(command, tmp_path, wide), "--report", str(report),
+                "--config", _write_config(tmp_path, {key: None})]
+        assert _problems(CliRunner().invoke(main, args)) == [f"config: {key}: expected a value, got null"]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("quantize", "layer"), ("quantize", "out_codes"), ("dfq", "out_prefix"), ("galt", "out_lambda"),
+    ])
+    def test_null_for_an_option_without_a_default_is_its_default(self, tmp_path, wide, command, key) -> None:
+        report = tmp_path / "r.jsonl"
+        args = [*_base_args(command, tmp_path, wide), "--report", str(report),
+                "--config", _write_config(tmp_path, {key: None})]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        default = CliRunner().invoke(main, [*_base_args(command, tmp_path, wide), "--report", str(report)])
+        assert default.exit_code == 0, default.output
+        first, second = [r["config"] for r in _records(report) if "config" in r]
+        assert first == second
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_record_config_keys_are_the_option_names(self, tmp_path, wide, command) -> None:
         report = tmp_path / "r.jsonl"
@@ -408,6 +433,21 @@ class TestInputKinds:
         (problem,) = _problems(result)
         assert problem.startswith(f"input: {path}: ")
         assert not (tmp_path / "rot.fpqt").exists()
+
+    def test_galt_scalar_calibration_is_a_json_error(self, tmp_path) -> None:
+        scalar, step, weight = tmp_path / "scalar.fpqt", tmp_path / "step.fpqt", tmp_path / "w.fpqt"
+        write_tensor(scalar, np.float64(1.5))
+        write_tensor(step, np.ones((4, 8)))
+        write_tensor(weight, np.ones((2, 8)))
+        report = tmp_path / "r.jsonl"
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(scalar), "--calib", str(step), "--weight", str(weight),
+            "--group", "8", "--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt"),
+            "--report", str(report),
+        ])
+        (problem,) = _problems(result)
+        assert problem.startswith(f"input: {scalar}: ")
+        assert not report.exists() and not (tmp_path / "lam.fpqt").exists()
 
 
 class TestGaltCalibRecord:

@@ -21,7 +21,9 @@ from fpq.formats import (
     FpCode,
     FpFormat,
     _bucket_codes,
+    _decode_table,
     _nearest,
+    _round,
     _rounding_tables,
     decode,
     decode_bits,
@@ -252,6 +254,16 @@ class TestRoundingProperties:
         want = [_nearest_by_scan(fmt, x) for x in xs]
         assert round_to_grid(fmt, xs).tolist() == want
         assert nearest_codes(fmt, xs).tolist() == [encode(fmt, v).bits for v in want]
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_value_lookup_is_the_decoded_code_lookup(self, fmt: FpFormat, data) -> None:
+        finite_bits = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+        near_grid = _rounding_inputs(fmt).map(lambda v: int(np.float64(v).view(np.uint64)))
+        bits = data.draw(st.lists(st.one_of(finite_bits, near_grid), min_size=1, max_size=20))
+        xs = np.array(bits, dtype=np.uint64).view(np.float64)
+        want = _decode_table(fmt).take(_nearest(fmt, fmt, xs))
+        assert _round(fmt, xs).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def _bucket_probes(man_bits: int) -> np.ndarray:

@@ -14,6 +14,9 @@ from fpq.galt import (
     LayerNormAffine,
     OptimizerState,
     OutlierSpec,
+    _forward,
+    _loss_and_grad,
+    _weight_hat,
     adamw_step,
     build_calibration,
     fuse_lambda,
@@ -67,6 +70,27 @@ def _optimize_oracle(problem: GaltProblem, epochs: int, lr: float = 0.01):
         epoch_loss = 0.0
         for j in steps:
             loss, grad = _grad_oracle(problem, j, lam)
+            lam = adamw_step(state, lam, grad)
+            epoch_loss += loss
+        if epoch_loss < min(history):
+            best_lam = lam.copy()
+        history.append(epoch_loss)
+    return best_lam, history
+
+
+def _optimize_recomputing(problem: GaltProblem, epochs: int, lr: float = 0.01):
+    """``optimize_galt`` with each step's ``x @ w.T`` computed again on every
+    forward pass instead of once."""
+    lam = problem.lam.copy()
+    state = OptimizerState.fresh(problem.calib.dim, lr=lr)
+    steps = range(problem.calib.num_steps)
+    w_hat = _weight_hat(problem, lam)
+    history = [sum(_forward(problem, j, lam, w_hat)[0] for j in steps)]
+    best_lam = lam.copy()
+    for _ in range(epochs):
+        epoch_loss = 0.0
+        for j in steps:
+            loss, grad = _loss_and_grad(problem, j, lam)
             lam = adamw_step(state, lam, grad)
             epoch_loss += loss
         if epoch_loss < min(history):
@@ -280,6 +304,17 @@ class TestOptimize:
         assert history[0] == want_history[0]
         np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0)
         np.testing.assert_allclose(lam, want_lam, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed, out, g", [
+        (3, 384, Granularity.per_group(64)), (4, 128, Granularity.per_token()), (6, 32, Granularity.per_tensor()),
+    ])
+    def test_matches_recomputing_loop_exactly(self, seed: int, out: int, g: Granularity) -> None:
+        base = _problem(seed, dim=128, out=out)
+        prob = GaltProblem(base.calib, base.weight, HadamardConfig(dim=128, group_size=64), E2M1, g)
+        lam, history = optimize_galt(prob, epochs=3)
+        want_lam, want_history = _optimize_recomputing(prob, epochs=3)
+        assert history == want_history
+        assert lam.tobytes() == want_lam.tobytes()
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.01])
     def test_rejects_bad_learning_rate(self, lr: float) -> None:

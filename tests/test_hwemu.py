@@ -418,7 +418,57 @@ class TestRescale:
         assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+def _gemm_planes_oracle(code_planes, w_codes, w_scales_2d, groups) -> np.ndarray:
+    """``hwemu._gemm_planes`` with a float64 copy of every accumulator and
+    a fresh rows x out array for every rescale."""
+    w_tab = hwemu._doubled_values(E2M1)
+    peak = max(np.abs(hwemu._doubled_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
+    dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
+    w_vals = w_tab.astype(dtype)[w_codes]
+    out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
+    for gi, (c0, c1) in enumerate(groups):
+        wj = w_vals[:, c0:c1]
+        sw = w_scales_2d[:, gi]
+        for codes, fmt, sx in code_planes:
+            xa = hwemu._doubled_values(fmt).astype(dtype)[codes[:, c0:c1]]
+            acc = (xa @ wj.T).astype(np.float64, copy=False)
+            out += acc * (sx[:, gi][:, None] * sw[None, :]) * 0.25
+    return out
+
+
+def _gemm_case(name: str):
+    """(activation, weight) quantized for one ``emu_gemm`` layout."""
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((9, 256)) * rng.uniform(0.1, 10, 256)
+    w = rng.standard_normal((11, 256))
+    gx, gw = {
+        "per_tensor": (PT, PT),
+        "per_token": (Granularity.per_token(), Granularity.per_channel()),
+        "per_channel": (Granularity.per_channel(), PT),
+        "one_group": (Granularity.per_group(256), Granularity.per_group(256)),
+        "many_groups": (Granularity.per_group(32), Granularity.per_group(32)),
+        "dfq_per_token": (Granularity.per_token(), Granularity.per_channel()),
+        "dfq_groups": (Granularity.per_group(64), Granularity.per_group(64)),
+        "float64_accumulator": (Granularity.per_token(), Granularity.per_channel()),
+    }[name]
+    if name == "float64_accumulator":  # one 2^17-wide group: partial sums pass 2^24
+        x = w = np.where(np.arange(2**17) % 3, 6.0, 0.5)[None, :]
+    if name.startswith("dfq"):
+        return dfq_quantize(gelu_activations(32, (9, 256)), E1M2, E2M1, gx), quantize(w, E2M1, gw)
+    return quantize(x, E2M1, gx), quantize(w, E2M1, gw)
+
+
 class TestEmuGemm:
+    @pytest.mark.parametrize("case", ["per_tensor", "per_token", "per_channel", "one_group",
+                                      "many_groups", "dfq_per_token", "dfq_groups",
+                                      "float64_accumulator"])
+    def test_bytes_match_the_float64_copy_oracle(self, case: str, monkeypatch) -> None:
+        xq, wq = _gemm_case(case)
+        got = emu_gemm(xq, wq, LUTS)
+        monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
+        want = emu_gemm(xq, wq, LUTS)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     def test_exact_on_grid_aligned_unit_scales(self) -> None:
         from fpq.formats import grid_values
 

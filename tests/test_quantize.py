@@ -361,6 +361,11 @@ class TestFakeQuantize:
         with pytest.raises(ValueError, match="finite"):
             _fake_quantize(np.array([[1.0, np.inf]]), E2M1, PT)
 
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    def test_rejects_empty(self, g: Granularity) -> None:
+        with pytest.raises(ValueError, match="^quantize requires a nonempty tensor$"):
+            _fake_quantize(np.zeros((0, 8)), E2M1, g)
+
 
 def _dfq_oracle(x, neg_fmt, pos_fmt, g: Granularity):
     """The two-plane DFQ: zero-filled parts <= 0 and > 0, each scaled by its
@@ -488,6 +493,20 @@ _CHECKED = {
     "nearest_codes": lambda x: nearest_codes(E2M1, x),
     "round_to_grid": lambda x: round_to_grid(E2M1, x),
 }
+
+
+def _bad_in_last_unit(g: Granularity):
+    """``_fake_quantize`` at ``g`` of a 2 x 12 tensor whose only non-finite
+    element is its last, which per_group(8, pad_partial) puts in the
+    zero-padded tail group."""
+    def run(x):
+        t = np.ones((2, 12))
+        t[-1, -1] = x[1]
+        return _fake_quantize(t, E2M1, g)
+    return run
+
+
+_CHECKED.update({f"_fake_quantize/{g.kind}{g.group_size}": _bad_in_last_unit(g) for g in _GRANULARITIES})
 # The op each function names in its error.
 _NAMED = {"_fake_quantize": "quantize", "afpq_quantize": "dfq_quantize"}
 
@@ -495,6 +514,6 @@ _NAMED = {"_fake_quantize": "quantize", "afpq_quantize": "dfq_quantize"}
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", list(_CHECKED))
 def test_non_finite_input_raises_once_checked(name, bad) -> None:
-    op = _NAMED.get(name, name)
+    op = _NAMED.get(name.split("/")[0], name)
     with pytest.raises(ValueError, match=f"^{op} requires finite input$"):
         _CHECKED[name](np.array([1.0, bad, -2.0]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -161,6 +163,18 @@ class TestMalformed:
         write_tensor(target, np.ones(4, dtype=np.float32))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert not leftovers and target.exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_output_mode_follows_the_umask(self, tmp_path, umask: int, mode: int) -> None:
+        target = tmp_path / "out.fpqt"
+        old = os.umask(umask)
+        try:
+            write_tensor(target, np.ones(4))
+            write_tensor(target, np.zeros(4))  # a replaced file gets the same mode
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.fpqt"]
 
 
 # Element strategy and on-disk dtype per kind.  Float kinds include NaN,
