@@ -56,7 +56,6 @@ from .hwemu import (
     emu_dot,
     emu_gemm,
     lut_quantize,
-    rescale,
 )
 from .quantize import (
     DfqResult,

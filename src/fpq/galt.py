@@ -235,13 +235,12 @@ def galt_grad(problem: GaltProblem, step_index: int) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """AdamW moments for the smoothing vector (decoupled decay, zero here)."""
+    """AdamW moments for the smoothing vector (with no weight decay)."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 0.01
-    weight_decay: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -256,7 +255,7 @@ def adamw_step(state: OptimizerState, lam: np.ndarray, grad: np.ndarray) -> np.n
     """One AdamW update of lambda; clamps to the positivity floor.
 
     The floor keeps the inverse scaling well defined after aggressive
-    updates; weight decay is decoupled and defaults to zero.
+    updates.  AdamW's decoupled weight decay is zero, so it has no term.
     """
     state.step_count += 1
     t = state.step_count
@@ -264,8 +263,7 @@ def adamw_step(state: OptimizerState, lam: np.ndarray, grad: np.ndarray) -> np.n
     state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * grad**2
     m_hat = state.first_moment / (1 - state.beta1**t)
     v_hat = state.second_moment / (1 - state.beta2**t)
-    new = lam * (1 - state.lr * state.weight_decay)
-    new = new - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    new = lam - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return np.maximum(new, state.min_value)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from click.testing import CliRunner
 
 from fpq import hwemu
 from fpq.cli import main
-from fpq.formats import E2M1, E2M3
+from fpq.formats import E2M1, E2M3, E3M0
 from fpq.quantize import dfq_quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
@@ -148,9 +147,40 @@ class TestConfigTypes:
         assert problem.startswith("env: FPQ_SEED: ")
 
     def test_negative_seed_flag_is_a_usage_error(self) -> None:
+        # A usage error, reported as the same JSON problem a config value gets.
         result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--seed", "-1"])
-        assert result.exit_code == 2
-        assert "-1 is not in the range" in result.stderr
+        assert _problems(result) == ["flag: --seed: -1 is not in the range x>=0."]
+
+    @pytest.mark.parametrize("command, doc, want", [
+        (["galt", "--synth"], {"epochs": 2.9}, "config: epochs: expected an integer, got 2.9"),
+        (["galt", "--synth"], {"lr": True}, "config: lr: expected a number, got true"),
+        (["emu-check"], {"samples": True}, "config: samples: expected an integer, got true"),
+        (["galt", "--synth"], {"epochs": [1]}, "config: epochs: expected an integer, got [1]"),
+        (["rotate", "--output", "rot.fpqt"], {"group_size": {"a": 1}},
+         'config: group_size: expected an integer, got {"a": 1}'),
+    ], ids=["fraction_for_int", "bool_for_float", "bool_for_int", "list_for_int", "object_for_int"])
+    def test_numeric_option_rejects_other_json_types(self, tmp_path, activation, command, doc, want) -> None:
+        # click's INT and FLOAT types would run 2 epochs for 2.9 and lr 1.0 for true.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        args = [*command, "--config", str(config), "--report", str(tmp_path / "r.jsonl")]
+        if command[0] == "rotate":
+            args += ["--input", str(activation)]
+        assert _problems(CliRunner().invoke(main, args)) == [want]
+        assert not (tmp_path / "r.jsonl").exists()
+
+    def test_integral_float_is_an_integer(self, tmp_path) -> None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 1.0, "lr": 1}))
+        report = tmp_path / "r.jsonl"
+        result = CliRunner().invoke(main, [
+            "galt", "--synth", "--dim", "8", "--group", "8", "--out-features", "4", "--schedule", "1,4",
+            "--config", str(config), "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        config = _records(report)[-1]["config"]
+        assert (config["epochs"], config["lr"]) == (1, 1.0)
+        assert type(config["epochs"]) is int and type(config["lr"]) is float
 
     def test_config_values_are_converted(self, tmp_path) -> None:
         config = tmp_path / "config.json"
@@ -212,9 +242,9 @@ class TestGaltInputs:
         ["--dim", "0"], ["--out-features", "0"], ["--epochs", "-3"], ["--outlier-channels", "-1"],
     ])
     def test_out_of_range_flag_is_a_usage_error(self, tmp_path, flags) -> None:
-        result = self._invoke(tmp_path, flags)
-        assert result.exit_code == 2
-        assert f"{flags[1]} is not in the range" in result.stderr
+        # A usage error, reported as the same JSON problem a config value gets.
+        (problem,) = _problems(self._invoke(tmp_path, flags))
+        assert problem.startswith(f"flag: {flags[0]}: {flags[1]} is not in the range x>=")
         assert not (tmp_path / "r.jsonl").exists()
 
 
@@ -223,23 +253,44 @@ class TestEmuCheck:
         result = CliRunner().invoke(main, ["emu-check", "--samples", "20000"])
         assert result.exit_code == 0, result.output
         metrics = json.loads(result.stdout)["metrics"]
-        assert metrics["quantizer_parity"] == "pass"
-        assert (metrics["addr_frac_bits"], metrics["e2m1_mismatches"], metrics["dfq_mismatches"]) == (2, 0, 0)
+        assert (metrics["quantizer_parity"], metrics["mul_tables"]) == ("pass", "pass")
+        assert metrics["mul_exact"] == {"E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256"}
+        # Three grids and nine DFQ pairs, every one exact.
+        assert len(metrics["mismatches"]) == 12 and set(metrics["mismatches"].values()) == {0}
+        assert metrics["scale_mismatches"] == [] and metrics["samples"] == 20000
+        assert (metrics["addr_frac_bits"]["E2M1"], metrics["addr_frac_bits"]["E3M0/E2M1"]) == (2, 3)
 
     def test_flipped_quantizer_entry_fails(self, monkeypatch) -> None:
         build = hwemu.build_tables
 
         def flipped():
             luts = build()
-            lut = luts.quant_lut.copy()
+            lut = luts.quantizer(E2M1, E2M1).copy()
             lut[3] ^= 1  # q in (0.25, 0.5): code 1 becomes 0
-            return replace(luts, quant_lut=lut)
+            return hwemu.LutTables({**luts.address, (E2M1, E2M1): lut}, luts.product)
 
         monkeypatch.setattr(hwemu, "build_tables", flipped)
         result = CliRunner().invoke(main, ["emu-check", "--samples", "20000"])
         assert result.exit_code == 1
         assert '"quantizer_parity": "fail"' in result.stdout
-        assert json.loads(result.stdout)["metrics"]["e2m1_mismatches"] > 0
+        assert json.loads(result.stdout)["metrics"]["mismatches"]["E2M1"] > 0
+
+    def test_wrong_e3m0_product_fails(self, monkeypatch) -> None:
+        build = hwemu.build_tables
+
+        def flipped():
+            luts = build()
+            mul, p2i = luts.multiplier(E3M0, E2M1)
+            mul = mul.copy()
+            mul[0x17] ^= 1  # 0.25 * 6 = 1.5 in E4M3 becomes 1.625
+            return hwemu.LutTables(luts.address, {**luts.product, (E3M0, E2M1): (mul, p2i)})
+
+        monkeypatch.setattr(hwemu, "build_tables", flipped)
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "2000"])
+        assert result.exit_code == 1
+        metrics = json.loads(result.stdout)["metrics"]
+        assert metrics["mul_tables"] == "fail" and metrics["mul_exact"]["E3M0xE2M1"] == "255/256"
+        assert metrics["quantizer_parity"] == "pass"
 
 
 def _write_config(tmp_path, doc) -> str:
@@ -355,6 +406,26 @@ class TestOptionTable:
         assert default.exit_code == 0, default.output
         first, second = [r["config"] for r in _records(report) if "config" in r]
         assert first == second
+
+    @pytest.mark.parametrize("command, flags, want", [
+        ("quantize", ["--group", "0"], "flag: --group: 0 is not in the range x>=1."),
+        ("dfq", ["--group", "-2"], "flag: --group: -2 is not in the range x>=1."),
+        ("search", ["--group", "0"], "flag: --group: 0 is not in the range x>=1."),
+        ("rotate", ["--group", "0"], "flag: --group: 0 is not in the range x>=1."),
+        ("galt", ["--epochs", "-1"], "flag: --epochs: -1 is not in the range x>=0."),
+        ("emu-check", ["--samples", "0"], "flag: --samples: 0 is not in the range x>=1."),
+    ])
+    def test_out_of_range_flag_is_one_json_problem(self, tmp_path, wide, command, flags, want) -> None:
+        report = tmp_path / "r.jsonl"
+        args = [*_base_args(command, tmp_path, wide), *flags, "--report", str(report)]
+        assert _problems(CliRunner().invoke(main, args)) == [want]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_number_flag_is_one_json_problem(self, tmp_path, wide, command) -> None:
+        flag = "--seed" if command == "emu-check" else "--group"
+        args = [*_base_args(command, tmp_path, wide), flag, "x", "--report", str(tmp_path / "r.jsonl")]
+        assert _problems(CliRunner().invoke(main, args)) == [f"flag: {flag}: 'x' is not a valid integer range."]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_record_config_keys_are_the_option_names(self, tmp_path, wide, command) -> None:

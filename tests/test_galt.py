@@ -284,6 +284,28 @@ class TestAdamW:
         lam = adamw_step(state, np.array([0.5]), np.array([1.0]))
         assert lam[0] == state.min_value
 
+    # lambda and the loss history of one small fit, bit for bit, as the
+    # optimizer gave them while its state still carried a (zero) weight decay.
+    PINNED_LAMBDA = [
+        "0x1.10e20d66c9332p+0", "0x1.4366d5eb2c54fp+0", "0x1.5d7d02df53419p+0", "0x1.27c7c7c006f84p+0",
+        "0x1.fb545f02a7828p-1", "0x1.30c655ae4cbcap+0", "0x1.1a22d49498ce8p+0", "0x1.6f50f7726c462p+0",
+        "0x1.3c89f45946944p+0", "0x1.31b236bda8c70p-1", "0x1.5ac0d560dcc01p+0", "0x1.30d7c7f7de3c4p+0",
+        "0x1.45885030f2a5dp+0", "0x1.e1780cb078e59p-1", "0x1.2a7f89d449718p+0", "0x1.7b20d0c398fe1p+0",
+    ]
+    PINNED_HISTORY = [
+        "0x1.e21b1337191dcp+4", "0x1.726a1a3b531e0p+4", "0x1.52f744820003ap+4",
+        "0x1.4304bb341add0p+4", "0x1.28c75639a272dp+4",
+    ]
+
+    def test_fit_is_pinned_bit_for_bit(self) -> None:
+        calib = synth_calibration(seed=3, schedule=(1, 4, 9), dim=16,
+                                  outliers=OutlierSpec(count=2, magnitude=20.0))
+        w = np.random.default_rng(4).standard_normal((8, 16))
+        problem = GaltProblem(calib, w, HadamardConfig(dim=16, group_size=8), E2M1, Granularity.per_group(8))
+        lam, history = optimize_galt(problem, epochs=4, lr=0.05)
+        assert [float(v).hex() for v in lam] == self.PINNED_LAMBDA
+        assert [float(v).hex() for v in history] == self.PINNED_HISTORY
+
 
 class TestOptimize:
     def test_zero_epochs_returns_baseline(self) -> None:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,16 +16,21 @@ from fpq import hwemu
 from fpq.formats import (
     E1M2,
     E2M1,
+    E2M3,
+    E3M0,
+    E3M2,
     E3M4,
     E4M3,
     _rounding_tables,
     decode_bits,
     encode,
     grid_values,
+    max_value,
     nearest_codes,
     round_to_grid,
 )
 from fpq.hwemu import (
+    LutTables,
     build_address_lut,
     build_mul_lut,
     build_tables,
@@ -32,16 +38,17 @@ from fpq.hwemu import (
     emu_dot,
     emu_gemm,
     lut_quantize,
-    rescale,
     verify_mul_tables,
     verify_quantizer_parity,
 )
 from fpq.quantize import (
+    DFQ_CANDIDATE_FORMATS,
     Granularity,
     compute_scale,
     dequantize,
     dfq_quantize,
     quantize,
+    rtn_int_quantize,
 )
 from fpq.synth import gelu_activations
 
@@ -49,6 +56,45 @@ LUTS = build_tables()
 PT = Granularity.per_tensor()
 ADDRESSES = range(-64, 64)  # the 7-bit signed bus
 TABLE_PAIRS = [(E2M1, E2M1), (E1M2, E2M1)]
+# Every (negative, positive) grid pair the DFQ search can pick.
+SEARCH_PAIRS = list(product(DFQ_CANDIDATE_FORMATS, repeat=2))
+
+
+def _pair_id(pair) -> str:
+    return "/".join(f.name for f in pair)
+
+
+# The tables as the datapath built them when it was wired for E2M1 and
+# E1M2/E2M1 alone: address tables, product codes (E4M3, E3M4) and the
+# sha256 of the product-to-integer tables.
+PARENT_ADDRESS = {
+    (E2M1, E2M1): bytes.fromhex(
+        "000000010101020202020203030304040404040404050505050505050606060606060606060606060607070707070707"
+        "070707070707070707070707070707070f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0e0e0e0e0e0e0e0e"
+        "0e0e0e0e0e0d0d0d0d0d0d0d0c0c0c0c0c0c0c0b0b0b0a0a0a0a0a0909090000"),
+    (E1M2, E2M1): bytes.fromhex(
+        "000000010101020202020203030304040404040404050505050505050606060606060606060606060607070707070707"
+        "070707070707070707070707070707070f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
+        "0f0f0f0f0f0f0e0e0e0e0e0d0d0d0c0c0c0c0c0b0b0b0a0a0a0a0a0909090000"),
+}
+PARENT_PRODUCT = {
+    (E2M1, E2M1): (bytes.fromhex(
+        "0000000000000000000000000000000000283034383c404400a8b0b4b8bcc0c40030383c4044484c00b0b8bcc0c4c8cc"
+        "00343c4144494c5100b4bcc1c4c9ccd100384044484c505400b8c0c4c8ccd0d4003c44494c51545900bcc4c9ccd1d4d9"
+        "0040484c5054585c00c0c8ccd0d4d8dc00444c5154595c6100c4ccd1d4d9dce100000000000000000000000000000000"
+        "00a8b0b4b8bcc0c400283034383c404400b0b8bcc0c4c8cc0030383c4044484c00b4bcc1c4c9ccd100343c4144494c51"
+        "00b8c0c4c8ccd0d400384044484c505400bcc4c9ccd1d4d9003c44494c51545900c0c8ccd0d4d8dc0040484c5054585c"
+        "00c4ccd1d4d9dce100444c5154595c61"),
+        "e8d61e475e462f20c5d7c7055a2e4fae845c9b298f6505192c90feee587274fe"),
+    (E1M2, E2M1): (bytes.fromhex(
+        "0000000000000000000000000000000000102028303840480090a0a8b0b8c0c8002030384048505800a0b0b8c0c8d0d8"
+        "002838424852586200a8b8c2c8d2d8e2003040485058606800b0c0c8d0d8e0e80034444e545e646e00b4c4ced4dee4ee"
+        "003848525862687200b8c8d2d8e2e8f2003c4c555c656c7500bcccd5dce5ecf500000000000000000000000000000000"
+        "0090a0a8b0b8c0c8001020283038404800a0b0b8c0c8d0d8002030384048505800a8b8c2c8d2d8e20028384248525862"
+        "00b0c0c8d0d8e0e8003040485058606800b4c4ced4dee4ee0034444e545e646e00b8c8d2d8e2e8f20038485258626872"
+        "00bcccd5dce5ecf5003c4c555c656c75"),
+        "c4ff5a8f7d0b4708dd0a81e5557095f2cdfaca8d4106fc7ff1565fa1ce9c069c"),
+}
 
 
 def _bucket(addr: int) -> tuple[float, float]:
@@ -60,11 +106,11 @@ def _bucket(addr: int) -> tuple[float, float]:
     return float(np.nextafter(edge, np.inf)), float(np.nextafter(edge + 0.25, -np.inf))
 
 
-def _address(q: float) -> int:
-    """The address the hardware forms: q saturates to [-8, 8 - 1/8], then
-    2 * floor(4q) plus the sticky bit."""
-    q4 = 4 * min(max(q, -8.0), 7.875)
-    return 2 * math.floor(q4) + (q4 != math.floor(q4))
+def _address(q: float, frac_bits: int = 2, top: int = 8) -> int:
+    """The address the hardware forms: q saturates to [-top, top - 2^-(F+1)],
+    then 2 * floor(2^F q) plus the sticky bit, F = frac_bits."""
+    qf = 2**frac_bits * min(max(q, -top), top - 2.0 ** -(frac_bits + 1))
+    return 2 * math.floor(qf) + (qf != math.floor(qf))
 
 
 def _reference_code(neg, pos, q: float) -> int:
@@ -116,18 +162,45 @@ class TestAddressTables:
             build_address_lut(neg, pos, frac_bits=1)
 
     def test_tables_record_their_width(self) -> None:
-        assert LUTS.addr_frac_bits == 2
-        for lut in (LUTS.quant_lut, LUTS.dfq_lut):
-            assert len(lut) == 128 and lut.dtype == np.uint8 and not lut.flags.writeable
+        # Fractional bits and entry count derive from the pair: 2^(I + F + 2)
+        # entries for a bus of I integer bits and F fractional bits.
+        widths = {E1M2: 2, E2M1: 2, E3M0: 3, E2M3: 4, E3M2: 5}
+        for neg, pos in [*SEARCH_PAIRS, (E2M3, E2M3), (E3M2, E3M2)]:
+            lut = LUTS.quantizer(neg, pos)
+            f = max(widths[neg], widths[pos])
+            assert hwemu._frac_bits(neg, pos) == f
+            int_bits = int(max(max_value(neg), max_value(pos))).bit_length()
+            assert len(lut) == 2 ** (int_bits + f + 2) and lut.dtype == np.uint8 and not lut.flags.writeable
+        assert [len(LUTS.quantizer(f, f)) for f in (E2M1, E3M0, E2M3, E3M2)] == [128, 1024, 512, 4096]
+        assert [hwemu._int_scale(f) for f in (E1M2, E2M1, E3M0)] == [2, 2, 4]
+
+    def test_tables_equal_the_parent_bytes(self) -> None:
+        fresh = build_tables()
+        assert set(fresh.address) == set(PARENT_ADDRESS) and set(fresh.product) == set(PARENT_PRODUCT)
+        for pair, want in PARENT_ADDRESS.items():
+            assert fresh.address[pair].tobytes() == want
+        for pair, (mul, p2i_sha) in PARENT_PRODUCT.items():
+            got_mul, got_p2i = fresh.product[pair]
+            assert got_mul.dtype == np.uint8 and got_mul.tobytes() == mul
+            assert got_p2i.dtype == np.int32 and hashlib.sha256(got_p2i.tobytes()).hexdigest() == p2i_sha
 
     def test_quantizers_form_the_address(self) -> None:
         # Through a table that echoes its index, the quantizer returns the
         # address itself, modulo the bus width.
-        echo = replace(LUTS, quant_lut=np.arange(128, dtype=np.uint8))
+        echo = LutTables({(E2M1, E2M1): np.arange(128, dtype=np.uint8)})
         rng = np.random.default_rng(1)
         q = np.concatenate([rng.uniform(-9, 9, 2000), np.arange(-36, 36) / 4, [-0.0, 5e-324, -5e-324]])
         got = lut_quantize(q, 1.0, echo)
         assert got.tolist() == [_address(float(v)) % 128 for v in q]
+
+    def test_wide_tables_form_int16_addresses(self) -> None:
+        # E3M0 needs 3 fractional bits, and its maximum 16 five integer bits,
+        # a bus of [-32, 32): 1024 entries, past what an int8 address reaches.
+        echo = LutTables({(E3M0, E3M0): np.arange(1024, dtype=np.uint16)})
+        rng = np.random.default_rng(2)
+        q = np.concatenate([rng.uniform(-36, 36, 2000), np.arange(-264, 264) / 8, [-0.0, 5e-324, -5e-324]])
+        got = lut_quantize(q, 1.0, echo, E3M0)
+        assert got.tolist() == [_address(float(v), 3, 32) % 1024 for v in q]
 
 
 class TestLutQuantize:
@@ -212,19 +285,19 @@ _SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.7e308, -1.7e308]
 
 
 @st.composite
-def _lut_inputs(draw) -> np.ndarray:
-    """Tensors whose quotients hit grid points, midpoints and their float
-    neighbours exactly, or arbitrary floats with zeros, subnormals and
-    near-maximum values; optionally all positive or all non-positive."""
+def _lut_inputs(draw, neg=E1M2, pos=E2M1) -> np.ndarray:
+    """Tensors whose quotients hit grid points of either grid, midpoints and
+    their float neighbours exactly, or arbitrary floats with zeros,
+    subnormals and near-maximum values; optionally all positive or all
+    non-positive."""
     if draw(st.booleans()):
         s = draw(st.sampled_from([1.0, 0.375, 2.0**-30, 5 * 2.0**60, 2.0**-1060]))
-        neg_q = np.concatenate([grid_values(E1M2), grid_values(E2M1)])
-        neg_q = neg_q[neg_q <= 0]
-        pos_q = grid_values(E2M1)[7:]
+        both = np.unique(np.concatenate([grid_values(neg), grid_values(pos)]))
+        neg_q, pos_q = both[both <= 0], both[both >= 0]
         mids = [(g[:-1] + g[1:]) / 2 for g in (neg_q, pos_q)]
         qs = draw(st.lists(st.sampled_from(np.concatenate([neg_q, pos_q, *mids]).tolist()), max_size=16))
-        # Anchors give the scales s exactly: neg absmax 3.5 s, pos absmax 6 s.
-        x = np.array([*qs, -3.5, 6.0]) * s
+        # Anchors give the scales s exactly: the part absmaxes are the grid maxima times s.
+        x = np.array([*qs, -max_value(neg), max_value(pos)]) * s
         x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
     else:
         values = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_SPECIALS))
@@ -250,6 +323,26 @@ class TestAgainstReference:
     def test_dfq_lut_quantize_matches_dfq_quantize(self, x) -> None:
         ref = dfq_quantize(x, E1M2, E2M1, PT)
         got = dfq_lut_quantize(x, LUTS)
+        for a, b in ((got.neg_codes, ref.neg_codes), (got.pos_codes, ref.pos_codes)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        for a, b in ((got.s_neg, ref.s_neg), (got.s_pos, ref.s_pos)):
+            assert np.asarray(a).view(np.uint64) == np.asarray(b).view(np.uint64)
+
+    @pytest.mark.parametrize("fmt", DFQ_CANDIDATE_FORMATS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_every_candidate_grid_matches_quantize(self, fmt, data) -> None:
+        x = data.draw(_lut_inputs(fmt, fmt))
+        ref = quantize(x, fmt, PT)
+        got = lut_quantize(x, compute_scale(x, fmt), LUTS, fmt)
+        assert got.dtype == ref.codes.dtype and got.tolist() == ref.codes.tolist()
+
+    @pytest.mark.parametrize("neg, pos", SEARCH_PAIRS, ids=lambda f: f.name)
+    @given(data=st.data())
+    def test_every_search_pair_matches_dfq_quantize(self, neg, pos, data) -> None:
+        x = data.draw(_lut_inputs(neg, pos))
+        ref = dfq_quantize(x, neg, pos, PT)
+        got = dfq_lut_quantize(x, LUTS, neg, pos)
+        assert (got.neg_format, got.pos_format) == (neg, pos)
         for a, b in ((got.neg_codes, ref.neg_codes), (got.pos_codes, ref.pos_codes)):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
         for a, b in ((got.s_neg, ref.s_neg), (got.s_pos, ref.s_pos)):
@@ -300,46 +393,81 @@ class TestDfqLuts:
         assert r.neg_codes[0] == 0 and r.pos_codes[0] == 0
 
 
+def _k(fmt) -> float:
+    """The grid's integer scale: 1 / (its smallest positive value)."""
+    grid = grid_values(fmt)
+    return 1 / grid[grid > 0].min()
+
+
+def _exhaustive_products(act, wt, product_format) -> None:
+    """Every code pair of the (act, wt) multiplier gives the exact product in
+    ``product_format`` and k_act * k_wt times it as an integer."""
+    mul, p2i = LUTS.multiplier(act, wt)
+    k = Fraction(_k(act) * _k(wt))
+    for a in range(act.code_count):
+        va = Fraction(decode_bits(act, a))
+        for b in range(wt.code_count):
+            p = va * Fraction(decode_bits(wt, b))
+            code = int(mul[(a << wt.width) | b])
+            assert Fraction(decode_bits(product_format, code)) == p
+            assert p2i[code] == p * k
+
+
 class TestMulTables:
     def test_spot_products(self) -> None:
+        mul, p2i = LUTS.multiplier(E2M1, E2M1)
         c = encode(E2M1, 1.5).bits
         addr = (c << 4) | c
-        assert decode_bits(E4M3, int(LUTS.mul_lut[addr])) == 2.25
-        assert LUTS.prod_to_int[LUTS.mul_lut[addr]] == 9
+        assert decode_bits(E4M3, int(mul[addr])) == 2.25
+        assert p2i[mul[addr]] == 9
         c6 = encode(E2M1, 6.0).bits
-        assert decode_bits(E4M3, int(LUTS.mul_lut[(c6 << 4) | c6])) == 36.0
-        assert LUTS.prod_to_int[LUTS.mul_lut[(c6 << 4) | c6]] == 144
+        assert decode_bits(E4M3, int(mul[(c6 << 4) | c6])) == 36.0
+        assert p2i[mul[(c6 << 4) | c6]] == 144
 
     def test_zero_times_anything(self) -> None:
+        mul, p2i = LUTS.multiplier(E2M1, E2M1)
         for b in range(16):
-            assert LUTS.mul_lut[(0 << 4) | b] == 0
-            assert LUTS.prod_to_int[LUTS.mul_lut[(b << 4) | 0]] == 0
+            assert mul[(0 << 4) | b] == 0
+            assert p2i[mul[(b << 4) | 0]] == 0
 
     def test_exhaustive_e2m1_pairs_exact(self) -> None:
-        for a in range(16):
-            va = Fraction(decode_bits(E2M1, a))
-            for b in range(16):
-                p = va * Fraction(decode_bits(E2M1, b))
-                code = int(LUTS.mul_lut[(a << 4) | b])
-                assert Fraction(decode_bits(E4M3, code)) == p
-                assert LUTS.prod_to_int[code] == p * 4
+        _exhaustive_products(E2M1, E2M1, E4M3)
 
     def test_exhaustive_dfq_pairs_exact(self) -> None:
-        for a in range(16):
-            va = Fraction(decode_bits(E1M2, a))
-            for b in range(16):
-                p = va * Fraction(decode_bits(E2M1, b))
-                code = int(LUTS.dfq_mul_lut[(a << 4) | b])
-                assert Fraction(decode_bits(E3M4, code)) == p
-                assert LUTS.dfq_prod_to_int[code] == p * 4
+        _exhaustive_products(E1M2, E2M1, E3M4)
+
+    @pytest.mark.parametrize("act, wt", [p for p in SEARCH_PAIRS if p != (E1M2, E1M2)], ids=lambda f: f.name)
+    def test_exhaustive_search_grid_pairs_exact(self, act, wt) -> None:
+        # E1M2 x E2M1 significand products need a fourth mantissa bit, which
+        # E3M4 has.  E1M2 x E3M0 products reach 3.5 * 16 = 56, past E3M4's 31,
+        # and, like the rest, need no more than E4M3's three mantissa bits.
+        _exhaustive_products(act, wt, E3M4 if {act, wt} == {E1M2, E2M1} else E4M3)
 
     def test_e4m3_would_reject_mixed_products(self) -> None:
         with pytest.raises(ValueError, match="not on the E4M3 grid"):
-            build_mul_lut(E1M2, E2M1, E4M3)
+            encode(E4M3, 3.5 * 6.0)
+        mul, _ = build_mul_lut(E1M2, E2M1)
+        a, b = encode(E1M2, 3.5).bits, encode(E2M1, 6.0).bits
+        assert decode_bits(E3M4, int(mul[(a << 4) | b])) == 21.0
+
+    @pytest.mark.parametrize("act, wt", [(E1M2, E1M2), (E2M3, E2M1)], ids=lambda f: f.name)
+    def test_pair_no_product_format_holds(self, act, wt) -> None:
+        # 1.75 * 1.75 = 2 * 1.53125 and the FP6 product 7.5 * 6 = 45 =
+        # 2^5 * 1.40625 need five mantissa bits; E3M4 has four.
+        with pytest.raises(ValueError, match=f"no product format holds every {act.name} x {wt.name} product"):
+            build_mul_lut(act, wt)
 
     def test_verify_helper(self) -> None:
         report = verify_mul_tables(LUTS)
-        assert report == {"mul_lut_exact": "256/256", "dfq_mul_exact": "256/256"}
+        assert report == {"mul_tables": "pass", "mul_exact": {
+            "E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256"}}
+
+    def test_verify_counts_a_wrong_product(self) -> None:
+        mul, p2i = LUTS.multiplier(E3M0, E2M1)
+        mul = mul.copy()
+        mul[(encode(E3M0, 16.0).bits << 4) | encode(E2M1, 6.0).bits] ^= 1
+        report = verify_mul_tables(LutTables(product={(E3M0, E2M1): (mul, p2i)}))
+        assert report["mul_tables"] == "fail" and report["mul_exact"]["E3M0xE2M1"] == "255/256"
 
 
 class TestEmuDot:
@@ -369,7 +497,18 @@ class TestEmuDot:
             Fraction(decode_bits(E1M2, int(x))) * Fraction(decode_bits(E2M1, int(y)))
             for x, y in zip(a, b)
         )
-        assert emu_dot(a, b, LUTS, variant="dfq") == want * 4
+        assert emu_dot(a, b, LUTS, E1M2, E2M1) == want * 4
+
+    def test_e3m0_sum_is_eight_times_the_dot(self) -> None:
+        # k = 4 for E3M0 and 2 for E2M1.
+        rng = np.random.default_rng(6)
+        a = rng.integers(0, 16, 64).astype(np.uint8)
+        b = rng.integers(0, 16, 64).astype(np.uint8)
+        want = sum(
+            Fraction(decode_bits(E3M0, int(x))) * Fraction(decode_bits(E2M1, int(y)))
+            for x, y in zip(a, b)
+        )
+        assert emu_dot(a, b, LUTS, E3M0, E2M1) == want * 8
 
     def test_accumulator_headroom(self) -> None:
         full = np.full(128, encode(E2M1, 6.0).bits, dtype=np.uint8)
@@ -381,9 +520,9 @@ class TestEmuDot:
         with pytest.raises(ValueError, match="length mismatch"):
             emu_dot([1, 2], [1], LUTS)
 
-    def test_unknown_variant(self) -> None:
-        with pytest.raises(ValueError, match="variant"):
-            emu_dot([1], [1], LUTS, variant="nope")
+    def test_pair_without_product_format(self) -> None:
+        with pytest.raises(ValueError, match="no product format holds every E1M2 x E1M2 product"):
+            emu_dot([1], [1], LUTS, E1M2, E1M2)
 
     @pytest.mark.parametrize("variant", ["e2m1", "dfq"])
     @pytest.mark.parametrize("a, b", [
@@ -395,34 +534,20 @@ class TestEmuDot:
         ([True], [1]),
     ], ids=["alias", "negative", "fraction", "past_table", "wide", "bool"])
     def test_rejects_bad_codes(self, a, b, variant) -> None:
+        act = {"e2m1": E2M1, "dfq": E1M2}[variant]
         with pytest.raises(ValueError, match="integers in 0..15"):
-            emu_dot(a, b, LUTS, variant=variant)
+            emu_dot(a, b, LUTS, act, E2M1)
 
 
-class TestRescale:
-    def test_zero(self) -> None:
-        assert rescale(0, 1.0, 1.0) == 0.0
-
-    def test_grid_max(self) -> None:
-        assert rescale(144, 1.0, 1.0) == 36.0
-
-    def test_matches_dequant_dot(self) -> None:
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal(128)
-        w = rng.standard_normal(128)
-        xq = quantize(x, E2M1, PT)
-        wq = quantize(w, E2M1, PT)
-        acc = emu_dot(xq.codes, wq.codes, LUTS)
-        want = float(dequantize(xq) @ dequantize(wq))
-        got = rescale(acc, float(xq.scales), float(wq.scales))
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
+def _k_values(fmt) -> np.ndarray:
+    return _k(fmt) * decode_bits(fmt, np.arange(fmt.code_count))
 
 
-def _gemm_planes_oracle(code_planes, w_codes, w_scales_2d, groups) -> np.ndarray:
+def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales_2d, groups) -> np.ndarray:
     """``hwemu._gemm_planes`` with a float64 copy of every accumulator and
     a fresh rows x out array for every rescale."""
-    w_tab = hwemu._doubled_values(E2M1)
-    peak = max(np.abs(hwemu._doubled_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
+    w_tab = _k_values(w_format)
+    peak = max(np.abs(_k_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
     w_vals = w_tab.astype(dtype)[w_codes]
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
@@ -430,10 +555,24 @@ def _gemm_planes_oracle(code_planes, w_codes, w_scales_2d, groups) -> np.ndarray
         wj = w_vals[:, c0:c1]
         sw = w_scales_2d[:, gi]
         for codes, fmt, sx in code_planes:
-            xa = hwemu._doubled_values(fmt).astype(dtype)[codes[:, c0:c1]]
+            xa = _k_values(fmt).astype(dtype)[codes[:, c0:c1]]
             acc = (xa @ wj.T).astype(np.float64, copy=False)
-            out += acc * (sx[:, gi][:, None] * sw[None, :]) * 0.25
+            out += acc * (sx[:, gi][:, None] * sw[None, :]) * (1 / (_k(fmt) * _k(w_format)))
     return out
+
+
+# sha256 of the ``emu_gemm`` output of each ``_gemm_case`` as the datapath
+# gave it when it was wired for E2M1 and E1M2/E2M1 alone.
+PARENT_GEMM = {
+    "per_tensor": "60545f7a0c6681bf6acbab1ed143106ad0f5e9951f5b3779103dec61541fa71e",
+    "per_token": "5fb36433e56dcf820b02d940d4f859ebb5e57c42d69c9eb966927aef2f2134d0",
+    "per_channel": "d6727c7121326bb53e39b4764fc3c70ce1f5262b1f5acac6c30528dd34a4d42a",
+    "one_group": "5fb36433e56dcf820b02d940d4f859ebb5e57c42d69c9eb966927aef2f2134d0",
+    "many_groups": "7fb011bc6b8c850edb87f96a44a50f1778572682f32dba2b9f3637a5ae1c2876",
+    "dfq_per_token": "fb8315296bf9b1b27f1a961ceff04a1d6f9b864b63dd0435bc2807f5c32279c0",
+    "dfq_groups": "2cc9875b7ad2ac1107c1e26e8bfaef66e061627b55fd806c51eb4fac78a579d6",
+    "float64_accumulator": "63a33b99258db9ab339880642be17c6ea5389c1e58010f65f79abd4cfd06a9f9",
+}
 
 
 def _gemm_case(name: str):
@@ -465,9 +604,26 @@ class TestEmuGemm:
     def test_bytes_match_the_float64_copy_oracle(self, case: str, monkeypatch) -> None:
         xq, wq = _gemm_case(case)
         got = emu_gemm(xq, wq, LUTS)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == PARENT_GEMM[case]
         monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
         want = emu_gemm(xq, wq, LUTS)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("neg, pos", SEARCH_PAIRS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("gx, gw", [
+        (PT, PT),
+        (Granularity.per_token(), Granularity.per_channel()),
+        (Granularity.per_group(64), Granularity.per_group(64)),
+    ], ids=["per_tensor", "per_token", "per_group"])
+    def test_every_search_pair_matches_dequant_matmul(self, neg, pos, gx, gw, monkeypatch) -> None:
+        x = gelu_activations(40, (9, 256)) * np.random.default_rng(41).uniform(0.1, 10, 256)
+        w = np.random.default_rng(42).standard_normal((11, 256))
+        dq, wq = dfq_quantize(x, neg, pos, gx), quantize(w, E2M1, gw)
+        out = emu_gemm(dq, wq, LUTS)
+        want = dequantize(dq) @ dequantize(wq).T
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+        monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
+        assert out.view(np.uint64).tolist() == emu_gemm(dq, wq, LUTS).view(np.uint64).tolist()
 
     def test_exact_on_grid_aligned_unit_scales(self) -> None:
         from fpq.formats import grid_values
@@ -517,7 +673,7 @@ class TestEmuGemm:
                 for gi in range(2):
                     sl = slice(gi * 128, (gi + 1) * 128)
                     dot = emu_dot(xq.codes[t, sl], wq.codes[o, sl], LUTS)
-                    acc += rescale(dot, xq.scales[t, gi], wq.scales[o, gi])
+                    acc += dot * xq.scales[t, gi] * wq.scales[o, gi] * 0.25
                 assert out[t, o] == pytest.approx(acc, rel=1e-12)
 
     def test_dfq_literal_path(self) -> None:
@@ -528,12 +684,27 @@ class TestEmuGemm:
         out = emu_gemm(dq, wq, LUTS)
         for t in range(2):
             for o in range(3):
-                neg = emu_dot(dq.neg_codes[t], wq.codes[o], LUTS, variant="dfq")
+                neg = emu_dot(dq.neg_codes[t], wq.codes[o], LUTS, E1M2, E2M1)
                 pos = emu_dot(dq.pos_codes[t], wq.codes[o], LUTS)
-                acc = rescale(neg, float(dq.s_neg), float(wq.scales)) + rescale(
-                    pos, float(dq.s_pos), float(wq.scales)
-                )
+                sw = float(wq.scales)
+                acc = neg * float(dq.s_neg) * sw * 0.25 + pos * float(dq.s_pos) * sw * 0.25
                 assert out[t, o] == pytest.approx(acc, rel=1e-12)
+
+    def test_e3m0_rows_match_the_table_walk(self) -> None:
+        # The E3M0 plane accumulates 8x its products and the E2M1 plane 4x;
+        # each rescale is exact, so the walk reproduces the GEMM bit for bit.
+        x = gelu_activations(15, (3, 256))
+        w = np.random.default_rng(16).standard_normal((4, 256))
+        dq = dfq_quantize(x, E3M0, E2M1, Granularity.per_token())
+        wq = quantize(w, E2M1, Granularity.per_channel())
+        out = emu_gemm(dq, wq, LUTS)
+        assert np.any(dq.neg_codes) and np.any(dq.pos_codes)
+        for t in range(3):
+            for o in range(4):
+                neg = emu_dot(dq.neg_codes[t], wq.codes[o], LUTS, E3M0, E2M1)
+                pos = emu_dot(dq.pos_codes[t], wq.codes[o], LUTS, E2M1, E2M1)
+                sn, sp, sw = dq.s_neg[t], dq.s_pos[t], wq.scales[o]
+                assert out[t, o] == 0.0 + neg * (sn * sw) * 0.125 + pos * (sp * sw) * 0.25
 
     def test_float64_fallback_beyond_float32_bound(self) -> None:
         # One 2^17-wide group: 144 * width passes 2^24, so the float32 path
@@ -546,7 +717,7 @@ class TestEmuGemm:
         acc = emu_dot(xq.codes[0], wq.codes[0], LUTS)
         assert acc == 144 * (n - 1) + 1 and acc > 2**24 and acc % 2
         out = emu_gemm(xq, wq, LUTS)
-        assert out[0, 0] == rescale(acc, float(xq.scales[0]), float(wq.scales[0]))
+        assert out[0, 0] == acc * float(xq.scales[0]) * float(wq.scales[0]) * 0.25
 
     def test_group_misalignment_rejected(self) -> None:
         x = np.random.default_rng(14).standard_normal((4, 256))
@@ -558,36 +729,43 @@ class TestEmuGemm:
 
     def test_weight_format_enforced(self) -> None:
         x = quantize(np.ones((2, 128)), E2M1, PT)
-        w_bad = quantize(np.ones((2, 128)), E1M2, PT)
-        with pytest.raises(ValueError, match="E2M1"):
-            emu_gemm(x, w_bad, LUTS)
+        with pytest.raises(ValueError, match="micro-float codes"):
+            emu_gemm(x, rtn_int_quantize(np.ones((2, 128)), 4), LUTS)
+        with pytest.raises(ValueError, match="no product format holds every E2M1 x E2M3 product"):
+            emu_gemm(x, quantize(np.ones((2, 128)), E2M3, PT), LUTS)
+        with pytest.raises(ValueError, match="no product format holds every E1M2 x E1M2 product"):
+            emu_gemm(dfq_quantize(np.ones((2, 128)), E1M2, E2M1), quantize(np.ones((2, 128)), E1M2, PT))
 
 
 class TestParitySuite:
     def test_verify_quantizer_parity(self) -> None:
         report = verify_quantizer_parity(50_000, seed=1, luts=LUTS)
         assert report["quantizer_parity"] == "pass"
-        assert report["addr_frac_bits"] == 2
-        assert report["e2m1_mismatches"] == report["dfq_mismatches"] == 0
+        keys = [f.name for f in DFQ_CANDIDATE_FORMATS] + [_pair_id(p) for p in SEARCH_PAIRS]
+        assert list(report["mismatches"]) == list(report["addr_frac_bits"]) == keys
+        assert set(report["mismatches"].values()) == {0} and report["scale_mismatches"] == []
+        assert report["addr_frac_bits"]["E2M1"] == report["addr_frac_bits"]["E1M2/E2M1"] == 2
+        assert report["addr_frac_bits"]["E3M0"] == report["addr_frac_bits"]["E1M2/E3M0"] == 3
 
     # q in (0.25, 0.5) for the E2M1 table; in (-0.5, -0.25) for the DFQ
     # table, whose positive part the parity data keeps above q = 1.
     @pytest.mark.parametrize("field, addr", [("quant_lut", 3), ("dfq_lut", -3)])
     def test_flipped_table_entry_is_counted(self, field, addr) -> None:
-        lut = getattr(LUTS, field).copy()
+        pair = {"quant_lut": (E2M1, E2M1), "dfq_lut": (E1M2, E2M1)}[field]
+        lut = LUTS.quantizer(*pair).copy()
         lut[addr] ^= 1
-        report = verify_quantizer_parity(50_000, seed=1, luts=replace(LUTS, **{field: lut}))
+        report = verify_quantizer_parity(50_000, seed=1, luts=LutTables({pair: lut}))
         assert report["quantizer_parity"] == "fail"
-        key = "e2m1_mismatches" if field == "quant_lut" else "dfq_mismatches"
-        assert report[key] > 0
+        key = "E2M1" if field == "quant_lut" else "E1M2/E2M1"
+        assert report["mismatches"][key] > 0
 
     def test_dfq_scales_compared_exactly(self, monkeypatch) -> None:
-        def nudged(x, luts=None):
-            r = dfq_lut_quantize(x, luts)
+        def nudged(x, luts=None, *formats):
+            r = dfq_lut_quantize(x, luts, *formats)
             r.s_neg = np.nextafter(r.s_neg, np.inf)
             return r
 
         monkeypatch.setattr(hwemu, "dfq_lut_quantize", nudged)
         report = verify_quantizer_parity(1_000, seed=2, luts=LUTS)
-        assert report["dfq_bit_identical"] is False
+        assert report["scale_mismatches"] == [_pair_id(p) for p in SEARCH_PAIRS]
         assert report["quantizer_parity"] == "fail"
