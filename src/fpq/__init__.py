@@ -32,19 +32,14 @@ from .galt import (
     OptimizerState,
     OutlierSpec,
     adamw_step,
-    build_calibration,
     fuse_lambda,
     fuse_lambda_weight,
-    galt_grad,
-    galt_loss,
     optimize_galt,
     synth_calibration,
 )
 from .hadamard import (
     HadamardConfig,
     apply_ght,
-    fuse_weight_rotation,
-    ght_flops,
     hadamard_matrix,
 )
 from .hwemu import (

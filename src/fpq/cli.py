@@ -10,7 +10,7 @@ the option's click type.  Each run appends one JSON record per result to
 the report stream (file via --report, stdout otherwise) echoing the fully
 resolved config, so a run can be replayed exactly.  Validation problems
 are collected and reported together as machine-readable JSON on stderr
-with exit code 2, and so is an output file that cannot be written.
+with exit code 2, and so are usage errors and unwritable output files.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -58,8 +59,8 @@ def _resolve_config(ctx: click.Context):
     config_path = ctx.params["config_path"]
     if config_path:
         try:
-            doc = json.loads(Path(config_path).read_text())
-        except OSError as exc:
+            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
             problems.append(f"config: cannot read {config_path}: {exc}")
             doc = {}
         except json.JSONDecodeError as exc:
@@ -136,9 +137,6 @@ def _parse_schedule(raw, problems: list[str]):
     if not counts or any(c < 1 for c in counts):
         problems.append(f"schedule: token counts must be positive, got {raw!r}")
         return None
-    if any(b <= a for a, b in zip(counts, counts[1:])):
-        problems.append(f"schedule: token counts must strictly increase, got {counts}")
-        return None
     return counts
 
 
@@ -192,21 +190,35 @@ def _codes_kind(fmt: formats.FpFormat) -> str:
     return "code4" if fmt.width <= 4 else "code8"
 
 
-@click.group()
-def main() -> None:
-    """Low-bit floating-point quantization toolkit."""
+def _usage(exc: click.UsageError) -> None:
+    """A command-line usage error as one problem; a bad flag value names its flag."""
+    if isinstance(exc, click.BadParameter) and not isinstance(exc, click.MissingParameter):
+        _fail([f"flag: {exc.param.opts[0]}: {exc.message}"])
+    _fail([f"usage: {exc.format_message()}"])
 
 
-class _Command(click.Command):
-    """A command whose bad flag values are JSON problems, as bad config values are."""
+class _Group(click.Group):
+    """``fpq``: a usage error in a command line is one JSON problem, as a bad
+    config value is; ``fpq`` alone still prints the help."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        if not args:
+            return super().parse_args(ctx, args)
         try:
             return super().parse_args(ctx, args)
-        except click.BadParameter as exc:
-            if isinstance(exc, click.MissingParameter):
-                raise
-            _fail([f"flag: {exc.param.opts[0]}: {exc.message}"])
+        except click.UsageError as exc:
+            _usage(exc)
+
+    def invoke(self, ctx: click.Context):
+        try:  # resolves the command and parses its arguments, then runs it
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _usage(exc)
+
+
+@click.group(cls=_Group)
+def main() -> None:
+    """Low-bit floating-point quantization toolkit."""
 
 
 def _command(name: str):
@@ -214,7 +226,7 @@ def _command(name: str):
     --report and --config follow the command's own options."""
 
     def register(f):
-        cmd = main.command(name, cls=_Command)(click.pass_context(f))
+        cmd = main.command(name)(click.pass_context(f))
         cmd.params += [
             click.Option(["--report", "report_path"], type=click.Path()),
             click.Option(["--config", "config_path"], type=click.Path()),
@@ -379,62 +391,41 @@ def cli_galt(ctx, **_kw) -> None:
     fmt = _parse_format(cfg["format_name"], problems)
     gran = _parse_granularity(cfg, problems)
     schedule = _parse_schedule(cfg["schedule"], problems)
-    if not cfg["synth"] and not cfg["calib_paths"]:
-        problems.append("calib: provide --calib files or --synth")
+    if cfg["synth"] == bool(cfg["calib_paths"]):
+        problems.append("calib: give either --calib files or --synth, not both")
     if not cfg["synth"] and not cfg["weight_path"]:
         problems.append("weight: required unless --synth generates one")
     if cfg["synth"] and cfg["outlier_channels"] > cfg["dim"]:
         problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
     if not np.isfinite(cfg["outlier_magnitude"]):
         problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
+    steps = [_read(p, problems) for p in cfg["calib_paths"]]
+    weight = _read(cfg["weight_path"], problems) if cfg["weight_path"] else None
+    problems += [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"
+                 for p, t in zip(cfg["calib_paths"], steps) if t is not None and t.data.ndim != 2]
     if problems:
         _fail(problems)
 
     # Overflow raises in the synthetic build and the fit, never reaching lambda.
     source = f"outlier_magnitude: {cfg['outlier_magnitude']:g}" if cfg["synth"] else "galt: input"
-    overflow = f"{source} overflows float64 in the GALT fit"
-    if cfg["synth"]:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                calib = galt.synth_calibration(
-                    seed=cfg["seed"],
-                    schedule=schedule,
-                    dim=cfg["dim"],
-                    outliers=galt.OutlierSpec(
-                        count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"]
-                    ),
-                )
-        except FloatingPointError:
-            _fail([overflow])
-        except ValueError as exc:
-            _fail([f"galt: {exc}"])
-    else:
-        steps = [_read(p, problems) for p in cfg["calib_paths"]]
-    weight = _read(cfg["weight_path"], problems) if cfg["weight_path"] else None
-    if problems:
-        _fail(problems)
-    if not cfg["synth"]:
-        steps = [np.asarray(s.data, dtype=np.float64) for s in steps]
-        if any(s.ndim == 0 for s in steps):
-            _fail([f"input: {p}: a calibration step needs a token axis, got a 0-d tensor"
-                   for p, s in zip(cfg["calib_paths"], steps) if s.ndim == 0])
-        try:
-            calib = galt.CalibrationSet(steps, tuple(s.shape[0] for s in steps), steps[0].shape[-1])
-        except ValueError as exc:
-            _fail([f"calib: {exc}"])
-    if weight is None:
-        rng = np.random.default_rng(cfg["seed"] + 1)
-        w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
-    else:
-        w = weight.data
-
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if cfg["synth"]:
+                outliers = galt.OutlierSpec(count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"])
+                calib = galt.synth_calibration(seed=cfg["seed"], schedule=schedule, dim=cfg["dim"],
+                                               outliers=outliers)
+            else:
+                calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
+            if weight is None:
+                rng = np.random.default_rng(cfg["seed"] + 1)
+                w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
+            else:
+                w = weight.data
             hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
             problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
             best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
     except FloatingPointError:
-        _fail([overflow])
+        _fail([f"{source} overflows float64 in the GALT fit"])
     except ValueError as exc:
         _fail([f"galt: {exc}"])
 
@@ -480,9 +471,13 @@ def cli_report(input_path: str) -> None:
     problems: list[str] = []
     records = []
     try:
-        lines = Path(input_path).read_text(encoding="utf-8").splitlines()
+        data = Path(input_path).read_bytes()
+        lines = data.decode("utf-8").splitlines()
     except OSError as exc:
         _fail([f"input: {exc}"])
+    except UnicodeDecodeError as exc:
+        bad_line = data.count(b"\n", 0, exc.start) + 1
+        _fail([f"line {bad_line}: not UTF-8: {exc}"])
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -491,16 +486,15 @@ def cli_report(input_path: str) -> None:
         except json.JSONDecodeError as exc:
             problems.append(f"line {i + 1}: invalid JSON: {exc}")
             continue
-        if isinstance(rec, dict):
-            records.append(rec)
-        else:
+        if not isinstance(rec, dict):
             problems.append(f"line {i + 1}: expected a JSON object, got {type(rec).__name__}")
+        elif not isinstance(rec.setdefault("command", "history"), str):
+            problems.append(f"line {i + 1}: command must be a string, got {json.dumps(rec['command'])}")
+        else:
+            records.append(rec)
     if problems:
         _fail(problems)
-    by_command: dict[str, int] = {}
-    for rec in records:
-        cmd = rec.setdefault("command", "history")
-        by_command[cmd] = by_command.get(cmd, 0) + 1
+    by_command = Counter(rec["command"] for rec in records)
     click.echo(f"{len(records)} records in {input_path}")
     for cmd, count in sorted(by_command.items()):
         click.echo(f"  {cmd}: {count}")

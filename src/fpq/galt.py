@@ -4,11 +4,10 @@ One positive smoothing vector per linear layer scales the activation
 channels before the group-wise Hadamard rotation and inversely scales the
 weight columns, so the full-precision product is unchanged while the
 quantization error of the rotated operands shrinks.  The vector is fit by
-gradient descent on the per-step quantized-output MSE over a multi-step
-calibration set, with the quantizer treated as identity in the backward
-pass (straight-through estimator).  At inference the vector folds into
-the preceding normalization affine and into the weight, adding no runtime
-work.
+AdamW on the per-step quantized-output MSE over a multi-step calibration
+set, with the quantizer treated as identity in the backward pass
+(straight-through estimator).  At inference the vector folds into the
+preceding normalization affine and into the weight, adding no runtime work.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .formats import FpFormat
-from .hadamard import HadamardConfig, apply_ght, fuse_weight_rotation
+from .hadamard import HadamardConfig, apply_ght
 # ``quantize`` is not called here, but bench/test_bench.py reaches it as
 # ``fpq.galt.quantize``, so the name stays importable from this module.
 from .quantize import Granularity, _fake_quantize, quantize  # noqa: F401
@@ -31,10 +30,7 @@ __all__ = [
     "LayerNormAffine",
     "OptimizerState",
     "DESK_SCHEDULE",
-    "build_calibration",
     "synth_calibration",
-    "galt_loss",
-    "galt_grad",
     "adamw_step",
     "optimize_galt",
     "fuse_lambda",
@@ -47,58 +43,33 @@ DESK_SCHEDULE: tuple[int, ...] = (1, 4, 9, 16, 25, 36, 64, 100, 169, 256)
 
 @dataclass
 class CalibrationSet:
-    """Per-step activation matrices concatenated over calibration samples.
-
-    Step i holds an (n_samples * token_counts[i], dim) matrix; token
-    counts must strictly increase with the step index.
-    """
+    """Per-step (tokens, dim) activation matrices, coarse to fine: at least
+    one step, all with step 0's columns, token counts strictly increasing.
+    The counts and dim are read off the arrays."""
 
     per_step: list[np.ndarray]
-    step_token_counts: tuple[int, ...]
-    dim: int
-    n_samples: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.per_step) != len(self.step_token_counts):
-            raise ValueError("one token count per step is required")
         if not self.per_step:
             raise ValueError("calibration set must contain at least one step")
-        if any(b <= a for a, b in zip(self.step_token_counts, self.step_token_counts[1:])):
-            raise ValueError(f"token counts must strictly increase, got {self.step_token_counts}")
         for i, x in enumerate(self.per_step):
             if x.ndim != 2 or x.shape[1] != self.dim:
-                raise ValueError(f"step {i} must be 2-D with {self.dim} columns, got {x.shape}")
-            expect = self.n_samples * self.step_token_counts[i]
-            if x.shape[0] != expect:
-                raise ValueError(f"step {i} has {x.shape[0]} rows, expected {expect}")
+                raise ValueError(f"calibration step {i} must be 2-D with step 0's columns, got {x.shape}")
+        counts = self.step_token_counts
+        if any(b <= a for a, b in zip(counts, counts[1:])):
+            raise ValueError(f"token counts must strictly increase, got {counts}")
+
+    @property
+    def step_token_counts(self) -> tuple[int, ...]:
+        return tuple(x.shape[0] for x in self.per_step)
+
+    @property
+    def dim(self) -> int:
+        return self.per_step[0].shape[1]
 
     @property
     def num_steps(self) -> int:
         return len(self.per_step)
-
-
-def build_calibration(samples: Sequence[Sequence[np.ndarray]]) -> CalibrationSet:
-    """Concatenate per-sample activations step by step.
-
-    ``samples[s][i]`` is sample s's step-i activation of shape (T_i, dim);
-    every sample must follow the same step schedule with the same dim.
-    """
-    if not samples:
-        raise ValueError("build_calibration requires at least one sample")
-    first = [np.asarray(x, dtype=np.float64) for x in samples[0]]
-    if not first:
-        raise ValueError("samples must contain at least one step")
-    counts = tuple(x.shape[0] for x in first)
-    dim = first[0].shape[1]
-    per_step: list[list[np.ndarray]] = [[x] for x in first]
-    for s, sample in enumerate(samples[1:], start=1):
-        arrs = [np.asarray(x, dtype=np.float64) for x in sample]
-        if tuple(a.shape[0] for a in arrs) != counts or any(a.shape[1] != dim for a in arrs):
-            raise ValueError(f"sample {s} does not match the step schedule of sample 0")
-        for i, a in enumerate(arrs):
-            per_step[i].append(a)
-    steps = [np.concatenate(group, axis=0) for group in per_step]
-    return CalibrationSet(steps, counts, dim, n_samples=len(samples))
 
 
 @dataclass(frozen=True)
@@ -117,13 +88,12 @@ def synth_calibration(
     schedule: Sequence[int] = DESK_SCHEDULE,
     dim: int = 256,
     outliers: OutlierSpec | None = OutlierSpec(),
-    n_samples: int = 1,
 ) -> CalibrationSet:
     """Deterministic Gaussian calibration data with step-varying outliers."""
     rng = np.random.default_rng(seed)
     per_step = []
     for t in schedule:
-        x = rng.standard_normal((n_samples * t, dim))
+        x = rng.standard_normal((t, dim))
         if outliers is not None and outliers.count > 0:
             cols = rng.choice(dim, size=outliers.count, replace=False)
             mags = outliers.magnitude * rng.uniform(
@@ -131,7 +101,7 @@ def synth_calibration(
             )
             x[:, cols] *= mags
         per_step.append(x)
-    return CalibrationSet(per_step, tuple(schedule), dim, n_samples=n_samples)
+    return CalibrationSet(per_step)
 
 
 @dataclass
@@ -211,60 +181,36 @@ def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarr
     return loss, grad
 
 
-def _check_step(problem: GaltProblem, step_index: int) -> None:
-    if not 0 <= step_index < problem.calib.num_steps:
-        raise ValueError(
-            f"step_index {step_index} out of range for {problem.calib.num_steps} steps"
-        )
-
-
-def galt_loss(problem: GaltProblem, step_index: int) -> float:
-    """Quantized-output MSE of one calibration step at the problem's lambda."""
-    _check_step(problem, step_index)
-    _check_lambda(problem.lam, problem.calib.dim)
-    loss, *_ = _forward(problem, step_index, problem.lam)
-    return loss
-
-def galt_grad(problem: GaltProblem, step_index: int) -> np.ndarray:
-    """Straight-through gradient of the per-step loss w.r.t. lambda."""
-    _check_step(problem, step_index)
-    _check_lambda(problem.lam, problem.calib.dim)
-    _, grad = _loss_and_grad(problem, step_index, problem.lam)
-    return grad
+# AdamW's fixed hyperparameters (its decoupled weight decay is zero), and the
+# floor that keeps lambda positive so the inverse weight scaling stays defined.
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+_MIN_LAMBDA = 1e-4
 
 
 @dataclass
 class OptimizerState:
-    """AdamW moments for the smoothing vector (with no weight decay)."""
+    """AdamW moments for the smoothing vector."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    min_value: float = 1e-4
 
     @classmethod
-    def fresh(cls, dim: int, lr: float = 0.01, **kwargs) -> "OptimizerState":
-        return cls(np.zeros(dim), np.zeros(dim), lr=lr, **kwargs)
+    def fresh(cls, dim: int, lr: float = 0.01) -> "OptimizerState":
+        return cls(np.zeros(dim), np.zeros(dim), lr=lr)
 
 
 def adamw_step(state: OptimizerState, lam: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One AdamW update of lambda; clamps to the positivity floor.
-
-    The floor keeps the inverse scaling well defined after aggressive
-    updates.  AdamW's decoupled weight decay is zero, so it has no term.
-    """
+    """One AdamW update of lambda; clamps to the positivity floor."""
     state.step_count += 1
     t = state.step_count
-    state.first_moment = state.beta1 * state.first_moment + (1 - state.beta1) * grad
-    state.second_moment = state.beta2 * state.second_moment + (1 - state.beta2) * grad**2
-    m_hat = state.first_moment / (1 - state.beta1**t)
-    v_hat = state.second_moment / (1 - state.beta2**t)
-    new = lam - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return np.maximum(new, state.min_value)
+    state.first_moment = _BETA1 * state.first_moment + (1 - _BETA1) * grad
+    state.second_moment = _BETA2 * state.second_moment + (1 - _BETA2) * grad**2
+    m_hat = state.first_moment / (1 - _BETA1**t)
+    v_hat = state.second_moment / (1 - _BETA2**t)
+    new = lam - state.lr * m_hat / (np.sqrt(v_hat) + _EPSILON)
+    return np.maximum(new, _MIN_LAMBDA)
 
 
 def optimize_galt(
@@ -286,20 +232,17 @@ def optimize_galt(
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     ys = [x @ problem.weight.T for x in problem.calib.per_step]
     w_hat = _weight_hat(problem, lam)
-    baseline = sum(_forward(problem, j, lam, w_hat, ys[j])[0] for j in range(num_steps))
-    best_loss = baseline
+    history = [sum(_forward(problem, j, lam, w_hat, ys[j])[0] for j in range(num_steps))]
     best_lam = lam.copy()
-    history = [baseline]
     for _ in range(epochs):
         epoch_loss = 0.0
         for j in range(num_steps):
             loss, grad = _loss_and_grad(problem, j, lam, ys[j])
             lam = adamw_step(state, lam, grad)
             epoch_loss += loss
-        history.append(epoch_loss)
-        if epoch_loss < best_loss:
-            best_loss = epoch_loss
+        if epoch_loss < min(history):
             best_lam = lam.copy()
+        history.append(epoch_loss)
     return best_lam, history
 
 
@@ -336,4 +279,4 @@ def fuse_lambda_weight(
     w = np.asarray(w, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
     _check_lambda(lam, w.shape[1])
-    return fuse_weight_rotation(w / lam, cfg)
+    return apply_ght(w / lam, cfg)

@@ -4,8 +4,8 @@ The group-wise transform applies one shared power-of-two Hadamard block
 to each contiguous slice of the channel axis, which amortizes outlier
 channels across their group while keeping the transform cheap: relative
 to a dense whole-dimension transform the FLOP count drops by
-dim / group_size.  Blocks are Sylvester-ordered and, when normalized,
-orthonormal and symmetric, so the same routine applies the inverse.
+dim / group_size.  Blocks are Sylvester-ordered, orthonormal and
+symmetric, so the same routine applies the inverse.
 
 ``apply_ght`` runs as a single matrix product: the input is viewed as
 rows of group_size and multiplied by one cached block, which hands the
@@ -24,8 +24,6 @@ __all__ = [
     "HadamardConfig",
     "hadamard_matrix",
     "apply_ght",
-    "fuse_weight_rotation",
-    "ght_flops",
 ]
 
 
@@ -39,7 +37,6 @@ class HadamardConfig:
 
     dim: int
     group_size: int = 128
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if not _is_pow2(self.group_size):
@@ -65,12 +62,10 @@ def hadamard_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _ght_block(n: int, normalized: bool, dtype: np.dtype) -> np.ndarray:
-    """Read-only Hadamard block of order n in ``dtype``, scaled by
-    1/sqrt(n) when normalized."""
+def _ght_block(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only orthonormal Hadamard block of order n in ``dtype``."""
     block = hadamard_matrix(n).astype(dtype)
-    if normalized:
-        block *= dtype.type(1.0 / np.sqrt(n))
+    block *= dtype.type(1.0 / np.sqrt(n))
     block.flags.writeable = False
     return block
 
@@ -78,36 +73,17 @@ def _ght_block(n: int, normalized: bool, dtype: np.dtype) -> np.ndarray:
 def apply_ght(x, cfg: HadamardConfig) -> np.ndarray:
     """Transform each group_size slice of the last axis by the shared block.
 
-    For a row vector this is x @ H_B with H_B = BlockDiag(H, ..., H);
-    normalized blocks preserve the L2 norm of every row.  Floating inputs
-    keep their dtype (float32 stays float32); everything else computes in
-    float64.
+    For a row vector this is x @ H_B with H_B = BlockDiag(H, ..., H); the
+    L2 norm of every row is preserved.  Floating inputs keep their dtype
+    (float32 stays float32); everything else computes in float64.  Folding
+    the rotation into a weight offline is this same call, and it is exact
+    because H_B is symmetric and orthonormal: (X H_B)(W H_B)^T = X W^T.
     """
     arr = np.asarray(x)
     if arr.shape[-1] != cfg.dim:
         raise ValueError(f"last axis is {arr.shape[-1]}, config expects {cfg.dim}")
     dtype = arr.dtype if arr.dtype in (np.float32, np.float64) else np.dtype(np.float64)
-    block = _ght_block(cfg.group_size, cfg.normalized, dtype)
+    block = _ght_block(cfg.group_size, dtype)
     grouped = arr.astype(dtype, copy=False).reshape(-1, cfg.group_size)
     return (grouped @ block).reshape(arr.shape)
 
-
-def fuse_weight_rotation(w, cfg: HadamardConfig) -> np.ndarray:
-    """Fold the rotation into a weight matrix offline: returns W @ H_B.
-
-    The blocks are symmetric, so this is the same transform as apply_ght;
-    a layer computing (X H_B)(W H_B)^T then equals X W^T exactly when the
-    blocks are orthonormal.
-    """
-    return apply_ght(w, cfg)
-
-
-def ght_flops(dim: int, group_size: int) -> tuple[int, int, int]:
-    """Per-token FLOP cost model: dense transform, grouped transform, ratio.
-
-    Dense costs 2*dim^2 (one dim x dim matrix-vector product), the grouped
-    version 2*dim*group_size, so the saving is exactly dim/group_size.
-    """
-    if dim < 1 or dim % group_size:
-        raise ValueError(f"dim ({dim}) must be a positive multiple of group_size ({group_size})")
-    return 2 * dim * dim, 2 * dim * group_size, dim // group_size

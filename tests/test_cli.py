@@ -114,6 +114,59 @@ class TestReport:
         assert lines[1] == "  history: 2"
         assert json.loads(lines[2]) == {"command": "history", "metrics": {"mse": 0.5}}
 
+    def test_summary_text_is_pinned(self, tmp_path) -> None:
+        report = tmp_path / "r.jsonl"
+        report.write_text('{"command": "rotate", "metrics": {"shape": [2]}}\n\n'
+                          '{"epoch": 0, "loss": 1.5}\n{"command": "dfq", "metrics": {"mse": 0.25}}\n'
+                          '{"command": "rotate", "config": {}}\n')
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == (
+            f"4 records in {report}\n  dfq: 1\n  history: 1\n  rotate: 2\n"
+            '{"command": "rotate", "metrics": {"shape": [2]}}\n'
+            '{"command": "dfq", "metrics": {"mse": 0.25}}\n'
+        )
+
+    @pytest.mark.parametrize("command", ["5", '["a"]', "null", '{"a": 1}'])
+    def test_command_that_is_not_a_string_is_a_json_error(self, tmp_path, command) -> None:
+        report = tmp_path / "r.jsonl"
+        report.write_text(f'{{"command": "rotate"}}\n{{"command": {command}, "metrics": {{}}}}\n')
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert _problems(result) == [f"line 2: command must be a string, got {command}"]
+
+    def test_non_utf8_file_is_a_json_error(self, tmp_path) -> None:
+        report = tmp_path / "r.jsonl"
+        report.write_bytes(b'{"command": "rotate"}\n\n{"command": "dfq", "layer": "\xff"}\n')
+        (problem,) = _problems(CliRunner().invoke(main, ["report", "--input", str(report)]))
+        assert problem.startswith("line 3: not UTF-8: ")
+
+
+class TestUsageErrors:
+    """A usage error in a command line is one JSON problem with exit 2, not click's usage text."""
+
+    @pytest.mark.parametrize("args, want", [
+        (["rotate", "--output", "y"], "usage: Missing option '--input'."),
+        (["report"], "usage: Missing option '--input'."),
+        (["quantize", "--bogus"], "usage: No such option '--bogus'."),
+        (["bogus"], "usage: No such command 'bogus'."),
+        (["--bogus"], "usage: No such option '--bogus'."),
+        (["rotate", "--input"], "usage: Option '--input' requires an argument."),
+    ], ids=["missing_option", "report_missing_input", "unknown_flag", "unknown_command",
+            "unknown_top_level_flag", "flag_without_value"])
+    def test_is_one_json_problem(self, args, want) -> None:
+        result = CliRunner().invoke(main, args)
+        assert _problems(result) == [want]
+        assert "Usage:" not in result.output
+
+    def test_in_process_call_exits_2(self) -> None:
+        with pytest.raises(SystemExit) as info:
+            main.main(["bogus"], standalone_mode=False)
+        assert info.value.code == 2
+
+    def test_bare_command_prints_the_help(self) -> None:
+        result = CliRunner().invoke(main, [])
+        assert "Commands:" in result.output and "problems" not in result.output
+
 
 class TestConfigTypes:
     """Config-file and environment values go through the option's click type."""
@@ -139,6 +192,13 @@ class TestConfigTypes:
         (problem,) = _problems(CliRunner().invoke(main, args))
         assert problem.startswith(f"config: {key}: ")
         assert not (tmp_path / "r.jsonl").exists()
+
+    def test_non_utf8_config_is_a_json_error(self, tmp_path) -> None:
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--config", str(config)])
+        (problem,) = _problems(result)
+        assert problem.startswith(f"config: cannot read {config}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("raw", ["x", "-1"])
     def test_bad_fpq_seed_is_a_json_error(self, raw) -> None:
@@ -237,6 +297,29 @@ class TestGaltInputs:
         ])
         assert _problems(result) == ["galt: input overflows float64 in the GALT fit"]
         assert not (tmp_path / "r.jsonl").exists()
+
+    @pytest.mark.parametrize("sources", ["both", "neither"])
+    def test_one_calibration_source_is_required(self, tmp_path, sources) -> None:
+        calib, weight = tmp_path / "c.fpqt", tmp_path / "w.fpqt"
+        write_tensor(calib, np.ones((4, 16)))
+        write_tensor(weight, np.ones((8, 16)))
+        flags = ["--synth", "--calib", str(calib)] if sources == "both" else []
+        result = CliRunner().invoke(main, [
+            "galt", *flags, "--weight", str(weight), "--dim", "16", "--group", "16", "--epochs", "1",
+            "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(tmp_path / "r.jsonl"),
+        ])
+        assert _problems(result) == ["calib: give either --calib files or --synth, not both"]
+        assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "lam.fpqt").exists()
+
+    def test_mismatched_calibration_steps_are_a_json_error(self, tmp_path) -> None:
+        paths = [tmp_path / "c0.fpqt", tmp_path / "c1.fpqt", tmp_path / "w.fpqt"]
+        for path, shape in zip(paths, [(1, 16), (4, 8), (8, 16)]):
+            write_tensor(path, np.ones(shape))
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(paths[0]), "--calib", str(paths[1]), "--weight", str(paths[2]),
+            "--group", "8", "--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt"),
+        ])
+        assert _problems(result) == ["galt: calibration step 1 must be 2-D with step 0's columns, got (4, 8)"]
 
     @pytest.mark.parametrize("flags", [
         ["--dim", "0"], ["--out-features", "0"], ["--epochs", "-3"], ["--outlier-channels", "-1"],
@@ -518,6 +601,21 @@ class TestInputKinds:
         ])
         (problem,) = _problems(result)
         assert problem.startswith(f"input: {scalar}: ")
+        assert not report.exists() and not (tmp_path / "lam.fpqt").exists()
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 4, 16)], ids=["1d", "3d"])
+    def test_galt_calibration_that_is_not_2d_is_a_json_error(self, tmp_path, shape) -> None:
+        bad, weight = tmp_path / "bad.fpqt", tmp_path / "w.fpqt"
+        write_tensor(bad, np.ones(shape))
+        write_tensor(weight, np.ones((2, 16)))
+        report = tmp_path / "r.jsonl"
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(bad), "--weight", str(weight), "--group", "8", "--epochs", "1",
+            "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(report),
+        ])
+        assert _problems(result) == [
+            f"input: {bad}: a calibration step must be 2-D (tokens, channels), got shape {shape}"
+        ]
         assert not report.exists() and not (tmp_path / "lam.fpqt").exists()
 
 

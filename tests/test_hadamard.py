@@ -8,13 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fpq.hadamard import (
-    HadamardConfig,
-    apply_ght,
-    fuse_weight_rotation,
-    ght_flops,
-    hadamard_matrix,
-)
+from fpq.hadamard import HadamardConfig, apply_ght, hadamard_matrix
 
 
 def fwht(x, normalized: bool = False) -> np.ndarray:
@@ -186,7 +180,7 @@ class TestGhtProperties:
         x = x.reshape(-1, cfg.dim)
         w = _draw_matrix(data.draw, dtype, (data.draw(st.integers(1, 6)), cfg.dim))
         ref = x.astype(np.float64) @ w.T.astype(np.float64)
-        got = apply_ght(x, cfg) @ fuse_weight_rotation(w, cfg).T
+        got = apply_ght(x, cfg) @ apply_ght(w, cfg).T
         eps = np.finfo(dtype).eps
         bound = 8 * cfg.dim * eps * np.outer(np.linalg.norm(x, axis=1), np.linalg.norm(w, axis=1))
         assert np.all(np.abs(got - ref) <= bound)
@@ -198,9 +192,11 @@ class TestGhtProperties:
 
 
 class TestFuse:
+    """A weight folds the rotation offline through ``apply_ght`` itself."""
+
     def test_identity_weight(self) -> None:
         cfg = HadamardConfig(dim=128, group_size=128)
-        fused = fuse_weight_rotation(np.eye(128), cfg)
+        fused = apply_ght(np.eye(128), cfg)
         np.testing.assert_allclose(
             fused, hadamard_matrix(128).astype(float) / np.sqrt(128), rtol=1e-12
         )
@@ -211,7 +207,7 @@ class TestFuse:
         w = rng.standard_normal((512, 1920)).astype(np.float32)
         cfg = HadamardConfig(dim=1920, group_size=128)
         ref = x @ w.T
-        got = apply_ght(x, cfg) @ fuse_weight_rotation(w, cfg).T
+        got = apply_ght(x, cfg) @ apply_ght(w, cfg).T
         rel = np.linalg.norm(got - ref) / np.linalg.norm(ref)
         assert rel < 1e-5
 
@@ -219,24 +215,6 @@ class TestFuse:
         w = np.random.default_rng(7).standard_normal((32, 256))
         cfg = HadamardConfig(dim=256, group_size=128)
         np.testing.assert_allclose(
-            fuse_weight_rotation(fuse_weight_rotation(w, cfg), cfg), w, rtol=1e-12, atol=1e-12
+            apply_ght(apply_ght(w, cfg), cfg), w, rtol=1e-12, atol=1e-12
         )
 
-
-class TestFlops:
-    def test_wide_model_ratio(self) -> None:
-        ht, ght, ratio = ght_flops(1920, 128)
-        assert ratio == 15
-        assert ht == 2 * 1920 * 1920
-        assert ght == 2 * 1920 * 128
-        assert ht / ght == 15
-
-    def test_degenerate_single_group(self) -> None:
-        assert ght_flops(128, 128)[2] == 1
-
-    def test_two_groups(self) -> None:
-        assert ght_flops(256, 128)[2] == 2
-
-    def test_divisibility_check(self) -> None:
-        with pytest.raises(ValueError, match="multiple"):
-            ght_flops(100, 64)
