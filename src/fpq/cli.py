@@ -28,7 +28,6 @@ from click.core import ParameterSource
 
 from . import formats, galt, hadamard, hwemu, tensorfile
 from .quantize import (
-    _KINDS,
     Granularity,
     dequantize,
     dfq_quantize,
@@ -117,13 +116,11 @@ def _parse_format(name, problems: list[str]):
 
 
 def _parse_granularity(cfg: dict, problems: list[str]):
-    kind = cfg["granularity"]
-    if kind not in _KINDS:
-        problems.append(f"granularity: unknown kind {kind!r}; one of {', '.join(_KINDS)}")
+    try:
+        return Granularity(cfg["granularity"], cfg["group_size"], cfg.get("pad_partial", False))
+    except ValueError as exc:
+        problems.append(f"granularity: {exc}")
         return None
-    if kind == "per_group":
-        return Granularity.per_group(cfg["group_size"], cfg.get("pad_partial", False))
-    return Granularity(kind)
 
 
 def _parse_schedule(raw, problems: list[str]):
@@ -303,16 +300,12 @@ def cli_dfq(ctx, **_kw) -> None:
     mse = quant_mse(x, dequantize(r))
 
     prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
-    paths = {
-        "neg_codes": f"{prefix}.neg_codes.fpqt",
-        "pos_codes": f"{prefix}.pos_codes.fpqt",
-        "neg_scales": f"{prefix}.neg_scales.fpqt",
-        "pos_scales": f"{prefix}.pos_scales.fpqt",
-    }
-    _write(paths["neg_codes"], r.neg_codes, _codes_kind(neg_fmt))
-    _write(paths["pos_codes"], r.pos_codes, _codes_kind(pos_fmt))
-    _write(paths["neg_scales"], np.asarray(r.s_neg, dtype=np.float64), "f64")
-    _write(paths["pos_scales"], np.asarray(r.s_pos, dtype=np.float64), "f64")
+    paths = {}
+    for side, (codes, fmt, scales) in zip(("neg", "pos"), r.planes):
+        codes_path, scales_path = f"{prefix}.{side}_codes.fpqt", f"{prefix}.{side}_scales.fpqt"
+        _write(codes_path, codes, _codes_kind(fmt))
+        _write(scales_path, np.asarray(scales, dtype=np.float64), "f64")
+        paths.update({f"{side}_codes": codes_path, f"{side}_scales": scales_path})
     cfg.update(out_prefix=prefix, layer=layer)
     _report(ctx, cfg, {
         "layer": layer,
@@ -390,15 +383,23 @@ def cli_galt(ctx, **_kw) -> None:
     cfg, problems = _resolve_config(ctx)
     fmt = _parse_format(cfg["format_name"], problems)
     gran = _parse_granularity(cfg, problems)
-    schedule = _parse_schedule(cfg["schedule"], problems)
     if cfg["synth"] == bool(cfg["calib_paths"]):
         problems.append("calib: give either --calib files or --synth, not both")
     if not cfg["synth"] and not cfg["weight_path"]:
         problems.append("weight: required unless --synth generates one")
-    if cfg["synth"] and cfg["outlier_channels"] > cfg["dim"]:
-        problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
-    if not np.isfinite(cfg["outlier_magnitude"]):
-        problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
+    # The synthetic settings are parsed, checked and recorded only where
+    # they take effect: calibration files set the data, a weight file its rows.
+    if cfg["synth"]:
+        schedule = _parse_schedule(cfg["schedule"], problems)
+        if cfg["outlier_channels"] > cfg["dim"]:
+            problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
+        if not np.isfinite(cfg["outlier_magnitude"]):
+            problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
+    else:
+        for key in ("seed", "outlier_channels", "outlier_magnitude"):
+            del cfg[key]
+    if cfg["weight_path"]:
+        del cfg["out_features"]
     steps = [_read(p, problems) for p in cfg["calib_paths"]]
     weight = _read(cfg["weight_path"], problems) if cfg["weight_path"] else None
     problems += [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"

@@ -113,7 +113,6 @@ class GaltProblem:
     hadamard: HadamardConfig
     quant_format: FpFormat
     granularity: Granularity
-    lam: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.weight = np.asarray(self.weight, dtype=np.float64)
@@ -123,18 +122,6 @@ class GaltProblem:
             )
         if self.hadamard.dim != self.calib.dim:
             raise ValueError("hadamard config dim must match the calibration dim")
-        if self.lam is None:
-            self.lam = np.ones(self.calib.dim)
-        else:
-            self.lam = np.asarray(self.lam, dtype=np.float64)
-            _check_lambda(self.lam, self.calib.dim)
-
-
-def _check_lambda(lam: np.ndarray, dim: int) -> None:
-    if lam.shape != (dim,):
-        raise ValueError(f"lambda must have shape ({dim},), got {lam.shape}")
-    if not np.all(lam > 0):
-        raise ValueError("lambda must be strictly positive")
 
 
 def _weight_hat(problem: GaltProblem, lam: np.ndarray) -> np.ndarray:
@@ -143,23 +130,23 @@ def _weight_hat(problem: GaltProblem, lam: np.ndarray) -> np.ndarray:
     return _fake_quantize(w_rot, problem.quant_format, problem.granularity)
 
 
-def _forward(problem: GaltProblem, step: int, lam: np.ndarray,
-             w_hat: np.ndarray | None = None, y: np.ndarray | None = None):
-    """Quantized forward pass of one step; returns the pieces the STE
-    backward needs.  ``w_hat`` (``_weight_hat(problem, lam)``) and ``y``
-    (``x @ w.T``) are built here when not given."""
+def _forward(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray,
+             w_hat: np.ndarray | None = None):
+    """Quantized forward pass of one step against its full-precision output
+    ``y`` (``x @ w.T``); returns the pieces the STE backward needs.
+    ``w_hat`` (``_weight_hat(problem, lam)``) is built here when not given."""
     x = problem.calib.per_step[step]
     w = problem.weight
     a_rot = apply_ght(x * lam, problem.hadamard)
     a_hat = _fake_quantize(a_rot, problem.quant_format, problem.granularity)
     if w_hat is None:
         w_hat = _weight_hat(problem, lam)
-    resid = a_hat @ w_hat.T - (x @ w.T if y is None else y)
+    resid = a_hat @ w_hat.T - y
     loss = float(np.mean(resid**2))
     return loss, resid, a_hat, w_hat, x, w
 
 
-def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray | None = None):
+def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray):
     """Per-step MSE and its straight-through gradient w.r.t. lambda (``y`` as in ``_forward``).
 
     The quantizers are identity in the backward pass, so the gradient
@@ -173,7 +160,7 @@ def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarr
     so it rotates the T rows of A instead of the out rows of R.T A, at the
     same matmul cost.
     """
-    loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam, y=y)
+    loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam, y)
     coef = 2.0 / resid.size
     g_a = apply_ght(coef * (resid @ w_hat), problem.hadamard)
     g_w = ((coef * (resid @ w)) * apply_ght(a_hat, problem.hadamard)).sum(axis=0)
@@ -222,17 +209,17 @@ def optimize_galt(
     step; the epoch loss is the sum of the per-step losses seen before
     each update.  Returns the lambda snapshot with the best epoch loss and
     the loss history, whose first entry is the update-free baseline at the
-    initial lambda (so the result never regresses past it).  ``lr`` must
-    be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once.
+    initial lambda, all ones (so the result never regresses past it).  ``lr``
+    must be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once.
     """
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
     num_steps = problem.calib.num_steps
-    lam = np.array(problem.lam, dtype=np.float64, copy=True)
+    lam = np.ones(problem.calib.dim)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     ys = [x @ problem.weight.T for x in problem.calib.per_step]
     w_hat = _weight_hat(problem, lam)
-    history = [sum(_forward(problem, j, lam, w_hat, ys[j])[0] for j in range(num_steps))]
+    history = [sum(_forward(problem, j, lam, ys[j], w_hat)[0] for j in range(num_steps))]
     best_lam = lam.copy()
     for _ in range(epochs):
         epoch_loss = 0.0
@@ -278,5 +265,8 @@ def fuse_lambda_weight(
     """
     w = np.asarray(w, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    _check_lambda(lam, w.shape[1])
+    if lam.shape != (w.shape[1],):
+        raise ValueError(f"lambda must have shape ({w.shape[1]},), got {lam.shape}")
+    if not np.all(lam > 0):
+        raise ValueError("lambda must be strictly positive")
     return apply_ght(w / lam, cfg)

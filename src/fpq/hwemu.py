@@ -22,6 +22,10 @@ product.  Dot products accumulate in integers, and one multiply by
 s_act * s_wt / (k_act * k_wt) gives the real result, the only rounding in
 a GEMM.  Products are encoded strictly, so a pair no product format holds
 (E1M2 x E1M2, or FP6 E2M3 x E2M1) fails at build time.
+
+``emu_gemm`` reads the code planes a quantized result lists and the unit
+layout its ``Granularity`` owns: activation and weight units must have
+equal widths over equal column counts, so their groups line up.
 """
 
 from __future__ import annotations
@@ -247,26 +251,8 @@ def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
     return int(p2i[mul[(a.astype(np.int64) << wt_format.width) | b]].astype(np.int64).sum())
 
 
-def _column_groups(n_cols: int, g: Granularity) -> list[tuple[int, int]]:
-    if g.kind == "per_group":
-        if n_cols % g.group_size:
-            raise ValueError(f"columns ({n_cols}) not divisible by group size {g.group_size}")
-        return [(i, i + g.group_size) for i in range(0, n_cols, g.group_size)]
-    return [(0, n_cols)]
-
-
-def _scales_2d(scales: np.ndarray, rows: int, n_groups: int, g: Granularity) -> np.ndarray:
-    """Normalize unit scales to a (rows, n_groups) matrix."""
-    s = np.asarray(scales, dtype=np.float64)
-    if g.kind == "per_tensor":
-        return np.broadcast_to(s, (rows, n_groups))
-    if g.kind in ("per_channel", "per_token"):
-        return np.broadcast_to(s[:, None], (rows, n_groups))
-    return s.reshape(rows, n_groups)
-
-
 def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_codes: np.ndarray,
-                 w_format: FpFormat, w_scales_2d: np.ndarray, groups: list[tuple[int, int]]) -> np.ndarray:
+                 w_format: FpFormat, w_scales: np.ndarray, groups: list[tuple[int, int]]) -> np.ndarray:
     """Group-by-group integer matmul of k-scaled values, rescaled per group.
 
     Partial sums are integers of at most max|a| * max|b| * group width;
@@ -285,7 +271,7 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
     term = np.empty_like(out)
     for gi, (c0, c1) in enumerate(groups):
         wj = w_vals[:, c0:c1]
-        sw = w_scales_2d[:, gi]
+        sw = w_scales[:, gi]
         for codes, fmt, sx in code_planes:
             xa = _int_values(fmt).astype(dtype)[codes[:, c0:c1]]
             np.multiply.outer(sx[:, gi], sw, out=term)
@@ -299,35 +285,33 @@ def emu_gemm(xq: QuantizedTensor | DfqResult, wq: QuantizedTensor,
              luts: LutTables | None = None) -> np.ndarray:
     """Emulated GEMM: per-group integer accumulation, then rescale.
 
-    ``xq`` may be a plain quantized tensor or a dual-format result (negative
-    and positive planes accumulate separately and combine through their
-    own scales).  Each activation grid needs a multiplier with the weight
-    grid, whose table build proves every product of the pair exact.
-    Activation and weight group boundaries must agree.
+    ``xq`` may be a plain quantized tensor or a dual-format result: each of
+    its ``planes`` accumulates separately and combines through its own
+    scales.  Each activation grid needs a multiplier with the weight grid,
+    whose table build proves every product of the pair exact.  Activation
+    and weight must have the same column count and unit width, and the
+    width must divide the columns.
     """
     if wq.codes.ndim != 2:
         raise ValueError("weight codes must be 2-D")
-    if isinstance(xq, DfqResult):
-        planes = [(xq.neg_codes, xq.neg_format, xq.s_neg), (xq.pos_codes, xq.pos_format, xq.s_pos)]
-    else:
-        planes = [(xq.codes, xq.format, xq.scales)]
-    for _, fmt, _ in planes:
+    for _, fmt, _ in xq.planes:
         if not (isinstance(fmt, FpFormat) and isinstance(wq.format, FpFormat)):
             raise ValueError("emulated GEMM needs micro-float codes on both sides")
         (luts or _LUTS).multiplier(fmt, wq.format)
-    x_groups = _column_groups(xq.shape[-1], xq.granularity)
-    w_groups = _column_groups(wq.codes.shape[1], wq.granularity)
-    if x_groups != w_groups:
-        raise ValueError(
-            f"activation groups {x_groups[:2]}..x{len(x_groups)} do not match "
-            f"weight groups {w_groups[:2]}..x{len(w_groups)}"
-        )
+    x_cols, (out_features, cols) = xq.shape[-1], wq.codes.shape
+    x_width, width = xq.granularity.width(x_cols), wq.granularity.width(cols)
+    if (x_cols, x_width) != (cols, width):
+        raise ValueError(f"activation units ({x_width} of {x_cols} columns) do not match "
+                         f"weight units ({width} of {cols} columns)")
+    if cols % width:
+        raise ValueError(f"columns ({cols}) not divisible by group size {width}")
 
-    rows = planes[0][0].shape[0]
-    n_groups = len(x_groups)
-    sw = _scales_2d(wq.scales, wq.codes.shape[0], n_groups, wq.granularity)
-    expanded = [(codes, fmt, _scales_2d(s, rows, n_groups, xq.granularity)) for codes, fmt, s in planes]
-    return _gemm_planes(expanded, wq.codes, wq.format, sw, x_groups)
+    n_groups = cols // width
+    planes = [(codes, fmt, np.broadcast_to(np.reshape(s, (-1, n_groups)), (codes.shape[0], n_groups)))
+              for codes, fmt, s in xq.planes]
+    sw = np.broadcast_to(np.reshape(wq.scales, (-1, n_groups)), (out_features, n_groups))
+    groups = [(c, c + width) for c in range(0, cols, width)]
+    return _gemm_planes(planes, wq.codes, wq.format, sw, groups)
 
 
 def verify_mul_tables(luts: LutTables | None = None) -> dict:

@@ -6,6 +6,11 @@ quantization (one grid, two scales), dual-format quantization (separate
 grids and scales for the non-positive and positive parts), and the
 separable 3x3 FP4 format search (each element rounded once per grid;
 earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
+
+``Granularity`` owns the unit layout: how a tensor reduces to per-unit
+values, how per-unit scales expand back over it, and how many columns one
+unit spans.  A quantized result lists its ``planes``, one ``(codes, format,
+scales)`` per code plane on that layout, so consumers never re-derive it.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class Granularity:
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown granularity {self.kind!r}; one of {_KINDS}")
+            raise ValueError(f"unknown kind {self.kind!r}; one of {', '.join(_KINDS)}")
         if self.kind == "per_group" and self.group_size < 1:
             raise ValueError(f"group_size must be positive, got {self.group_size}")
 
@@ -83,6 +88,42 @@ class Granularity:
     @classmethod
     def per_group(cls, group_size: int = 128, pad_partial: bool = False) -> "Granularity":
         return cls("per_group", group_size, pad_partial)
+
+    def reduce(self, x: np.ndarray, fn) -> np.ndarray:
+        """Per-unit ``fn`` reduction (``np.max``, ``np.min``) of ``x``; a
+        partial final group is zero-padded when ``pad_partial`` allows it."""
+        if self.kind == "per_tensor":
+            return fn(x)
+        if self.kind in ("per_channel", "per_token"):
+            if x.ndim != 2:
+                raise ValueError(f"{self.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
+            return fn(x, axis=1)
+        n = x.shape[-1]
+        gs = self.group_size
+        if n % gs:
+            if not self.pad_partial:
+                raise ValueError(
+                    f"last axis ({n}) is not divisible by group size {gs}; "
+                    "set pad_partial to zero-pad the final group"
+                )
+            pad = gs - n % gs
+            widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
+            x = np.pad(x, widths)
+        grouped = x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs)
+        return fn(grouped, axis=-1)
+
+    def expand(self, scales: np.ndarray, shape: tuple[int, ...]):
+        """Per-unit scales expanded so they broadcast against a tensor of ``shape``."""
+        if self.kind == "per_tensor":
+            return scales
+        if self.kind in ("per_channel", "per_token"):
+            return scales[:, None]
+        return np.repeat(scales, self.group_size, axis=-1)[..., : shape[-1]]
+
+    def width(self, n_cols: int) -> int:
+        """Columns one unit spans in a row of ``n_cols``: the group size for
+        per_group, otherwise the whole row."""
+        return self.group_size if self.kind == "per_group" else n_cols
 
 
 @dataclass(frozen=True)
@@ -114,6 +155,11 @@ class QuantizedTensor:
     granularity: Granularity
     shape: tuple[int, ...]
 
+    @property
+    def planes(self) -> tuple[tuple[np.ndarray, AnyFormat, np.ndarray], ...]:
+        """The one ``(codes, format, scales)`` plane."""
+        return ((self.codes, self.format, self.scales),)
+
 
 @dataclass
 class DfqResult:
@@ -133,6 +179,12 @@ class DfqResult:
     granularity: Granularity
     shape: tuple[int, ...]
 
+    @property
+    def planes(self) -> tuple[tuple[np.ndarray, FpFormat, np.ndarray], ...]:
+        """The ``(codes, format, scales)`` planes, negative first."""
+        return ((self.neg_codes, self.neg_format, self.s_neg),
+                (self.pos_codes, self.pos_format, self.s_pos))
+
 
 def _validate_input(x: np.ndarray, op: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
@@ -141,39 +193,6 @@ def _validate_input(x: np.ndarray, op: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{op} requires finite input")
     return arr
-
-
-def _unit_reduce(x: np.ndarray, g: Granularity, fn) -> np.ndarray:
-    """Per-unit ``fn`` reduction (``np.max``, ``np.min``) with the unit layout
-    of ``g``; a partial final group is zero-padded when ``g`` allows it."""
-    if g.kind == "per_tensor":
-        return fn(x)
-    if g.kind in ("per_channel", "per_token"):
-        if x.ndim != 2:
-            raise ValueError(f"{g.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
-        return fn(x, axis=1)
-    n = x.shape[-1]
-    gs = g.group_size
-    if n % gs:
-        if not g.pad_partial:
-            raise ValueError(
-                f"last axis ({n}) is not divisible by group size {gs}; "
-                "set pad_partial to zero-pad the final group"
-            )
-        pad = gs - n % gs
-        widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
-        x = np.pad(x, widths)
-    grouped = x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs)
-    return fn(grouped, axis=-1)
-
-
-def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granularity):
-    """Expand per-unit scales so they broadcast against the tensor."""
-    if g.kind == "per_tensor":
-        return scales
-    if g.kind in ("per_channel", "per_token"):
-        return scales[:, None]
-    return np.repeat(scales, g.group_size, axis=-1)[..., : shape[-1]]
 
 
 def _unit_scales(absmax: np.ndarray, peak: float) -> np.ndarray:
@@ -192,8 +211,8 @@ def compute_scale(unit_values, fmt: FpFormat) -> float:
 def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
     """Absmax-scale each unit and round to the nearest grid value."""
     arr = _validate_input(x, "quantize")
-    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
-    codes = nearest_codes(fmt, arr / _per_element_scales(scales, arr.shape, g))
+    scales = _unit_scales(g.reduce(np.abs(arr), np.max), max_value(fmt))
+    codes = nearest_codes(fmt, arr / g.expand(scales, arr.shape))
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
@@ -208,28 +227,24 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("quantize requires a nonempty tensor")
-    absmax = _unit_reduce(np.abs(arr), g, np.max)
+    absmax = g.reduce(np.abs(arr), np.max)
     if not np.all(np.isfinite(absmax)):
         raise ValueError("quantize requires finite input")
-    s = _per_element_scales(_unit_scales(absmax, max_value(fmt)), arr.shape, g)
+    s = g.expand(_unit_scales(absmax, max_value(fmt)), arr.shape)
     out = _round(fmt, arr / s)
     out *= s
     return out
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
-    """Reconstruct real values: decoded codes times their unit scale."""
-    if isinstance(q, DfqResult):
-        neg = decode_bits(q.neg_format, q.neg_codes)
-        pos = decode_bits(q.pos_format, q.pos_codes)
-        sn = _per_element_scales(q.s_neg, q.shape, q.granularity)
-        sp = _per_element_scales(q.s_pos, q.shape, q.granularity)
-        return neg * sn + pos * sp
-    if isinstance(q.format, IntFormat):
-        vals = q.codes.astype(np.float64)
-    else:
-        vals = decode_bits(q.format, q.codes)
-    return vals * _per_element_scales(q.scales, q.shape, q.granularity)
+    """Reconstruct real values: the sum over the planes of decoded codes
+    times their unit scale."""
+    out = None
+    for codes, fmt, scales in q.planes:
+        vals = codes.astype(np.float64) if isinstance(fmt, IntFormat) else decode_bits(fmt, codes)
+        part = vals * q.granularity.expand(scales, q.shape)
+        out = part if out is None else out + part
+    return out
 
 
 def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
@@ -238,8 +253,8 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
         raise ValueError(f"supported integer widths are 4, 6, 8; got {bits}")
     arr = _validate_input(x, "rtn_int_quantize")
     fmt = IntFormat(f"INT{bits}", bits)
-    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), float(fmt.qmax))
-    scaled = arr / _per_element_scales(scales, arr.shape, g)
+    scales = _unit_scales(g.reduce(np.abs(arr), np.max), float(fmt.qmax))
+    scaled = arr / g.expand(scales, arr.shape)
     codes = np.clip(np.round(scaled), -fmt.qmax, fmt.qmax).astype(np.int8)
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
@@ -248,8 +263,8 @@ def _dfq_split(arr: np.ndarray, g: Granularity):
     """The DFQ sign split ``(mask, neg_absmax, pos_absmax)`` with mask = arr <= 0.
     The parts where(mask, arr, 0) and where(mask, 0, arr) have unit absmax
     max(-min_unit(arr), 0) and max(max_unit(arr), 0): no part is built."""
-    neg_absmax = np.maximum(-_unit_reduce(arr, g, np.min), 0.0)
-    pos_absmax = np.maximum(_unit_reduce(arr, g, np.max), 0.0)
+    neg_absmax = np.maximum(-g.reduce(arr, np.min), 0.0)
+    pos_absmax = np.maximum(g.reduce(arr, np.max), 0.0)
     return arr <= 0, neg_absmax, pos_absmax
 
 
@@ -267,7 +282,7 @@ def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
     mask, neg_absmax, pos_absmax = split
     s_neg = _unit_scales(neg_absmax, max_value(neg_fmt))
     s_pos = _unit_scales(pos_absmax, max_value(pos_fmt))
-    sn, sp = (_per_element_scales(u, mask.shape, g) for u in (s_neg, s_pos))
+    sn, sp = (g.expand(u, mask.shape) for u in (s_neg, s_pos))
     return s_neg, s_pos, np.where(mask, sn, sp)
 
 

@@ -1,4 +1,5 @@
-"""Export consistency: each module's ``__all__`` and the package's re-exports agree."""
+"""Export consistency: each module's ``__all__`` and the package's re-exports
+agree, and every public name has a caller outside its module or a stated reason."""
 
 from __future__ import annotations
 
@@ -11,6 +12,39 @@ import pytest
 import fpq
 
 MODULES = ("formats", "galt", "hadamard", "hwemu", "quantize", "synth", "tensorfile")
+SRC = Path(fpq.__file__).parent
+BENCH = SRC.parents[1] / "bench"
+
+# Public names that no other fpq module and nothing in bench/ references,
+# each with why it stays public.  A name that gains a caller leaves this
+# tuple; a new public name without one must be added with its reason.
+API_ONLY = (
+    ("formats.FpCode", "the one-code value type encode returns and decode reads"),
+    ("formats.FORMATS", "the name registry get_format reads, for listing the shipped grids"),
+    ("formats.E2M3", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
+    ("formats.E3M2", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
+    ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
+    ("formats.decode", "scalar decode of one code, the per-value form of decode_bits"),
+    ("formats.encode", "scalar encode of an on-grid value, the inverse of decode"),
+    ("formats.round_to_grid", "reference rounding to grid values, the oracle of the rounding tables"),
+    ("galt.LayerNormAffine", "the AdaLN affine that fuse_lambda folds lambda into"),
+    ("galt.OptimizerState", "AdamW moments, for stepping lambda by hand with adamw_step"),
+    ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
+    ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),
+    ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),
+    ("hwemu.LutTables", "the type of a table set, which every luts argument takes"),
+    ("hwemu.build_address_lut", "builds one quantizer address table, for inspecting it"),
+    ("hwemu.build_mul_lut", "builds one multiplier table pair, for inspecting it"),
+    ("hwemu.emu_dot", "the table-walking dot product that emu_gemm must reproduce"),
+    ("quantize.IntFormat", "the format of rtn_int_quantize results"),
+    ("quantize.rtn_int_quantize", "the INT round-to-nearest baseline the FP formats are compared with"),
+    ("quantize.afpq_quantize", "asymmetric FP quantization, the one-grid special case of DFQ"),
+    ("synth.gelu", "the activation function gelu_activations applies"),
+    ("synth.GELU_PRE_MEAN", "mean of the pre-activations gelu_activations draws"),
+    ("synth.GELU_PRE_STD", "standard deviation of the pre-activations gelu_activations draws"),
+    ("tensorfile.TensorData", "the (data, kind) record read_tensor returns"),
+    ("tensorfile.KINDS", "the payload kinds an FPQT file can hold"),
+)
 
 
 def _reexports() -> list[tuple[str, str]]:
@@ -40,3 +74,30 @@ def test_reexports_are_in_their_modules_all() -> None:
     stale = [f"{module}.{name}" for module, name in pairs
              if name not in importlib.import_module(f"fpq.{module}").__all__]
     assert stale == []
+
+
+def _references(path: Path) -> set[tuple[str, str]]:
+    """(qualifier, name) for every ``from <...>.qualifier import name`` and
+    every ``<...>.qualifier.name`` attribute in one source file."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            refs |= {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            value = node.value
+            qualifier = getattr(value, "id", None) or getattr(value, "attr", None)
+            if qualifier:
+                refs.add((qualifier, node.attr))
+    return refs
+
+
+def test_every_public_name_has_a_caller_or_a_reason() -> None:
+    assert all(reason and "\n" not in reason for _, reason in API_ONLY)
+    bench = set().union(*(_references(p) for p in BENCH.glob("*.py")))
+    unreferenced = []
+    for module in MODULES:
+        others = set().union(bench, *(_references(p) for p in SRC.glob("*.py")
+                                      if p.stem not in (module, "__init__")))
+        unreferenced += [f"{module}.{name}" for name in importlib.import_module(f"fpq.{module}").__all__
+                         if (module, name) not in others and ("fpq", name) not in others]
+    assert sorted(unreferenced) == sorted(name for name, _ in API_ONLY)

@@ -620,7 +620,8 @@ class TestInputKinds:
 
 
 class TestGaltCalibRecord:
-    """With calibration files the record shows the schedule and dim that ran."""
+    """With calibration files the record shows the schedule and dim that ran,
+    and the synthetic settings, which never take effect, are not read."""
 
     def _run(self, tmp_path, *flags):
         report = tmp_path / "r.jsonl"
@@ -648,3 +649,33 @@ class TestGaltCalibRecord:
         assert replay["config"] == record["config"]
         assert replay["metrics"] == record["metrics"]
         np.testing.assert_array_equal(read_tensor(lam).data, first)
+
+    def _files(self, tmp_path):
+        """Two calibration steps and a weight, as --calib/--weight flags."""
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / "c0.fpqt", tmp_path / "c1.fpqt", tmp_path / "w.fpqt"]
+        for path, shape in zip(paths, [(1, 4), (3, 4), (6, 4)]):
+            write_tensor(path, rng.standard_normal(shape))
+        return ["--calib", str(paths[0]), "--calib", str(paths[1]), "--weight", str(paths[2]),
+                "--group", "4", "--out-lambda", str(tmp_path / "lam.fpqt")]
+
+    @pytest.mark.parametrize("source, dropped", [
+        ("calib", {"seed", "out_features", "outlier_channels", "outlier_magnitude"}),
+        ("synth_weight", {"out_features"}),
+        ("synth", set()),
+    ])
+    def test_record_keys_are_the_settings_that_took_effect(self, tmp_path, source, dropped) -> None:
+        files = self._files(tmp_path)
+        synth = ["--synth", "--dim", "4", "--schedule", "1,3", "--out-features", "6"]
+        flags = {"calib": files, "synth_weight": synth + files[4:], "synth": synth + files[6:]}[source]
+        record = self._run(tmp_path, *flags)
+        names = {p.name for p in main.commands["galt"].params} - {"report_path", "config_path"}
+        assert set(record["config"]) == names - dropped
+
+    def test_calib_run_ignores_a_malformed_schedule(self, tmp_path) -> None:
+        flags = self._files(tmp_path)
+        record = self._run(tmp_path, *flags, "--schedule", "x,y", "--outlier-magnitude", "nan")
+        assert record["config"]["schedule"] == [1, 3]
+        result = CliRunner().invoke(main, ["galt", "--synth", "--schedule", "x,y", "--epochs", "1",
+                                           "--out-lambda", str(tmp_path / "lam.fpqt")])
+        assert _problems(result) == ["schedule: expected comma-separated integers, got 'x,y'"]

@@ -39,6 +39,16 @@ def _problem(seed: int = 7, dim: int = 256, out: int = 256) -> GaltProblem:
     return GaltProblem(calib, w, HadamardConfig(dim=dim, group_size=128), E2M1, GS)
 
 
+def _ones(problem: GaltProblem) -> np.ndarray:
+    """The initial lambda ``optimize_galt`` starts from."""
+    return np.ones(problem.calib.dim)
+
+
+def _y(problem: GaltProblem, step: int) -> np.ndarray:
+    """The full-precision output ``x @ w.T`` of one step."""
+    return problem.calib.per_step[step] @ problem.weight.T
+
+
 def _grad_oracle(problem: GaltProblem, step: int, lam: np.ndarray):
     """Per-step loss and the weight-side straight-through gradient: the
     weight half rotates the out x dim matrix R.T @ A_hat and sums its
@@ -58,7 +68,7 @@ def _grad_oracle(problem: GaltProblem, step: int, lam: np.ndarray):
 
 def _optimize_oracle(problem: GaltProblem, epochs: int, lr: float = 0.01):
     """``optimize_galt`` as a plain loop over ``_grad_oracle``."""
-    lam = problem.lam.copy()
+    lam = _ones(problem)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     steps = range(problem.calib.num_steps)
     history = [sum(_grad_oracle(problem, j, lam)[0] for j in steps)]
@@ -78,16 +88,16 @@ def _optimize_oracle(problem: GaltProblem, epochs: int, lr: float = 0.01):
 def _optimize_recomputing(problem: GaltProblem, epochs: int, lr: float = 0.01):
     """``optimize_galt`` with each step's ``x @ w.T`` computed again on every
     forward pass instead of once."""
-    lam = problem.lam.copy()
+    lam = _ones(problem)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     steps = range(problem.calib.num_steps)
     w_hat = _weight_hat(problem, lam)
-    history = [sum(_forward(problem, j, lam, w_hat)[0] for j in steps)]
+    history = [sum(_forward(problem, j, lam, _y(problem, j), w_hat)[0] for j in steps)]
     best_lam = lam.copy()
     for _ in range(epochs):
         epoch_loss = 0.0
         for j in steps:
-            loss, grad = _loss_and_grad(problem, j, lam)
+            loss, grad = _loss_and_grad(problem, j, lam, _y(problem, j))
             lam = adamw_step(state, lam, grad)
             epoch_loss += loss
         if epoch_loss < min(history):
@@ -155,9 +165,9 @@ class TestSynthCalibration:
 class TestLossAndGrad:
     def test_lossless_format_gives_zero_loss(self) -> None:
         prob = _problem()
-        fp4_loss = _forward(prob, 9, prob.lam)[0]
+        fp4_loss = _forward(prob, 9, _ones(prob), _y(prob, 9))[0]
         fine = GaltProblem(prob.calib, prob.weight, prob.hadamard, FINE, GS)
-        assert _forward(fine, 9, fine.lam)[0] < 1e-4 * fp4_loss
+        assert _forward(fine, 9, _ones(fine), _y(fine, 9))[0] < 1e-4 * fp4_loss
 
     def test_lambda_one_equals_rotation_only_error(self) -> None:
         prob = _problem()
@@ -165,7 +175,7 @@ class TestLossAndGrad:
         a = dequantize(quantize(apply_ght(x, prob.hadamard), E2M1, GS))
         w = dequantize(quantize(apply_ght(prob.weight, prob.hadamard), E2M1, GS))
         direct = float(np.mean((a @ w.T - x @ prob.weight.T) ** 2))
-        assert _forward(prob, 5, prob.lam)[0] == pytest.approx(direct, rel=1e-10)
+        assert _forward(prob, 5, _ones(prob), _y(prob, 5))[0] == pytest.approx(direct, rel=1e-10)
 
     def test_global_lambda_scale_cancels_unquantized(self) -> None:
         prob = _problem(dim=128, out=32)
@@ -188,21 +198,22 @@ class TestLossAndGrad:
         assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_gradient_shape_and_validation(self) -> None:
+        # A lambda reaches the pipeline through fuse_lambda_weight, which
+        # checks its positivity and shape.
         prob = _problem(dim=128, out=32)
-        assert _loss_and_grad(prob, 0, prob.lam)[1].shape == (128,)
-        args = (prob.calib, prob.weight, prob.hadamard, E2M1, GS)
+        assert _loss_and_grad(prob, 0, _ones(prob), _y(prob, 0))[1].shape == (128,)
         with pytest.raises(ValueError, match="positive"):
-            GaltProblem(*args, lam=np.zeros(128))
+            fuse_lambda_weight(prob.weight, np.zeros(128), prob.hadamard)
         with pytest.raises(ValueError, match="shape"):
-            GaltProblem(*args, lam=np.ones(64))
+            fuse_lambda_weight(prob.weight, np.ones(64), prob.hadamard)
         with pytest.raises(ValueError, match="weight must be"):
-            GaltProblem(prob.calib, prob.weight[:, :64], *args[2:])
+            GaltProblem(prob.calib, prob.weight[:, :64], prob.hadamard, E2M1, GS)
 
     def test_lossless_gradient_vanishes(self) -> None:
         prob = _problem(dim=128, out=64)
-        fp4_scale = np.abs(_loss_and_grad(prob, 4, prob.lam)[1]).max()
+        fp4_scale = np.abs(_loss_and_grad(prob, 4, _ones(prob), _y(prob, 4))[1]).max()
         fine = GaltProblem(prob.calib, prob.weight, prob.hadamard, FINE, GS)
-        assert np.abs(_loss_and_grad(fine, 4, fine.lam)[1]).max() < 1e-3 * fp4_scale
+        assert np.abs(_loss_and_grad(fine, 4, _ones(fine), _y(fine, 4))[1]).max() < 1e-3 * fp4_scale
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -222,10 +233,10 @@ class TestLossAndGrad:
                                   outliers=OutlierSpec(count=2, magnitude=20.0))
         rng = np.random.default_rng(seed)
         lam = np.exp(rng.uniform(-1.0, 1.0, dim))
-        prob = GaltProblem(calib, rng.standard_normal((out, dim)), cfg, fmt, g, lam=lam)
+        prob = GaltProblem(calib, rng.standard_normal((out, dim)), cfg, fmt, g)
         for step in (0, 1):
             _, want = _grad_oracle(prob, step, lam)
-            got = _loss_and_grad(prob, step, lam)[1]
+            got = _loss_and_grad(prob, step, lam, _y(prob, step))[1]
             assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_gradient_matches_surrogate_finite_differences(self) -> None:
@@ -237,7 +248,7 @@ class TestLossAndGrad:
         x = prob.calib.per_step[step]
         w = prob.weight
         cfg = prob.hadamard
-        lam0 = prob.lam.copy()
+        lam0 = _ones(prob)
         a0 = apply_ght(x * lam0, cfg)
         w0 = apply_ght(w / lam0, cfg)
         ra = dequantize(quantize(a0, E2M1, GS)) - a0
@@ -249,7 +260,7 @@ class TestLossAndGrad:
             wq = apply_ght(w / lam, cfg) + rw
             return float(np.mean((aq @ wq.T - ref) ** 2))
 
-        grad = _loss_and_grad(prob, step, lam0)[1]
+        grad = _loss_and_grad(prob, step, lam0, ref)[1]
         h = 1e-3
         rng = np.random.default_rng(10)
         for c in rng.choice(256, 30, replace=False):
@@ -310,7 +321,7 @@ class TestOptimize:
         prob = _problem(dim=128, out=64)
         lam, history = optimize_galt(prob, epochs=0)
         np.testing.assert_array_equal(lam, np.ones(128))
-        baseline = sum(_forward(prob, j, prob.lam)[0] for j in range(prob.calib.num_steps))
+        baseline = sum(_forward(prob, j, _ones(prob), _y(prob, j))[0] for j in range(prob.calib.num_steps))
         assert history == [baseline]
 
     @pytest.mark.parametrize("epochs", [2, 10])
@@ -357,9 +368,15 @@ class TestOptimize:
         assert min(history) <= history[0]
 
     def test_problem_lambda_untouched(self) -> None:
+        # The fit leaves the problem as it found it, so a second fit starts
+        # from the same lambda and repeats the first bit for bit.
         prob = _problem(dim=128, out=64)
-        optimize_galt(prob, epochs=2)
-        np.testing.assert_array_equal(prob.lam, np.ones(128))
+        weight, steps = prob.weight.copy(), [x.copy() for x in prob.calib.per_step]
+        lam, history = optimize_galt(prob, epochs=2)
+        assert prob.weight.tobytes() == weight.tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(prob.calib.per_step, steps))
+        again, again_history = optimize_galt(prob, epochs=2)
+        assert again.tobytes() == lam.tobytes() and again_history == history
 
 
 class TestFusions:

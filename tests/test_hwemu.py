@@ -543,7 +543,7 @@ def _k_values(fmt) -> np.ndarray:
     return _k(fmt) * decode_bits(fmt, np.arange(fmt.code_count))
 
 
-def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales_2d, groups) -> np.ndarray:
+def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales, groups) -> np.ndarray:
     """``hwemu._gemm_planes`` with a float64 copy of every accumulator and
     a fresh rows x out array for every rescale."""
     w_tab = _k_values(w_format)
@@ -553,12 +553,46 @@ def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales_2d, groups) -> 
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
     for gi, (c0, c1) in enumerate(groups):
         wj = w_vals[:, c0:c1]
-        sw = w_scales_2d[:, gi]
+        sw = w_scales[:, gi]
         for codes, fmt, sx in code_planes:
             xa = _k_values(fmt).astype(dtype)[codes[:, c0:c1]]
             acc = (xa @ wj.T).astype(np.float64, copy=False)
             out += acc * (sx[:, gi][:, None] * sw[None, :]) * (1 / (_k(fmt) * _k(w_format)))
     return out
+
+
+def _column_groups(n_cols: int, g: Granularity) -> list[tuple[int, int]]:
+    """The (start, end) column groups the datapath once derived from ``g``'s
+    kind: the oracle of ``emu_gemm``'s layout check."""
+    if g.kind == "per_group":
+        if n_cols % g.group_size:
+            raise ValueError(f"columns ({n_cols}) not divisible by group size {g.group_size}")
+        return [(i, i + g.group_size) for i in range(0, n_cols, g.group_size)]
+    return [(0, n_cols)]
+
+
+def _scales_2d(scales: np.ndarray, rows: int, n_groups: int, g: Granularity) -> np.ndarray:
+    """Unit scales as a (rows, n_groups) matrix, derived from ``g``'s kind."""
+    s = np.asarray(scales, dtype=np.float64)
+    if g.kind == "per_tensor":
+        return np.broadcast_to(s, (rows, n_groups))
+    if g.kind in ("per_channel", "per_token"):
+        return np.broadcast_to(s[:, None], (rows, n_groups))
+    return s.reshape(rows, n_groups)
+
+
+# (granularity, columns) of every layout the layout check sees: the last
+# does not divide its width, and the 96-column ones mismatch the rest.
+LAYOUTS = {
+    "per_tensor": (PT, 128),
+    "per_token": (Granularity.per_token(), 128),
+    "per_channel": (Granularity.per_channel(), 128),
+    "per_group32": (Granularity.per_group(32), 128),
+    "per_group_full": (Granularity.per_group(128), 128),
+    "per_group_pad": (Granularity.per_group(48, pad_partial=True), 128),
+    "per_tensor_96": (PT, 96),
+    "per_group32_96": (Granularity.per_group(32), 96),
+}
 
 
 # sha256 of the ``emu_gemm`` output of each ``_gemm_case`` as the datapath
@@ -718,6 +752,29 @@ class TestEmuGemm:
         assert acc == 144 * (n - 1) + 1 and acc > 2**24 and acc % 2
         out = emu_gemm(xq, wq, LUTS)
         assert out[0, 0] == acc * float(xq.scales[0]) * float(wq.scales[0]) * 0.25
+
+    @pytest.mark.parametrize("wt", LAYOUTS)
+    @pytest.mark.parametrize("act", LAYOUTS)
+    def test_accepts_exactly_when_the_groups_agree(self, act: str, wt: str) -> None:
+        (gx, nx), (gw, nw) = LAYOUTS[act], LAYOUTS[wt]
+        rng = np.random.default_rng(17)
+        xq = quantize(rng.standard_normal((3, nx)), E2M1, gx)
+        wq = quantize(rng.standard_normal((4, nw)), E2M1, gw)
+        try:
+            groups = _column_groups(nx, gx)
+            agree = groups == _column_groups(nw, gw)
+        except ValueError:
+            agree = False
+        if not agree:
+            with pytest.raises(ValueError, match="do not match|not divisible"):
+                emu_gemm(xq, wq, LUTS)
+            return
+        out = emu_gemm(xq, wq, LUTS)
+        # The kind-derived scale matrices give the same bytes.
+        sx = _scales_2d(xq.scales, 3, len(groups), gx)
+        sw = _scales_2d(wq.scales, 4, len(groups), gw)
+        want = _gemm_planes_oracle([(xq.codes, E2M1, sx)], wq.codes, E2M1, sw, groups)
+        assert out.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_group_misalignment_rejected(self) -> None:
         x = np.random.default_rng(14).standard_normal((4, 256))

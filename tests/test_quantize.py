@@ -11,17 +11,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fpq.formats import E1M2, E2M1, E3M0, FORMATS, grid_values, max_value, nearest_codes, round_to_grid
+from fpq.formats import (
+    E1M2,
+    E2M1,
+    E3M0,
+    FORMATS,
+    decode_bits,
+    grid_values,
+    max_value,
+    nearest_codes,
+    round_to_grid,
+)
 from fpq.hwemu import dfq_lut_quantize, lut_quantize
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     Granularity,
     IntFormat,
+    QuantizedTensor,
     _dfq_planes,
     _dfq_search_totals,
     _fake_quantize,
-    _per_element_scales,
-    _unit_reduce,
     _unit_scales,
     afpq_quantize,
     compute_scale,
@@ -36,6 +45,30 @@ from fpq.synth import gelu_activations
 
 PT = Granularity.per_tensor()
 _SHIPPED = sorted(FORMATS.values(), key=lambda f: f.name)
+
+
+def _unit_reduce(x: np.ndarray, g: Granularity, fn) -> np.ndarray:
+    """``Granularity.reduce`` as a free function on ``g``'s kind: the oracle
+    the method replaced."""
+    if g.kind == "per_tensor":
+        return fn(x)
+    if g.kind in ("per_channel", "per_token"):
+        return fn(x, axis=1)
+    n, gs = x.shape[-1], g.group_size
+    if n % gs:
+        assert g.pad_partial
+        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, gs - n % gs)])
+    return fn(x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs), axis=-1)
+
+
+def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granularity):
+    """``Granularity.expand`` as a free function on ``g``'s kind: the oracle
+    the method replaced."""
+    if g.kind == "per_tensor":
+        return scales
+    if g.kind in ("per_channel", "per_token"):
+        return scales[:, None]
+    return np.repeat(scales, g.group_size, axis=-1)[..., : shape[-1]]
 
 
 class TestComputeScale:
@@ -342,20 +375,41 @@ _GRANULARITIES = [
 
 
 class TestFakeQuantize:
-    """The code-free path GALT uses must equal dequantize(quantize(...))."""
+    """The code-free path GALT uses must equal dequantize(quantize(...)), and
+    dequantize's loop over the planes must equal the per-type expressions
+    it replaced, for FP, INT and DFQ results."""
 
     @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
     @given(data=st.data())
     def test_bit_identical_to_round_trip(self, g: Granularity, data) -> None:
-        fmt = data.draw(st.sampled_from(sorted(FORMATS.values(), key=lambda f: f.name)))
+        fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
         cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
         if g.pad_partial:
             cols += data.draw(st.integers(0, 7))
         values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
         x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), cols), elements=values))
+        q = quantize(x, fmt, g)
         got = _fake_quantize(x, fmt, g)
-        want = dequantize(quantize(x, fmt, g))
+        want = dequantize(q)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+        def expand(scales):
+            return _per_element_scales(scales, x.shape, g)
+
+        iq = rtn_int_quantize(x, data.draw(st.sampled_from([4, 6, 8])), g)
+        r = dfq_quantize(x, neg_fmt, fmt, g)
+        # Any codes of the grid, as read back from a file, not only those a quantizer emits.
+        codes = data.draw(arrays(np.uint8, x.shape, elements=st.integers(0, fmt.code_count - 1)))
+        hand = QuantizedTensor(codes, q.scales, fmt, g, x.shape)
+        old = [
+            (q, decode_bits(fmt, q.codes) * expand(q.scales)),
+            (hand, decode_bits(fmt, codes) * expand(q.scales)),
+            (iq, iq.codes.astype(np.float64) * expand(iq.scales)),
+            (r, decode_bits(neg_fmt, r.neg_codes) * expand(r.s_neg)
+             + decode_bits(fmt, r.pos_codes) * expand(r.s_pos)),
+        ]
+        for result, expr in old:
+            assert dequantize(result).view(np.uint64).tolist() == expr.view(np.uint64).tolist()
 
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="finite"):
