@@ -4,19 +4,22 @@ Each command's click options are the one table of its settings: apart
 from the shared --report and --config, their names are the config keys
 and the keys of the record's config.  Every command resolves its
 configuration from the option defaults, then an optional JSON --config
-file (unknown keys rejected), then explicit command-line flags, then the
-FPQ_SEED environment override; config and environment values go through
-the option's click type.  Each run appends one JSON record per result to
-the report stream (file via --report, stdout otherwise) echoing the fully
-resolved config, so a run can be replayed exactly.  Validation problems
-are collected and reported together as machine-readable JSON on stderr
-with exit code 2, and so are usage errors and unwritable output files.
+file (unknown keys rejected), then explicit command-line flags; config
+values go through the option's click type, so a format or granularity
+name outside its choices is rejected as it is on the command line.  Each
+run appends one JSON record per result to the report stream (file via
+--report, stdout otherwise) echoing the fully resolved config, so a run
+can be replayed exactly.  Validation problems are collected and reported
+together as machine-readable JSON on stderr with exit code 2, and so are
+usage errors and unwritable output files.  One error frame around each
+command turns a ValueError from its operation into the one problem
+"<command>: <message>".
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -28,6 +31,7 @@ from click.core import ParameterSource
 
 from . import formats, galt, hadamard, hwemu, tensorfile
 from .quantize import (
+    _KINDS,
     Granularity,
     dequantize,
     dfq_quantize,
@@ -38,6 +42,9 @@ from .quantize import (
 
 # The options every command shares; they are not config keys.
 _SHARED = ("report_path", "config_path")
+# The names a format or a granularity option takes, checked by click.
+_FORMAT = click.Choice(sorted(formats.FORMATS))
+_GRANULARITY = click.Choice(_KINDS)
 
 
 def _fail(problems: list[str]) -> None:
@@ -47,7 +54,7 @@ def _fail(problems: list[str]) -> None:
 
 
 def _resolve_config(ctx: click.Context):
-    """option defaults < config file < explicit flags < environment overrides.
+    """option defaults < config file < explicit flags.
 
     Also starts the clock that ``_report`` reads.
     """
@@ -71,18 +78,17 @@ def _resolve_config(ctx: click.Context):
         for key in sorted(set(doc) - keys):
             problems.append(f"config: unknown key {key!r}")
         for key in sorted(set(doc) & keys):
-            _cast(ctx, key, doc[key], resolved, problems, f"config: {key}")
+            _cast(ctx, key, doc[key], resolved, problems)
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
-
-    if "seed" in resolved and os.environ.get("FPQ_SEED"):
-        _cast(ctx, "seed", os.environ["FPQ_SEED"], resolved, problems, "env: FPQ_SEED")
     return resolved, problems
 
 
-def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str], where: str):
-    """Store ``raw`` converted by the type of the command's ``key`` option."""
+def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
+    """Store the config value ``raw`` converted by the type of the command's
+    ``key`` option."""
+    where = f"config: {key}"
     param = next(p for p in ctx.command.params if p.name == key)
     if raw is None and param.default is not None:
         problems.append(f"{where}: expected a value, got null")
@@ -105,22 +111,6 @@ def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]
         resolved[key] = param.type_cast_value(ctx, raw)
     except click.BadParameter as exc:
         problems.append(f"{where}: {exc.message}")
-
-
-def _parse_format(name, problems: list[str]):
-    try:
-        return formats.get_format(str(name))
-    except ValueError as exc:
-        problems.append(f"format: {exc}")
-        return None
-
-
-def _parse_granularity(cfg: dict, problems: list[str]):
-    try:
-        return Granularity(cfg["granularity"], cfg["group_size"], cfg.get("pad_partial", False))
-    except ValueError as exc:
-        problems.append(f"granularity: {exc}")
-        return None
 
 
 def _parse_schedule(raw, problems: list[str]):
@@ -155,13 +145,6 @@ def _write(path, array, kind: str) -> None:
         tensorfile.write_tensor(path, array, kind=kind)
     except (OSError, ValueError) as exc:
         _fail([f"output: {path}: {exc}"])
-
-
-def _search(tensors, gran):
-    try:
-        return dfq_search_format(tensors, gran)
-    except ValueError as exc:
-        _fail([f"search: {exc}"])
 
 
 def _emit(report_path, record: dict) -> None:
@@ -219,11 +202,21 @@ def main() -> None:
 
 
 def _command(name: str):
-    """Register a ``main`` command whose callback takes the click context;
-    --report and --config follow the command's own options."""
+    """Register a ``main`` command whose body takes the click context, the
+    resolved config and its problems so far; --report and --config follow
+    the command's own options.  A ValueError from the body is one problem."""
 
-    def register(f):
-        cmd = main.command(name)(click.pass_context(f))
+    def register(body):
+        @click.pass_context
+        @functools.wraps(body)
+        def run(ctx: click.Context, **_params) -> None:
+            cfg, problems = _resolve_config(ctx)
+            try:
+                body(ctx, cfg, problems)
+            except ValueError as exc:
+                _fail([f"{name}: {exc}"])
+
+        cmd = main.command(name)(run)
         cmd.params += [
             click.Option(["--report", "report_path"], type=click.Path()),
             click.Option(["--config", "config_path"], type=click.Path()),
@@ -235,29 +228,25 @@ def _command(name: str):
 
 @_command("quantize")
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--format", "format_name", default="E2M1", help="grid format [E2M1]")
-@click.option("--granularity", default="per_tensor", help="per_tensor|per_channel|per_token|per_group [per_tensor]")
+@click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format [E2M1]")
+@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size [128]")
 @click.option("--pad-partial", "pad_partial", is_flag=True, default=False)
 @click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
 @click.option("--out-codes", "out_codes", default=None, type=click.Path())
 @click.option("--out-scales", "out_scales", default=None, type=click.Path())
-def cli_quantize(ctx, **_kw) -> None:
+def cli_quantize(ctx, cfg, problems) -> None:
     """Quantize one tensor file; write codes + scales and an MSE record."""
-    cfg, problems = _resolve_config(ctx)
-    fmt = _parse_format(cfg["format_name"], problems)
-    gran = _parse_granularity(cfg, problems)
+    fmt = formats.get_format(cfg["format_name"])
+    gran = Granularity(cfg["granularity"], cfg["group_size"], cfg["pad_partial"])
     t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
 
     x = t.data
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
-    try:
-        q = quantize(x, fmt, gran)
-    except ValueError as exc:
-        _fail([f"quantize: {exc}"])
+    q = quantize(x, fmt, gran)
     mse = quant_mse(x, dequantize(q))
 
     out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
@@ -270,33 +259,29 @@ def cli_quantize(ctx, **_kw) -> None:
 
 @_command("dfq")
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--neg-format", "neg_format", default="E1M2", help="negative-branch grid [E1M2]")
-@click.option("--pos-format", "pos_format", default="E2M1", help="positive-branch grid [E2M1]")
+@click.option("--neg-format", "neg_format", default="E1M2", type=_FORMAT, help="negative-branch grid [E1M2]")
+@click.option("--pos-format", "pos_format", default="E2M1", type=_FORMAT, help="positive-branch grid [E2M1]")
 @click.option("--search", "search", is_flag=True, default=False, help="search grids on the input first")
-@click.option("--granularity", default="per_tensor", help="unit layout [per_tensor]")
+@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size [128]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
-def cli_dfq(ctx, **_kw) -> None:
+def cli_dfq(ctx, cfg, problems) -> None:
     """Dual-format quantization of one tensor file (two code planes)."""
-    cfg, problems = _resolve_config(ctx)
-    gran = _parse_granularity(cfg, problems)
+    gran = Granularity(cfg["granularity"], cfg["group_size"])
     t = _read(cfg["input_path"], problems)
-    neg_fmt = _parse_format(cfg["neg_format"], problems)
-    pos_fmt = _parse_format(cfg["pos_format"], problems)
+    neg_fmt = formats.get_format(cfg["neg_format"])
+    pos_fmt = formats.get_format(cfg["pos_format"])
     if problems:
         _fail(problems)
 
     x = t.data
     if cfg["search"]:
-        neg_fmt, pos_fmt = _search([x], gran)
+        neg_fmt, pos_fmt = dfq_search_format([x], gran)
         cfg["neg_format"], cfg["pos_format"] = neg_fmt.name, pos_fmt.name
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
-    try:
-        r = dfq_quantize(x, neg_fmt, pos_fmt, gran)
-    except ValueError as exc:
-        _fail([f"dfq: {exc}"])
+    r = dfq_quantize(x, neg_fmt, pos_fmt, gran)
     mse = quant_mse(x, dequantize(r))
 
     prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
@@ -319,16 +304,15 @@ def cli_dfq(ctx, **_kw) -> None:
 
 @_command("search")
 @click.option("--input", "input_paths", required=True, multiple=True, type=click.Path())
-@click.option("--granularity", default="per_tensor")
+@click.option("--granularity", default="per_tensor", type=_GRANULARITY)
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1))
-def cli_search(ctx, **_kw) -> None:
+def cli_search(ctx, cfg, problems) -> None:
     """Search the best dual-format grid pair over calibration tensors."""
-    cfg, problems = _resolve_config(ctx)
-    gran = _parse_granularity(cfg, problems)
+    gran = Granularity(cfg["granularity"], cfg["group_size"])
     tensors = [_read(p, problems) for p in cfg["input_paths"]]
     if problems:
         _fail(problems)
-    neg_fmt, pos_fmt = _search([t.data for t in tensors], gran)
+    neg_fmt, pos_fmt = dfq_search_format([t.data for t in tensors], gran)
     _report(ctx, cfg, {"neg_format": neg_fmt.name, "pos_format": pos_fmt.name,
                        "num_tensors": len(tensors)})
 
@@ -338,19 +322,15 @@ def cli_search(ctx, **_kw) -> None:
 @click.option("--output", "output_path", required=True, type=click.Path())
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="rotation block size [128]")
-def cli_rotate(ctx, **_kw) -> None:
+def cli_rotate(ctx, cfg, problems) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
-    cfg, problems = _resolve_config(ctx)
     t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
     x = t.data
     if x.ndim == 0:
         _fail([f"input: {cfg['input_path']}: rotate needs a channel axis, got a 0-d tensor"])
-    try:
-        cfgh = hadamard.HadamardConfig(dim=x.shape[-1], group_size=cfg["group_size"])
-    except ValueError as exc:
-        _fail([f"rotate: {exc}"])
+    cfgh = hadamard.HadamardConfig(dim=x.shape[-1], group_size=cfg["group_size"])
     out = hadamard.apply_ght(x, cfgh)
     _write(cfg["output_path"], out.astype(x.dtype), t.kind)
     _report(ctx, cfg, {"shape": list(x.shape), "group_size": cfg["group_size"],
@@ -371,18 +351,17 @@ def cli_rotate(ctx, **_kw) -> None:
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed [0]")
 @click.option("--outlier-channels", "outlier_channels", default=4, type=click.IntRange(min=0))
 @click.option("--outlier-magnitude", "outlier_magnitude", default=50.0)
-@click.option("--format", "format_name", default="E2M1")
-@click.option("--granularity", default="per_group")
+@click.option("--format", "format_name", default="E2M1", type=_FORMAT)
+@click.option("--granularity", default="per_group", type=_GRANULARITY)
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1))
 @click.option("--epochs", "epochs", default=50, type=click.IntRange(min=0), help="optimization epochs [50]")
 @click.option("--lr", "lr", default=0.01, help="learning rate [0.01]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
-def cli_galt(ctx, **_kw) -> None:
+def cli_galt(ctx, cfg, problems) -> None:
     """Fit the per-channel smoothing vector; write it and the loss history."""
-    cfg, problems = _resolve_config(ctx)
-    fmt = _parse_format(cfg["format_name"], problems)
-    gran = _parse_granularity(cfg, problems)
+    fmt = formats.get_format(cfg["format_name"])
+    gran = Granularity(cfg["granularity"], cfg["group_size"])
     if cfg["synth"] == bool(cfg["calib_paths"]):
         problems.append("calib: give either --calib files or --synth, not both")
     if not cfg["synth"] and not cfg["weight_path"]:
@@ -427,8 +406,6 @@ def cli_galt(ctx, **_kw) -> None:
             best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
     except FloatingPointError:
         _fail([f"{source} overflows float64 in the GALT fit"])
-    except ValueError as exc:
-        _fail([f"galt: {exc}"])
 
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
@@ -451,10 +428,9 @@ def cli_galt(ctx, **_kw) -> None:
 @click.option("--samples", "samples", default=1_000_000, type=click.IntRange(min=1),
               help="parity sample count [1000000]")
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0))
-def cli_emu_check(ctx, **_kw) -> None:
+def cli_emu_check(ctx, cfg, problems) -> None:
     """Exhaustive multiplier and quantizer-parity suites for the LUT path,
     on every DFQ candidate grid and grid pair."""
-    cfg, problems = _resolve_config(ctx)
     if problems:
         _fail(problems)
     luts = hwemu.build_tables()

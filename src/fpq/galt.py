@@ -75,12 +75,11 @@ class CalibrationSet:
 @dataclass(frozen=True)
 class OutlierSpec:
     """Planted outlier channels: per step, ``count`` random channels are
-    amplified by ``magnitude`` (jittered), at positions that change from
-    step to step."""
+    amplified by ``magnitude`` times a factor drawn from [0.5, 1.5), at
+    positions that change from step to step."""
 
     count: int = 4
     magnitude: float = 50.0
-    jitter: float = 0.5
 
 
 def synth_calibration(
@@ -96,9 +95,7 @@ def synth_calibration(
         x = rng.standard_normal((t, dim))
         if outliers is not None and outliers.count > 0:
             cols = rng.choice(dim, size=outliers.count, replace=False)
-            mags = outliers.magnitude * rng.uniform(
-                1.0 - outliers.jitter, 1.0 + outliers.jitter, size=outliers.count
-            )
+            mags = outliers.magnitude * rng.uniform(0.5, 1.5, size=outliers.count)
             x[:, cols] *= mags
         per_step.append(x)
     return CalibrationSet(per_step)

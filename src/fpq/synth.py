@@ -26,26 +26,16 @@ def gelu(x):
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def gelu_activations(
-    seed: int,
-    shape: tuple[int, ...],
-    pre_mean: float = GELU_PRE_MEAN,
-    pre_std: float = GELU_PRE_STD,
-) -> np.ndarray:
+def gelu_activations(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """GeLU outputs of Gaussian pre-activations: bounded negative hump
     peaking near -0.17 plus a sparse positive tail."""
     rng = np.random.default_rng(seed)
-    return gelu(rng.normal(pre_mean, pre_std, size=shape))
+    return gelu(rng.normal(GELU_PRE_MEAN, GELU_PRE_STD, size=shape))
 
 
-def gaussian_channel_weights(
-    seed: int,
-    rows: int,
-    cols: int,
-    sigma_low: float = 0.5,
-    sigma_high: float = 2.0,
-) -> np.ndarray:
-    """Zero-mean Gaussian weight matrix with a per-row standard deviation."""
+def gaussian_channel_weights(seed: int, rows: int, cols: int) -> np.ndarray:
+    """Zero-mean Gaussian weight matrix with a per-row standard deviation
+    drawn uniformly from [0.5, 2)."""
     rng = np.random.default_rng(seed)
-    sigma = rng.uniform(sigma_low, sigma_high, size=(rows, 1))
+    sigma = rng.uniform(0.5, 2.0, size=(rows, 1))
     return rng.standard_normal((rows, cols)) * sigma

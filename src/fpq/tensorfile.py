@@ -22,7 +22,14 @@ __all__ = ["TensorFileError", "TensorData", "read_tensor", "write_tensor", "KIND
 MAGIC = b"FPQT"
 VERSION = 1
 
-KINDS = ("f32", "f64", "code4", "code8")
+# Each kind's element dtype in the file; code4 packs two of its elements per byte.
+_DTYPES = {
+    "f32": np.dtype("<f4"),
+    "f64": np.dtype("<f8"),
+    "code4": np.dtype(np.uint8),
+    "code8": np.dtype(np.uint8),
+}
+KINDS = tuple(_DTYPES)
 _KIND_TAG = {k: i for i, k in enumerate(KINDS)}
 _TAG_KIND = {i: k for k, i in _KIND_TAG.items()}
 
@@ -41,12 +48,9 @@ class TensorData(NamedTuple):
 
 
 def _default_kind(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "f32"
-    if arr.dtype == np.float64:
-        return "f64"
-    if arr.dtype == np.uint8:
-        return "code8"
+    for kind in ("f32", "f64", "code8"):
+        if arr.dtype == _DTYPES[kind]:
+            return kind
     raise ValueError(
         f"no default file kind for dtype {arr.dtype}; pass kind= explicitly"
     )
@@ -58,12 +62,13 @@ def _pack_code4(flat: np.ndarray) -> bytes:
     return (flat[0::2] | (flat[1::2] << 4)).tobytes()
 
 
-def _unpack_code4(payload: bytes, count: int) -> np.ndarray:
+def _unpack_code4(payload: bytes, shape: tuple[int, ...]) -> np.ndarray:
     packed = np.frombuffer(payload, dtype=np.uint8)
-    out = np.empty(packed.size * 2, dtype=np.uint8)
-    out[0::2] = packed & 0x0F
-    out[1::2] = packed >> 4
-    return out[:count]
+    out = np.empty(shape, dtype=np.uint8)
+    flat = out.reshape(-1)
+    flat[0::2] = packed & 0x0F
+    flat[1::2] = packed[: flat.size // 2] >> 4
+    return out
 
 
 def write_tensor(path, array, kind: str | None = None) -> None:
@@ -78,18 +83,14 @@ def write_tensor(path, array, kind: str | None = None) -> None:
     if kind not in _KIND_TAG:
         raise ValueError(f"unknown tensor kind {kind!r}; one of {KINDS}")
 
-    if kind == "f32":
-        payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    elif kind == "f64":
-        payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    else:
+    if kind.startswith("code"):
         limit = 16 if kind == "code4" else 256
         if arr.dtype.kind not in "biu" and not np.all(np.isfinite(arr) & (arr == np.round(arr.real))):
             raise ValueError(f"{kind} payload requires finite integral values")
         if arr.size and (np.min(arr) < 0 or np.max(arr) >= limit):
             raise ValueError(f"{kind} payload requires non-negative values below {limit}")
-        flat = np.ascontiguousarray(arr, dtype=np.uint8).ravel()
-        payload = _pack_code4(flat) if kind == "code4" else flat.tobytes()
+    flat = np.ascontiguousarray(arr, dtype=_DTYPES[kind]).ravel()
+    payload = _pack_code4(flat) if kind == "code4" else flat.tobytes()
 
     header = MAGIC + struct.pack("<HBB", VERSION, _KIND_TAG[kind], arr.ndim)
     header += b"".join(struct.pack("<Q", d) for d in arr.shape)
@@ -136,14 +137,8 @@ def read_tensor(path) -> TensorData:
     for d in shape:
         count *= d
 
-    if kind == "f32":
-        expected = count * 4
-    elif kind == "f64":
-        expected = count * 8
-    elif kind == "code8":
-        expected = count
-    else:
-        expected = (count + 1) // 2
+    dtype = _DTYPES[kind]
+    expected = (count + 1) // 2 if kind == "code4" else count * dtype.itemsize
     actual = len(blob) - shape_end
     if actual != expected:
         raise TensorFileError(
@@ -153,12 +148,8 @@ def read_tensor(path) -> TensorData:
         )
 
     payload = blob[shape_end:]
-    if kind == "f32":
-        data = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
-    elif kind == "f64":
-        data = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    elif kind == "code8":
-        data = np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
-    else:
-        data = _unpack_code4(payload, count).reshape(shape)
+    if kind == "code4":
+        data = _unpack_code4(payload, shape)
+    else:  # a native-order copy, which the caller owns and may write
+        data = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
     return TensorData(data, kind)

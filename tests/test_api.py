@@ -1,5 +1,6 @@
 """Export consistency: each module's ``__all__`` and the package's re-exports
-agree, and every public name has a caller outside its module or a stated reason."""
+agree, and every public name has a caller outside its module or a stated reason.
+No module reads the environment: every setting is an option or a config key."""
 
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ BENCH = SRC.parents[1] / "bench"
 # tuple; a new public name without one must be added with its reason.
 API_ONLY = (
     ("formats.FpCode", "the one-code value type encode returns and decode reads"),
-    ("formats.FORMATS", "the name registry get_format reads, for listing the shipped grids"),
     ("formats.E2M3", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
     ("formats.E3M2", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
@@ -101,3 +101,13 @@ def test_every_public_name_has_a_caller_or_a_reason() -> None:
         unreferenced += [f"{module}.{name}" for name in importlib.import_module(f"fpq.{module}").__all__
                          if (module, name) not in others and ("fpq", name) not in others]
     assert sorted(unreferenced) == sorted(name for name, _ in API_ONLY)
+
+
+def test_no_module_reads_the_environment() -> None:
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "os"
+                 and node.attr in ("environ", "getenv"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {a.name for a in node.names} & {"environ", "getenv"})]
+    assert reads == []

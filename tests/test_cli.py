@@ -76,21 +76,25 @@ class TestSearchErrors:
         assert result.exit_code == 2, result.output
         (problem,) = json.loads(result.stderr)["problems"]
         want = "requires finite input" if kind == "nan" else "not divisible by group size 128"
-        assert problem.startswith("search: ") and want in problem
+        assert problem.startswith(f"{command[0]}: ") and want in problem
         assert not (tmp_path / "r.jsonl").exists()
 
 
 class TestEnvironment:
-    def test_fpq_threads_is_not_read(self, tmp_path, activation) -> None:
+    def test_fpq_threads_is_not_read(self, tmp_path) -> None:
+        # Neither FPQ_THREADS nor FPQ_SEED is a setting: each run takes the
+        # default or flag seed and records no thread count.
         report = tmp_path / "report.jsonl"
-        result = CliRunner().invoke(
-            main,
-            ["quantize", "--input", str(activation), "--report", str(report)],
-            env={"FPQ_THREADS": "not-a-number"},
-        )
-        assert result.exit_code == 0, result.output
-        (record,) = _records(report)
-        assert "threads" not in record["config"]
+        for flags in ([], ["--seed", "5"]):
+            result = CliRunner().invoke(
+                main,
+                ["emu-check", "--samples", "2000", *flags, "--report", str(report)],
+                env={"FPQ_THREADS": "not-a-number", "FPQ_SEED": "abc"},
+            )
+            assert result.exit_code == 0, result.output
+        default, flagged = _records(report)
+        assert "threads" not in default["config"]
+        assert (default["config"]["seed"], flagged["config"]["seed"]) == (0, 5)
 
 
 def _problems(result) -> list[str]:
@@ -169,7 +173,7 @@ class TestUsageErrors:
 
 
 class TestConfigTypes:
-    """Config-file and environment values go through the option's click type."""
+    """Config-file values go through the option's click type."""
 
     @pytest.mark.parametrize("command, doc, key", [
         (["rotate", "--output", "rot.fpqt"], {"group_size": "abc"}, "group_size"),
@@ -199,12 +203,6 @@ class TestConfigTypes:
         result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--config", str(config)])
         (problem,) = _problems(result)
         assert problem.startswith(f"config: cannot read {config}: 'utf-8' codec can't decode")
-
-    @pytest.mark.parametrize("raw", ["x", "-1"])
-    def test_bad_fpq_seed_is_a_json_error(self, raw) -> None:
-        result = CliRunner().invoke(main, ["emu-check", "--samples", "10"], env={"FPQ_SEED": raw})
-        (problem,) = _problems(result)
-        assert problem.startswith("env: FPQ_SEED: ")
 
     def test_negative_seed_flag_is_a_usage_error(self) -> None:
         # A usage error, reported as the same JSON problem a config value gets.
@@ -407,7 +405,7 @@ COMMANDS = ("quantize", "dfq", "search", "rotate", "galt", "emu-check")
 
 
 class TestPrecedence:
-    """option default < --config < flag < FPQ_SEED, seen in the record."""
+    """option default < --config < flag, seen in the record."""
 
     # command: (config key, flag, default, config value, flag value)
     CASES = {
@@ -419,11 +417,11 @@ class TestPrecedence:
         "emu-check": ("seed", "--seed", 0, 3, 5),
     }
 
-    def _config(self, tmp_path, wide, command, extra, env=None) -> dict:
+    def _config(self, tmp_path, wide, command, extra) -> dict:
         report = tmp_path / "r.jsonl"
         report.unlink(missing_ok=True)
         result = CliRunner().invoke(
-            main, [*_base_args(command, tmp_path, wide), *extra, "--report", str(report)], env=env
+            main, [*_base_args(command, tmp_path, wide), *extra, "--report", str(report)]
         )
         assert result.exit_code == 0, result.output
         return _records(report)[-1]["config"]
@@ -432,16 +430,10 @@ class TestPrecedence:
     def test_layers_in_order(self, tmp_path, wide, command) -> None:
         key, flag, default, from_config, from_flag = self.CASES[command]
         config = ["--config", _write_config(tmp_path, {key: from_config})]
-        seedless = {"FPQ_SEED": ""}
-        assert self._config(tmp_path, wide, command, [], seedless)[key] == default
-        assert self._config(tmp_path, wide, command, config, seedless)[key] == from_config
+        assert self._config(tmp_path, wide, command, [])[key] == default
+        assert self._config(tmp_path, wide, command, config)[key] == from_config
         both = [*config, flag, str(from_flag)]
-        assert self._config(tmp_path, wide, command, both, seedless)[key] == from_flag
-        seeded = self._config(tmp_path, wide, command, both, {"FPQ_SEED": "7"})
-        if key == "seed":
-            assert seeded[key] == 7
-        else:
-            assert seeded[key] == from_flag and "seed" not in seeded
+        assert self._config(tmp_path, wide, command, both)[key] == from_flag
 
     def test_config_value_takes_effect(self, tmp_path, wide) -> None:
         report = tmp_path / "r.jsonl"
@@ -503,6 +495,28 @@ class TestOptionTable:
         args = [*_base_args(command, tmp_path, wide), *flags, "--report", str(report)]
         assert _problems(CliRunner().invoke(main, args)) == [want]
         assert not report.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, flag, key", [
+        ("quantize", "--format", "format_name"),
+        ("galt", "--format", "format_name"),
+        ("dfq", "--neg-format", "neg_format"),
+        ("dfq", "--pos-format", "pos_format"),
+        ("quantize", "--granularity", "granularity"),
+        ("dfq", "--granularity", "granularity"),
+        ("search", "--granularity", "granularity"),
+        ("galt", "--granularity", "granularity"),
+    ])
+    def test_name_outside_the_choices_is_one_json_problem(self, tmp_path, wide, source, command,
+                                                          flag, key) -> None:
+        report = tmp_path / "r.jsonl"
+        extra = [flag, "bogus"] if source == "flag" else ["--config", _write_config(tmp_path, {key: "bogus"})]
+        before = sorted(tmp_path.iterdir())
+        (problem,) = _problems(CliRunner().invoke(
+            main, [*_base_args(command, tmp_path, wide), *extra, "--report", str(report)]))
+        where = f"flag: {flag}" if source == "flag" else f"config: {key}"
+        assert problem.startswith(f"{where}: 'bogus' is not one of ")
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_non_number_flag_is_one_json_problem(self, tmp_path, wide, command) -> None:

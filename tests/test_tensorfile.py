@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import stat
 import struct
@@ -96,6 +97,32 @@ class TestRoundtrip:
     def test_unknown_kind(self, tmp_path) -> None:
         with pytest.raises(ValueError, match="unknown tensor kind"):
             write_tensor(tmp_path / "k.fpqt", np.ones(2), kind="f16")
+
+
+class TestPinnedBytes:
+    """One file per kind, pinned to its sha256: the bytes an FPQT file holds
+    for a given array never change."""
+
+    CASES = {
+        "f32": (np.linspace(-3, 5, 6, dtype=np.float32).reshape(2, 3),
+                "6a868a7aa9163d843c54f6eac01e807e9eed772c52c742da635e8e9bb5cce630"),
+        "f64": (np.array([[np.pi, -0.0, 1e-300], [np.inf, -2.5, 7.0]]),
+                "5080d4ccf0d7d10f087b203837806d4e6b6b85017d94f756449fc5eac9d1198f"),
+        "code4": (np.arange(7, dtype=np.uint8) * 2 % 16,
+                  "ca1e4a2c64ea66b841e41c175062afdc267baf3695c9dfbcd6ccb952c1960537"),
+        "code8": (np.arange(0, 256, 37, dtype=np.uint8).reshape(1, 7),
+                  "560cd3173363bd84edacbfe38ddd46451258fe3fd569129afcfa6d24bfabd3f9"),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_file_bytes_and_read_back(self, tmp_path, kind: str) -> None:
+        x, sha256 = self.CASES[kind]
+        path = tmp_path / "x.fpqt"
+        write_tensor(path, x, kind=kind)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        got = read_tensor(path).data
+        assert got.dtype.isnative and got.flags.owndata and got.flags.writeable
+        np.testing.assert_array_equal(got, x)
 
 
 class TestMalformed:
