@@ -12,20 +12,23 @@ The value grid is symmetric about zero and there are two zero encodings
 pattern so lookup tables never see the redundant code.
 
 Rounding (``round_to_grid``, ``nearest_codes``) is one lookup, like a
-hardware quantizer's LUT, addressed by the input's float64 sign, exponent
-and top k + 1 mantissa bits plus one bit for "exactly on that bucket's
-lower edge".  Every midpoint between grid neighbours has at most k + 1
-significant bits, so it is such an edge.  Ties go to the even magnitude
-code, the tie rule of the OCP microscaling formats.  The sign bit of the
-key selects the grid: a pair table rounds the key half with it clear like
-a positive format and the other half like a negative one, both at the
-wider k.  Dual format quantization rounds through such a pair table.
+hardware quantizer's LUT, keyed by three integer ops on the float64 bits:
+2i on the lower edge of bucket i (the inputs that share sign, exponent and
+top k + 1 mantissa bits) and 2i + 1 inside it.  Every midpoint between
+grid neighbours has at most k + 1 significant bits, so it is such an edge.
+Ties go to the even magnitude code, the tie rule of the OCP microscaling
+formats.  The sign bit of the key selects the grid: a pair table rounds
+the key half with it clear like a positive format and the other half like
+a negative one, both at the wider k; dual format quantization rounds
+through one.  The kernel (``_lookup``) divides, keys and looks up one
+slice of about ``_BLOCK`` elements at a time in two reused scratch
+buffers, so its output is the only full-size array it makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -167,11 +170,10 @@ def decode(code: FpCode) -> float:
 
 def decode_bits(fmt: FpFormat, bits):
     """Decode bit patterns (scalar or array) to values in ``fmt``."""
-    table = _decode_table(fmt)
     arr = np.asarray(bits)
-    if np.any(arr >= fmt.code_count) or np.any(arr < 0):
+    if arr.size and (arr.max() >= fmt.code_count or (arr.dtype.kind != "u" and arr.min() < 0)):
         raise ValueError(f"bit pattern out of range for {fmt.name}")
-    out = table[arr]
+    out = _decode_table(fmt)[arr]
     return float(out) if np.ndim(bits) == 0 else out
 
 
@@ -225,22 +227,22 @@ def _bucket_codes(neg: FpFormat, pos: FpFormat) -> np.ndarray:
     with the float64 sign bit set round like ``neg``, the rest like ``pos``.
 
     Bucket i holds the float64 bit patterns i << s .. (i << s) + 2**s - 1
-    with s = 51 - k, k the wider mantissa of the two formats; key 2i + 1 is
-    its lower edge alone and key 2i the rest.  Each threshold is a midpoint,
+    with s = 51 - k, k the wider mantissa of the two formats; key 2i is its
+    lower edge alone and key 2i + 1 the rest.  Each threshold is a midpoint,
     which is a bucket edge, or the float next to one, so it never parts two
     floats inside (edge, top]: the build checks that the float just above
     each finite bucket's edge rounds like its top.
     """
     s = 51 - max(neg.man_bits, pos.man_bits)
     edge = np.arange(1 << (64 - s), dtype=np.uint64) << s
-    probes = np.stack([edge + 1, edge, edge | ((1 << s) - 1)]).view(np.float64)
+    probes = np.stack([edge, edge + 1, edge | ((1 << s) - 1)]).view(np.float64)
     half = len(edge) // 2
     halves = []
     for fmt, part in ((pos, probes[:, :half]), (neg, probes[:, half:])):
         thresholds, codes = _rounding_tables(fmt)
         halves.append(codes[np.searchsorted(thresholds, part, side="right")])
     found = np.concatenate(halves, axis=1)
-    if np.any((found[0] != found[2]) & np.isfinite(probes[1])):
+    if np.any((found[1] != found[2]) & np.isfinite(probes[0])):
         raise RuntimeError(f"{neg.name}/{pos.name}: a rounding threshold falls inside a float64 bucket")
     table = found[:2].T.ravel()
     table.flags.writeable = False
@@ -254,22 +256,49 @@ def _finite(x, op: str) -> np.ndarray:
     return arr
 
 
-def _keys(x, k: int) -> np.ndarray:
-    """Table key of each input: its float64 sign, exponent and top k + 1
-    mantissa bits, then 1 if the rest are zero."""
-    b = np.asarray(x, dtype=np.float64).view(np.uint64)
-    s = 51 - k
-    key = b >> s
-    key <<= 1
-    key |= (b << (64 - s)) == 0
-    return key.view(np.int64)
+# Elements per slice of the lookup kernel: its quotient and key scratch
+# (16 bytes an element) and the slice's input and output stay in L2.
+_BLOCK = 1 << 15
 
 
-def _nearest(neg: FpFormat, pos: FpFormat, x) -> np.ndarray:
-    """Nearest code for each finite input, on the ``neg`` grid where its sign
-    bit is set and on the ``pos`` grid elsewhere, looked up by its key.
-    Unchecked: the quantizers pass finite input over finite positive scales."""
-    return _bucket_codes(neg, pos).take(_keys(x, max(neg.man_bits, pos.man_bits)))
+def _lookup(table: np.ndarray, key, x: np.ndarray, scale=None, rescale: bool = False) -> np.ndarray:
+    """``table`` at ``key(q, scratch, out)`` of each finite q = ``x / scale``,
+    unchecked.  Without ``scale``, any float64 x, one element per row; else x
+    is 2-D, ``scale(rows)`` divides a slice of its rows (and multiplies the
+    values back with ``rescale``) and ``key`` may overwrite the quotient."""
+    x2 = x.reshape(-1, 1) if scale is None else x
+    out = np.empty(x2.shape, table.dtype)
+    step = max(1, _BLOCK // x2.shape[1])
+    q = np.empty((min(step, len(x2)), x2.shape[1]))
+    keys = np.empty(q.shape, np.int64)
+    for r0 in range(0, len(x2), step):
+        rows = slice(r0, r0 + step)
+        xb = x2[rows]
+        qb, kb = q[: len(xb)], keys[: len(xb)]
+        if scale is not None:
+            sb = scale(rows)
+            xb = np.divide(xb, sb, out=qb)
+        key(xb, qb, kb)
+        ob = table.take(kb, out=out[rows], mode="clip")
+        if rescale:
+            ob *= sb
+    return out.reshape(x.shape)
+
+
+def _bits_key(k: int, x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """The table key at mantissa width k: (b >> s) + ((b + 2^s - 1) >> s)
+    of the float64 bits b, s = 51 - k."""
+    bits, tmp, out = x.view(np.uint64), scratch.view(np.uint64), out.view(np.uint64)
+    np.right_shift(bits, 51 - k, out=out)
+    np.add(bits, (1 << (51 - k)) - 1, out=tmp)
+    np.right_shift(tmp, 51 - k, out=tmp)
+    out += tmp
+
+
+def _nearest(neg: FpFormat, pos: FpFormat, x, scale=None) -> np.ndarray:
+    """Nearest code of each finite ``x / scale`` (see ``_lookup``): on the
+    ``neg`` grid where its sign bit is set, on the ``pos`` grid elsewhere."""
+    return _lookup(_bucket_codes(neg, pos), partial(_bits_key, max(neg.man_bits, pos.man_bits)), x, scale)
 
 
 def round_to_grid(fmt: FpFormat, x):
@@ -291,9 +320,9 @@ def _value_table(fmt: FpFormat) -> np.ndarray:
     return table
 
 
-def _round(fmt: FpFormat, x) -> np.ndarray:
-    """``round_to_grid`` of finite input, unchecked: one value-table lookup."""
-    return _value_table(fmt).take(_keys(x, fmt.man_bits))
+def _round(fmt: FpFormat, x, scale=None) -> np.ndarray:
+    """``round_to_grid`` of finite ``x / scale``, times ``scale`` (see ``_lookup``)."""
+    return _lookup(_value_table(fmt), partial(_bits_key, fmt.man_bits), x, scale, rescale=scale is not None)
 
 
 def code_dtype(fmt: FpFormat) -> type:

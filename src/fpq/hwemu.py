@@ -41,6 +41,8 @@ from .formats import (
     E3M4,
     E4M3,
     FpFormat,
+    _finite,
+    _lookup,
     _magnitudes,
     _nearest,
     code_dtype,
@@ -183,31 +185,33 @@ def build_tables() -> LutTables:
 _LUTS = LutTables()
 
 
-def _lookup(lut: np.ndarray, q: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Codes of the quotients ``q`` (overwritten) from an address table: q
-    saturates to the bus range, and the low bits of the signed address
-    2*floor(2^F q) + sticky (int8 up to 256 entries, else int16) index the table."""
+def _lut_codes(luts: LutTables | None, neg: FpFormat, pos: FpFormat, arr: np.ndarray, scale) -> np.ndarray:
+    """Codes of ``arr / scale(rows)`` (see ``formats._lookup``, one element
+    per row) from the pair's address table: q saturates to the bus range,
+    and the low bits of the address 2*floor(2^F q) + sticky index the table."""
+    lut, frac_bits = (luts or _LUTS).quantizer(neg, pos), _frac_bits(neg, pos)
     top = len(lut) >> (frac_bits + 2)
-    np.clip(q, -top, top - 2.0 ** -(frac_bits + 1), out=q)
-    q *= 1 << frac_bits
-    addr = np.floor(q, out=np.empty(q.shape, np.int8 if len(lut) <= 256 else np.int16), casting="unsafe")
-    sticky = q != addr
-    addr <<= 1
-    addr += sticky
-    addr &= len(lut) - 1
-    return lut.take(addr)
+
+    def address(q, _, addr):
+        np.clip(q, -top, top - 2.0 ** -(frac_bits + 1), out=q)
+        q *= 1 << frac_bits
+        np.floor(q, out=addr, casting="unsafe")
+        sticky = q != addr
+        addr <<= 1
+        addr += sticky
+        addr &= len(lut) - 1
+    return _lookup(lut, address, arr.reshape(-1, 1), scale).reshape(arr.shape)
 
 
 def lut_quantize(x, scale: float, luts: LutTables | None = None, fmt: FpFormat = E2M1) -> np.ndarray:
     """``fmt`` codes of x / scale from the address table; bit-identical to
     ``quantize`` at per_tensor with its scale.  A quotient beyond the bus
     range, which only a caller's scale can give, saturates."""
-    arr = _validate_input(x, "lut_quantize")
+    arr = _finite(_validate_input(x, "lut_quantize"), "lut_quantize")
     if not np.isfinite(scale) or scale <= 0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     with np.errstate(over="ignore"):
-        q = np.divide(arr, scale, out=np.empty_like(arr))  # an array even when 0-d
-    return _lookup((luts or _LUTS).quantizer(fmt, fmt), q, _frac_bits(fmt))
+        return _lut_codes(luts, fmt, fmt, arr, lambda rows: scale)
 
 
 def dfq_lut_quantize(
@@ -223,10 +227,9 @@ def dfq_lut_quantize(
     """
     arr = _validate_input(x, "dfq_lut_quantize")
     g = Granularity.per_tensor()
-    split = _dfq_split(arr, g)
-    s_neg, s_pos, s = _dfq_scales(split, neg_format, pos_format, g)
-    lut = (luts or _LUTS).quantizer(neg_format, pos_format)
-    codes = _lookup(lut, np.divide(arr, s, out=s), _frac_bits(neg_format, pos_format))
+    split = _dfq_split(arr, g, "dfq_lut_quantize")
+    s_neg, s_pos, scale = _dfq_scales(split, neg_format, pos_format, g)
+    codes = _lut_codes(luts, neg_format, pos_format, arr, scale)
     neg, pos = _dfq_planes(codes, split[0])
     return DfqResult(neg, pos, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
 

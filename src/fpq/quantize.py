@@ -9,8 +9,12 @@ earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 
 ``Granularity`` owns the unit layout: how a tensor reduces to per-unit
 values, how per-unit scales expand back over it, and how many columns one
-unit spans.  A quantized result lists its ``planes``, one ``(codes, format,
-scales)`` per code plane on that layout, so consumers never re-derive it.
+unit spans.  It hands the rounding kernel (``formats._lookup``) a 2-D view
+and the scales of each slice of its rows, so no quantizer builds a
+full-size scale, quotient or key array.  The unit max, min or absmax is
+the finiteness check: a non-finite element makes it non-finite.  A
+quantized result lists its ``planes``, one ``(codes, format, scales)`` per
+code plane on that layout, so consumers never re-derive it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .formats import (
     E2M1,
     E3M0,
     FpFormat,
+    _finite,
     _nearest,
     _round,
     decode_bits,
@@ -98,6 +103,8 @@ class Granularity:
             if x.ndim != 2:
                 raise ValueError(f"{self.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
             return fn(x, axis=1)
+        if x.ndim == 0:
+            raise ValueError("per_group granularity needs a tensor with at least one axis, got 0-D")
         n = x.shape[-1]
         gs = self.group_size
         if n % gs:
@@ -119,6 +126,20 @@ class Granularity:
         if self.kind in ("per_channel", "per_token"):
             return scales[:, None]
         return np.repeat(scales, self.group_size, axis=-1)[..., : shape[-1]]
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as the 2-D view the kernel slices by rows (per_tensor: one element a row)."""
+        return x.reshape(-1, 1) if self.kind == "per_tensor" else x.reshape(-1, x.shape[-1])
+
+    def row_scales(self, scales: np.ndarray, shape: tuple[int, ...]):
+        """Function of a row slice of ``rows`` of a tensor of ``shape``
+        giving the per-unit ``scales`` expanded over those rows only."""
+        if self.kind == "per_tensor":
+            return lambda rows: scales
+        if self.kind == "per_group":
+            per_row = scales.reshape(-1, scales.shape[-1])
+            return lambda rows: self.expand(per_row[rows], shape)
+        return lambda rows: scales[rows, None]
 
     def width(self, n_cols: int) -> int:
         """Columns one unit spans in a row of ``n_cols``: the group size for
@@ -187,11 +208,10 @@ class DfqResult:
 
 
 def _validate_input(x: np.ndarray, op: str) -> np.ndarray:
+    """``x`` as float64, rejected when empty; finiteness is the caller's check."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"{op} requires a nonempty tensor")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{op} requires finite input")
     return arr
 
 
@@ -202,38 +222,31 @@ def _unit_scales(absmax: np.ndarray, peak: float) -> np.ndarray:
     return np.where(scales > 0, scales, 1.0)
 
 
+def _absmax_scales(arr: np.ndarray, peak: float, g: Granularity, op: str) -> np.ndarray:
+    """Unit scales of ``arr`` over ``peak``, from the finite unit absmax."""
+    return _unit_scales(_finite(g.reduce(np.abs(arr), np.max), op), peak)
+
+
 def compute_scale(unit_values, fmt: FpFormat) -> float:
     """Quantization scale of one unit, as ``quantize`` computes it."""
     arr = _validate_input(unit_values, "compute_scale")
-    return float(_unit_scales(np.max(np.abs(arr)), max_value(fmt)))
+    return float(_absmax_scales(arr, max_value(fmt), Granularity.per_tensor(), "compute_scale"))
 
 
 def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
     """Absmax-scale each unit and round to the nearest grid value."""
     arr = _validate_input(x, "quantize")
-    scales = _unit_scales(g.reduce(np.abs(arr), np.max), max_value(fmt))
+    scales = _absmax_scales(arr, max_value(fmt), g, "quantize")
     codes = nearest_codes(fmt, arr / g.expand(scales, arr.shape))
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
 def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
-    """``dequantize(quantize(x, fmt, g))`` without the codes.
-
-    Rounds the scaled input straight to grid values, which are the decoded
-    values of the codes ``quantize`` would emit, and multiplies by the same
-    expanded scales, so the result is bit-identical.  The unit absmax is the
-    finiteness check: ``abs`` maps -inf to inf and ``np.max`` propagates NaN.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("quantize requires a nonempty tensor")
-    absmax = g.reduce(np.abs(arr), np.max)
-    if not np.all(np.isfinite(absmax)):
-        raise ValueError("quantize requires finite input")
-    s = g.expand(_unit_scales(absmax, max_value(fmt)), arr.shape)
-    out = _round(fmt, arr / s)
-    out *= s
-    return out
+    """``dequantize(quantize(x, fmt, g))`` bit for bit, without the codes: each
+    scaled slice rounds straight to grid values, multiplied back by its scales."""
+    arr = _validate_input(x, "quantize")
+    scales = _absmax_scales(arr, max_value(fmt), g, "quantize")
+    return _round(fmt, g.rows(arr), g.row_scales(scales, arr.shape)).reshape(arr.shape)
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
@@ -253,19 +266,18 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
         raise ValueError(f"supported integer widths are 4, 6, 8; got {bits}")
     arr = _validate_input(x, "rtn_int_quantize")
     fmt = IntFormat(f"INT{bits}", bits)
-    scales = _unit_scales(g.reduce(np.abs(arr), np.max), float(fmt.qmax))
+    scales = _absmax_scales(arr, float(fmt.qmax), g, "rtn_int_quantize")
     scaled = arr / g.expand(scales, arr.shape)
     codes = np.clip(np.round(scaled), -fmt.qmax, fmt.qmax).astype(np.int8)
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
-def _dfq_split(arr: np.ndarray, g: Granularity):
+def _dfq_split(arr: np.ndarray, g: Granularity, op: str):
     """The DFQ sign split ``(mask, neg_absmax, pos_absmax)`` with mask = arr <= 0.
     The parts where(mask, arr, 0) and where(mask, 0, arr) have unit absmax
-    max(-min_unit(arr), 0) and max(max_unit(arr), 0): no part is built."""
-    neg_absmax = np.maximum(-g.reduce(arr, np.min), 0.0)
-    pos_absmax = np.maximum(g.reduce(arr, np.max), 0.0)
-    return arr <= 0, neg_absmax, pos_absmax
+    max(-min_unit(arr), 0) and max(max_unit(arr), 0), checked finite."""
+    lo, hi = (_finite(g.reduce(arr, fn), op) for fn in (np.min, np.max))
+    return arr <= 0, np.maximum(-lo, 0.0), np.maximum(hi, 0.0)
 
 
 def _dfq_planes(codes, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,13 +289,15 @@ def _dfq_planes(codes, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
-    """``(s_neg, s_pos, s)``: each part's unit scales, and the scale of every
-    element, ``s_neg`` where the split's mask is set and ``s_pos`` elsewhere."""
+    """``(s_neg, s_pos, scale)``: each part's unit scales, and the function of
+    a row slice of ``g.rows`` giving the scale of each element there,
+    ``s_neg`` where the split's mask is set and ``s_pos`` elsewhere."""
     mask, neg_absmax, pos_absmax = split
     s_neg = _unit_scales(neg_absmax, max_value(neg_fmt))
     s_pos = _unit_scales(pos_absmax, max_value(pos_fmt))
-    sn, sp = (g.expand(u, mask.shape) for u in (s_neg, s_pos))
-    return s_neg, s_pos, np.where(mask, sn, sp)
+    m2 = g.rows(mask)
+    sn, sp = (g.row_scales(u, mask.shape) for u in (s_neg, s_pos))
+    return s_neg, s_pos, lambda rows: np.where(m2[rows], sn(rows), sp(rows))
 
 
 def dfq_quantize(
@@ -303,9 +317,9 @@ def dfq_quantize(
     zero (code 0 on both grids), so the mask splits the codes into the planes.
     """
     arr = _validate_input(x, "dfq_quantize")
-    split = _dfq_split(arr, g)
-    s_neg, s_pos, s = _dfq_scales(split, neg_format, pos_format, g)
-    codes = _nearest(neg_format, pos_format, arr / s)
+    split = _dfq_split(arr, g, "dfq_quantize")
+    s_neg, s_pos, scale = _dfq_scales(split, neg_format, pos_format, g)
+    codes = _nearest(neg_format, pos_format, g.rows(arr), scale).reshape(arr.shape)
     neg_codes, pos_codes = _dfq_planes(codes, split[0])
     return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
 
@@ -325,11 +339,12 @@ def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndar
     cands = DFQ_CANDIDATE_FORMATS
     totals = np.zeros((len(cands), len(cands)))
     for t in tensors:
-        split = _dfq_split(t, g)
+        split = _dfq_split(t, g, "dfq_search_format")
         errs = []
         for fmt in cands:
-            s = _dfq_scales(split, fmt, fmt, g)[2]
-            errs.append((t - _round(fmt, t / s) * s) ** 2)
+            err = _round(fmt, g.rows(t), _dfq_scales(split, fmt, fmt, g)[2]).reshape(t.shape)
+            np.subtract(t, err, out=err)
+            errs.append(np.square(err, out=err))
         for i, j in np.ndindex(totals.shape):
             totals[i, j] += np.mean(np.where(split[0], errs[i], errs[j]))
     return totals

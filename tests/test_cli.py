@@ -602,6 +602,19 @@ class TestInputKinds:
         assert problem.startswith(f"input: {path}: ")
         assert not (tmp_path / "rot.fpqt").exists()
 
+    @pytest.mark.parametrize("command", ["quantize", "dfq", "search"])
+    def test_per_group_scalar_is_a_json_error(self, tmp_path, command) -> None:
+        path, report = tmp_path / "scalar.fpqt", tmp_path / "r.jsonl"
+        write_tensor(path, np.float64(2.0))
+        result = CliRunner().invoke(main, [
+            command, "--input", str(path), "--granularity", "per_group", "--group", "4",
+            "--report", str(report),
+        ])
+        assert _problems(result) == [
+            f"{command}: per_group granularity needs a tensor with at least one axis, got 0-D"
+        ]
+        assert not report.exists()
+
     def test_galt_scalar_calibration_is_a_json_error(self, tmp_path) -> None:
         scalar, step, weight = tmp_path / "scalar.fpqt", tmp_path / "step.fpqt", tmp_path / "w.fpqt"
         write_tensor(scalar, np.float64(1.5))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fpq import formats
 from fpq.formats import (
     E1M2,
     E2M1,
@@ -25,6 +28,7 @@ from fpq.formats import (
     _nearest,
     _round,
     _rounding_tables,
+    _value_table,
     decode,
     decode_bits,
     encode,
@@ -325,6 +329,100 @@ class TestBucketTable:
         tiny = FpFormat("E2M3_tiny", 2, 3, 1070)
         with pytest.raises(RuntimeError, match="inside a float64 bucket"):
             _bucket_codes(tiny, tiny)
+
+
+def _whole_key(x, k: int) -> np.ndarray:
+    """The 3-op key over a whole array at once: the oracle for the slices."""
+    b = np.asarray(x, dtype=np.float64).view(np.uint64)
+    s = np.uint64(51 - k)
+    return ((b >> s) + ((b + np.uint64((1 << (51 - k)) - 1)) >> s)).view(np.int64)
+
+
+def _five_op_key(x, k: int) -> np.ndarray:
+    """The earlier key: bucket i << 1, or-ed with 1 on the bucket's lower edge."""
+    b = np.asarray(x, dtype=np.float64).view(np.uint64)
+    s = 51 - k
+    return (((b >> s) << 1) | ((b << (64 - s)) == 0)).view(np.int64)
+
+
+_PAIRS = list(itertools.product([E1M2, E2M1, E3M0], repeat=2))
+_FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda b: (b >> 52) & 0x7FF != 0x7FF)
+
+
+def _block_lengths(block: int) -> st.SearchStrategy[int]:
+    """1, block - 1, block, block + 1 and k * block + r."""
+    edges = st.sampled_from(sorted({1, max(block - 1, 1), block, block + 1}))
+    many = st.builds(lambda k, r: k * block + r, st.integers(2, 4), st.integers(0, block - 1))
+    return st.one_of(edges, many)
+
+
+def _layouts(x: np.ndarray) -> list[np.ndarray]:
+    """x as float64 and big-endian, a strided and a transposed view of it."""
+    x2 = x.reshape(1, -1) if len(x) % 2 else x.reshape(2, -1)
+    return [x, x.astype(">f8"), np.repeat(x, 2)[::2], x2.T]
+
+
+class TestBlockedKernel:
+    """The slice-by-slice kernel against the whole-array expressions of the
+    same lookup, across slice boundaries and memory layouts."""
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_three_op_key_is_the_five_op_key_with_its_low_bit_flipped(self, bits) -> None:
+        xs = np.array(bits, dtype=np.uint64).view(np.float64)
+        xs = xs[np.isfinite(xs)]
+        for k in range(5):
+            assert (_whole_key(xs, k) == _five_op_key(xs, k) ^ 1).all()
+
+    @given(data=st.data())
+    def test_flat_slices_match_whole_array(self, data) -> None:
+        block = data.draw(st.sampled_from([1, 3, 8]))
+        n = data.draw(_block_lengths(block))
+        fmt = data.draw(st.sampled_from(ALL_FORMATS))
+        neg, pos = data.draw(st.sampled_from(_PAIRS))
+        values = st.one_of(_rounding_inputs(fmt), _FINITE_BITS.map(lambda b: float(np.uint64(b).view(np.float64))))
+        x = data.draw(arrays(np.float64, n, elements=values))
+        k = max(neg.man_bits, pos.man_bits)
+        with mock.patch.object(formats, "_BLOCK", block):
+            for view in _layouts(x):
+                native = np.asarray(view, dtype=np.float64)  # the kernel reads native bits
+                codes, vals = _nearest(neg, pos, native), _round(fmt, native)
+                assert codes.shape == vals.shape == view.shape
+                assert codes.tolist() == _bucket_codes(neg, pos).take(_whole_key(view, k)).tolist()
+                want = _value_table(fmt).take(_whole_key(view, fmt.man_bits))
+                assert vals.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+                assert round_to_grid(fmt, view).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+                want_codes = _bucket_codes(fmt, fmt).take(_whole_key(view, fmt.man_bits))
+                assert nearest_codes(fmt, view).tolist() == want_codes.tolist()
+            zero_d = np.asarray(x[0])
+            assert _nearest(neg, pos, zero_d).shape == _round(fmt, zero_d).shape == ()
+
+    @given(data=st.data())
+    def test_scaled_row_slices_match_whole_array(self, data) -> None:
+        block = data.draw(st.sampled_from([1, 3, 8, 20]))
+        rows, cols = data.draw(_block_lengths(block)), data.draw(st.integers(1, 6))
+        fmt = data.draw(st.sampled_from(ALL_FORMATS))
+        neg, pos = data.draw(st.sampled_from(_PAIRS))
+        x = data.draw(arrays(np.float64, (rows, cols), elements=st.floats(-1e6, 1e6)))
+        s = data.draw(arrays(np.float64, (rows, 1), elements=st.floats(1e-3, 1e3)))
+        for scale in (s, s.repeat(cols, axis=1)):  # per-row and per-element scales
+            with mock.patch.object(formats, "_BLOCK", block):
+                codes = _nearest(neg, pos, x, lambda r: scale[r])
+                vals = _round(fmt, x, lambda r: scale[r])
+            k = max(neg.man_bits, pos.man_bits)
+            assert codes.tolist() == _bucket_codes(neg, pos).take(_whole_key(x / scale, k)).tolist()
+            want = _value_table(fmt).take(_whole_key(x / scale, fmt.man_bits)) * scale
+            assert vals.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * formats._BLOCK + 5], ids=lambda o: f"block{o:+d}")
+    def test_real_block_size(self, offset: int) -> None:
+        x = np.random.default_rng(offset + 7).standard_normal(formats._BLOCK + offset) * 4
+        assert nearest_codes(E2M1, x).tolist() == _bucket_codes(E2M1, E2M1).take(_whole_key(x, 1)).tolist()
+        cols = 300  # rows per slice do not divide the row count
+        x2 = x[: len(x) // cols * cols].reshape(-1, cols)
+        s = np.abs(x2).max(axis=1, keepdims=True) / 6
+        want = _value_table(E2M1).take(_whole_key(x2 / s, 1)) * s
+        got = _round(E2M1, x2, lambda r: s[r])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestProductFormats:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fpq import formats
 from fpq.formats import (
     E1M2,
     E2M1,
@@ -162,6 +165,14 @@ class TestQuantize:
     def test_per_channel_needs_2d(self) -> None:
         with pytest.raises(ValueError, match="2-D"):
             quantize(np.ones(8), E2M1, Granularity.per_channel())
+
+    @pytest.mark.parametrize("op", [
+        lambda x, g: quantize(x, E2M1, g), lambda x, g: _fake_quantize(x, E2M1, g),
+        lambda x, g: dfq_quantize(x, E1M2, E2M1, g), lambda x, g: dfq_search_format([x], g),
+    ], ids=["quantize", "fake", "dfq", "search"])
+    def test_per_group_needs_an_axis(self, op) -> None:
+        with pytest.raises(ValueError, match="^per_group granularity needs a tensor with at least one axis"):
+            op(np.float64(2.0), Granularity.per_group(4, pad_partial=True))
 
     def test_per_group_scales_shape(self) -> None:
         x = np.random.default_rng(1).standard_normal((3, 256))
@@ -532,6 +543,64 @@ class TestSeparableSearch:
         assert pick == _search_oracle(tensors, g)[0]
         tied = {"positive": pick[:1], "non_positive": pick[1:], "zero": pick}[sign]
         assert all(f == E1M2 for f in tied)
+
+
+class TestMultiBlock:
+    """Inputs that span several slices of the rounding kernel give the same
+    codes, scales, values and search totals as the whole-tensor oracles."""
+
+    @pytest.mark.parametrize("g", _GRANULARITIES, ids=lambda g: f"{g.kind}{g.group_size}")
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_small_slices(self, g: Granularity, data) -> None:
+        fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
+        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
+        if g.pad_partial:
+            cols += data.draw(st.integers(0, 7))
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        x = data.draw(arrays(np.float64, (data.draw(st.integers(2, 9)), cols), elements=values))
+        with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
+            got = _fake_quantize(x, fmt, g)
+            r = dfq_quantize(x, neg_fmt, fmt, g)
+            totals = _dfq_search_totals([x, x[::-1] * 0.5], g)
+        assert got.view(np.uint64).tolist() == dequantize(quantize(x, fmt, g)).view(np.uint64).tolist()
+        neg_codes, pos_codes, s_neg, s_pos = _dfq_oracle(x, neg_fmt, fmt, g)
+        assert (r.neg_codes.tolist(), r.pos_codes.tolist()) == (neg_codes.tolist(), pos_codes.tolist())
+        assert (r.s_neg.tolist(), r.s_pos.tolist()) == (s_neg.tolist(), s_pos.tolist())
+        want_totals = _search_oracle([x, x[::-1] * 0.5], g)[1]
+        assert totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("g", [*_GRANULARITIES[:3], Granularity.per_group(128),
+                                   Granularity.per_group(96, pad_partial=True)],
+                             ids=lambda g: f"{g.kind}{g.group_size}")
+    def test_real_slices(self, g: Granularity) -> None:
+        x = gelu_activations(31, (150, 1000)) if g.pad_partial else gelu_activations(31, (150, 1024))
+        want = dequantize(quantize(x, E2M1, g))
+        assert _fake_quantize(x, E2M1, g).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        r = dfq_quantize(x, E1M2, E2M1, g)
+        neg_codes, pos_codes, s_neg, s_pos = _dfq_oracle(x, E1M2, E2M1, g)
+        assert np.array_equal(r.neg_codes, neg_codes) and np.array_equal(r.pos_codes, pos_codes)
+        assert np.array_equal(r.s_neg, s_neg) and np.array_equal(r.s_pos, s_pos)
+        tensors = [x[:70], x[70:]]
+        totals = _dfq_search_totals(tensors, g)
+        assert totals.view(np.uint64).tolist() == _search_oracle(tensors, g)[1].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("g", [Granularity.per_token(), Granularity.per_group(128)],
+                         ids=["per_token", "per_group128"])
+def test_dfq_quantize_makes_no_full_size_temporaries(g: Granularity) -> None:
+    """1024 x 1024 float64 is 8 MiB: a full-size scale, quotient or key array
+    would more than double the 2 MiB of code planes the result holds."""
+    x = gelu_activations(5, (1024, 1024))
+    dfq_quantize(x[:2], E1M2, E2M1, g)  # builds the cached pair table
+    tracemalloc.start()
+    try:
+        r = dfq_quantize(x, E1M2, E2M1, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in (r.neg_codes, r.pos_codes, r.s_neg, r.s_pos))
+    assert peak - outputs < 6 * 2**20
 
 
 _CHECKED = {
