@@ -51,7 +51,6 @@ __all__ = [
     "encode",
     "nearest_codes",
     "round_to_grid",
-    "code_dtype",
 ]
 
 
@@ -96,9 +95,7 @@ class FpCode:
 
 # Biases: E2M3, E3M2, and E4M3 follow the OCP MX definitions; E2M1 bias=1
 # reproduces the reference FP4 grid, and E1M2 bias=0 / E3M0 bias=3 are the
-# unique biases whose decoded grids match it as well.  E3M4 (bias 3) is the
-# product format of the mixed-grid hardware path: four mantissa bits cover
-# every E1M2 x E2M1 significand product exactly, which E4M3 cannot.
+# unique biases whose decoded grids match it as well.
 E1M2 = FpFormat("E1M2", 1, 2, 0)
 E2M1 = FpFormat("E2M1", 2, 1, 1)
 E3M0 = FpFormat("E3M0", 3, 0, 3)
@@ -213,7 +210,7 @@ def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
     values = grid_values(fmt)
     sign = 1 << (fmt.exp_bits + fmt.man_bits)
     mag_codes = np.arange(n)
-    codes = np.concatenate([mag_codes[:0:-1] | sign, mag_codes]).astype(code_dtype(fmt))
+    codes = np.concatenate([mag_codes[:0:-1] | sign, mag_codes]).astype(np.min_scalar_type(fmt.code_count - 1))
     thresholds = (values[:-1] + values[1:]) / 2
     lower = np.arange(len(thresholds)) - (n - 1)  # signed index of the value below
     even_below = lower % 2 == 0
@@ -323,15 +320,6 @@ def _value_table(fmt: FpFormat) -> np.ndarray:
 def _round(fmt: FpFormat, x, scale=None) -> np.ndarray:
     """``round_to_grid`` of finite ``x / scale``, times ``scale`` (see ``_lookup``)."""
     return _lookup(_value_table(fmt), partial(_bits_key, fmt.man_bits), x, scale, rescale=scale is not None)
-
-
-def code_dtype(fmt: FpFormat) -> type:
-    """Narrowest unsigned dtype that holds a code of ``fmt``."""
-    if fmt.width <= 8:
-        return np.uint8
-    if fmt.width <= 16:
-        return np.uint16
-    return np.uint32
 
 
 def nearest_codes(fmt: FpFormat, x) -> np.ndarray:

@@ -15,13 +15,12 @@ midpoints fall inside buckets: the 5-bit E2M1 address clip(round(2q), +-12)
 gives the wrong code for 2.3% of Gaussian inputs (q in (2.5, 2.75) rounds
 to 2.5, which ties to 2, while 3 is nearest).
 
-An (act, wt) multiplier is a table addressed by (a << wt.width) | b that
-holds the product's code in the first of E4M3 and E3M4 whose grid holds
-every product; a second table converts it to the integer k_act * k_wt *
-product.  Dot products accumulate in integers, and one multiply by
+An (act, wt) multiplier is one table addressed by (a << wt.width) | b
+that holds the integer k_act * k_wt * product: int16, or int32 for E3M2 x
+E3M2, whose products reach 200704.  Every pair of grids has one, FP6
+included.  Dot products accumulate in integers, and one multiply by
 s_act * s_wt / (k_act * k_wt) gives the real result, the only rounding in
-a GEMM.  Products are encoded strictly, so a pair no product format holds
-(E1M2 x E1M2, or FP6 E2M3 x E2M1) fails at build time.
+a GEMM.
 
 ``emu_gemm`` reads the code planes a quantized result lists and the unit
 layout its ``Granularity`` owns: activation and weight units must have
@@ -38,14 +37,12 @@ import numpy as np
 from .formats import (
     E1M2,
     E2M1,
-    E3M4,
-    E4M3,
+    E2M3,
+    E3M2,
     FpFormat,
     _finite,
     _lookup,
-    _magnitudes,
     _nearest,
-    code_dtype,
     decode_bits,
     max_value,
 )
@@ -73,10 +70,10 @@ __all__ = [
     "verify_quantizer_parity",
 ]
 
-# Product formats, tried in order.  E1M2 x E2M1 significand products need
-# four mantissa bits (e.g. 3.5 * 6 = 21 = 2^4 * 1.3125), which E4M3 cannot
-# hold, so that pair takes E3M4 (max 31 >= 21, subnormal step 2^-6).
-_PRODUCT_FORMATS = (E4M3, E3M4)
+# The FP6 grids emu-check covers besides the DFQ candidates, and the
+# multipliers it proves: every candidate x E2M1 and every FP6 pair.
+_FP6_GRIDS = (E2M3, E3M2)
+_CHECKED_PAIRS = (*((act, E2M1) for act in DFQ_CANDIDATE_FORMATS), *product(_FP6_GRIDS, repeat=2))
 
 
 def _frac_bits(*fmts: FpFormat) -> int:
@@ -99,7 +96,7 @@ class LutTables:
     """Datapath tables by grid pair, each built on first use, all read-only.
 
     ``address[(neg, pos)]`` is a quantizer's address table and
-    ``product[(act, wt)]`` a multiplier's ``(mul_lut, prod_to_int)``.
+    ``product[(act, wt)]`` a multiplier's integer product table.
     """
 
     address: dict = field(default_factory=dict)
@@ -110,7 +107,7 @@ class LutTables:
             self.address[neg, pos] = build_address_lut(neg, pos)
         return self.address[neg, pos]
 
-    def multiplier(self, act: FpFormat, wt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
+    def multiplier(self, act: FpFormat, wt: FpFormat) -> np.ndarray:
         if (act, wt) not in self.product:
             self.product[act, wt] = build_mul_lut(act, wt)
         return self.product[act, wt]
@@ -144,30 +141,17 @@ def build_address_lut(neg_fmt: FpFormat, pos_fmt: FpFormat, frac_bits: int | Non
     return table
 
 
-def build_mul_lut(act_format: FpFormat, wt_format: FpFormat) -> tuple[np.ndarray, np.ndarray]:
-    """(mul_lut, prod_to_int) for one activation/weight grid pair.
+def build_mul_lut(act_format: FpFormat, wt_format: FpFormat) -> np.ndarray:
+    """The multiplier of one activation/weight grid pair, read-only.
 
-    mul_lut[(a << wt_format.width) | b] is the code of the exact product of
-    the decoded operands in the first product format whose grid holds
-    every product; a pair that none holds raises ValueError.  prod_to_int
-    maps every product code to k_act * k_wt times its value as an integer.
+    mul[(a << wt_format.width) | b] is k_act * k_wt times the exact product
+    of the decoded operands, an integer: int16 where every product fits,
+    int32 otherwise.
     """
-    products = np.multiply.outer(decode_bits(act_format, np.arange(act_format.code_count)),
-                                 decode_bits(wt_format, np.arange(wt_format.code_count))).ravel()
-    mags = np.abs(products)
-    for fmt in _PRODUCT_FORMATS:
-        grid = _magnitudes(fmt)
-        idx = np.searchsorted(grid, mags).clip(max=len(grid) - 1)
-        if np.array_equal(grid[idx], mags):
-            break
-    else:
-        raise ValueError(f"no product format holds every {act_format.name} x {wt_format.name} product")
-    mul = np.where(products < 0, idx | len(grid), idx).astype(code_dtype(fmt))
-    k = _int_scale(act_format) * _int_scale(wt_format)
-    prod_to_int = np.round(decode_bits(fmt, np.arange(fmt.code_count)) * k).astype(np.int32)
-    for t in (mul, prod_to_int):
-        t.flags.writeable = False
-    return mul, prod_to_int
+    mul = np.multiply.outer(_int_values(act_format), _int_values(wt_format)).ravel()
+    mul = mul.astype(np.int16 if np.abs(mul).max() < 2**15 else np.int32)
+    mul.flags.writeable = False
+    return mul
 
 
 def build_tables() -> LutTables:
@@ -239,8 +223,8 @@ def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
     """Integer dot product of activation and weight code vectors through
     the pair's multiplier.
 
-    Returns sum_i prod_to_int[mul_lut[(a_i << wt_format.width) | b_i]],
-    which is exactly k_act * k_wt times the real dot product of the decoded values.
+    Returns sum_i mul[(a_i << wt_format.width) | b_i], which is exactly
+    k_act * k_wt times the real dot product of the decoded values.
     """
     a, b = np.asarray(codes_a), np.asarray(codes_b)
     if a.shape != b.shape:
@@ -248,28 +232,28 @@ def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
     for c, fmt in ((a, act_format), (b, wt_format)):
         if c.size and not (np.issubdtype(c.dtype, np.integer) and c.min() >= 0 and c.max() < fmt.code_count):
             raise ValueError(f"codes must be integers in 0..{fmt.code_count - 1}")
-    mul, p2i = (luts or _LUTS).multiplier(act_format, wt_format)
+    mul = (luts or _LUTS).multiplier(act_format, wt_format)
     if a.size == 0:
         return 0
-    return int(p2i[mul[(a.astype(np.int64) << wt_format.width) | b]].astype(np.int64).sum())
+    return int(mul[(a.astype(np.int64) << wt_format.width) | b].sum(dtype=np.int64))
 
 
 def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_codes: np.ndarray,
-                 w_format: FpFormat, w_scales: np.ndarray, groups: list[tuple[int, int]]) -> np.ndarray:
+                 w_format: FpFormat, w_scales: np.ndarray, groups: list[tuple[int, int]],
+                 peak: int) -> np.ndarray:
     """Group-by-group integer matmul of k-scaled values, rescaled per group.
 
-    Partial sums are integers of at most max|a| * max|b| * group width;
-    below 2^24 float32 holds them exactly in any BLAS summation order, else
-    float64 does, so the matmul reproduces the lookup-table accumulation
-    integer for integer (the exhaustive product tests pin the per-pair
-    identity).  The rescale is float64, by s_act * s_wt and then the power
-    of two 1 / (k_act * k_wt); groups accumulate in ascending order.  Every
-    rescale reuses one rows x out buffer and reads acc with no float64 copy.
+    Partial sums are integers of at most peak * group width, ``peak`` the
+    largest |entry| of the planes' multipliers; below 2^24 float32 holds
+    them exactly in any BLAS summation order, else float64 does, so the
+    matmul reproduces the multiplier-table accumulation integer for integer
+    (the exhaustive product tests pin the per-pair identity).  The rescale
+    is float64, by s_act * s_wt and then the power of two 1 / (k_act *
+    k_wt); groups accumulate in ascending order.  Every rescale reuses one
+    rows x out buffer and reads acc with no float64 copy.
     """
-    w_tab = _int_values(w_format)
-    peak = max(np.abs(_int_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
-    w_vals = w_tab.astype(dtype)[w_codes]
+    w_vals = _int_values(w_format).astype(dtype)[w_codes]
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
     term = np.empty_like(out)
     for gi, (c0, c1) in enumerate(groups):
@@ -290,17 +274,17 @@ def emu_gemm(xq: QuantizedTensor | DfqResult, wq: QuantizedTensor,
 
     ``xq`` may be a plain quantized tensor or a dual-format result: each of
     its ``planes`` accumulates separately and combines through its own
-    scales.  Each activation grid needs a multiplier with the weight grid,
-    whose table build proves every product of the pair exact.  Activation
-    and weight must have the same column count and unit width, and the
-    width must divide the columns.
+    scales.  The largest entry of each plane's multiplier with the weight
+    grid bounds the accumulator.  Activation and weight must have the same
+    column count and unit width, and the width must divide the columns.
     """
     if wq.codes.ndim != 2:
         raise ValueError("weight codes must be 2-D")
+    peak = 0
     for _, fmt, _ in xq.planes:
         if not (isinstance(fmt, FpFormat) and isinstance(wq.format, FpFormat)):
             raise ValueError("emulated GEMM needs micro-float codes on both sides")
-        (luts or _LUTS).multiplier(fmt, wq.format)
+        peak = max(peak, int(np.abs((luts or _LUTS).multiplier(fmt, wq.format)).max()))
     x_cols, (out_features, cols) = xq.shape[-1], wq.codes.shape
     x_width, width = xq.granularity.width(x_cols), wq.granularity.width(cols)
     if (x_cols, x_width) != (cols, width):
@@ -314,17 +298,19 @@ def emu_gemm(xq: QuantizedTensor | DfqResult, wq: QuantizedTensor,
               for codes, fmt, s in xq.planes]
     sw = np.broadcast_to(np.reshape(wq.scales, (-1, n_groups)), (out_features, n_groups))
     groups = [(c, c + width) for c in range(0, cols, width)]
-    return _gemm_planes(planes, wq.codes, wq.format, sw, groups)
+    return _gemm_planes(planes, wq.codes, wq.format, sw, groups, peak)
 
 
 def verify_mul_tables(luts: LutTables | None = None) -> dict:
     """Exhaustively check the multiplier of every candidate activation grid
-    with E2M1 weights: each entry must give k_act * k_wt times the exact product."""
+    with E2M1 weights and of every FP6 pair: each entry must be k_act * k_wt
+    times the product of the decoded operands."""
     exact = {}
-    for act in DFQ_CANDIDATE_FORMATS:
-        mul, p2i = (luts or _LUTS).multiplier(act, E2M1)
-        want = np.multiply.outer(_int_values(act), _int_values(E2M1)).ravel()
-        exact[f"{act.name}x{E2M1.name}"] = f"{np.count_nonzero(p2i[mul] == want)}/{len(want)}"
+    for act, wt in _CHECKED_PAIRS:
+        mul = (luts or _LUTS).multiplier(act, wt)
+        want = _int_scale(act) * _int_scale(wt) * np.multiply.outer(
+            decode_bits(act, np.arange(act.code_count)), decode_bits(wt, np.arange(wt.code_count))).ravel()
+        exact[f"{act.name}x{wt.name}"] = f"{np.count_nonzero(mul == want)}/{len(want)}"
     good = all(n == total for n, total in (v.split("/") for v in exact.values()))
     return {"mul_tables": "pass" if good else "fail", "mul_exact": exact}
 
@@ -333,8 +319,9 @@ def verify_quantizer_parity(
     n_samples: int = 1_000_000, seed: int = 0, luts: LutTables | None = None
 ) -> dict:
     """Compare the LUT quantizers against the reference quantizers on every
-    candidate grid and every DFQ grid pair: code mismatches per grid
-    ("E2M1") and per pair ("E1M2/E2M1"), and the pairs whose scales differ."""
+    candidate grid, each FP6 grid and every DFQ grid pair: code mismatches
+    per grid ("E2M1") and per pair ("E1M2/E2M1"), and the pairs whose
+    scales differ."""
     from .quantize import dfq_quantize, quantize
 
     pt = Granularity.per_tensor()
@@ -342,7 +329,7 @@ def verify_quantizer_parity(
     # Skewed data exercises both branches of the dual-format path.
     y = np.where(x > 1.2, x, -np.abs(x) * 0.05)
     frac_bits, mismatches, scale_mismatches = {}, {}, []
-    for fmt in DFQ_CANDIDATE_FORMATS:
+    for fmt in (*DFQ_CANDIDATE_FORMATS, *_FP6_GRIDS):
         ref = quantize(x, fmt, pt)
         got = lut_quantize(x, float(ref.scales), luts, fmt)
         frac_bits[fmt.name] = _frac_bits(fmt)

@@ -21,8 +21,8 @@ BENCH = SRC.parents[1] / "bench"
 # tuple; a new public name without one must be added with its reason.
 API_ONLY = (
     ("formats.FpCode", "the one-code value type encode returns and decode reads"),
-    ("formats.E2M3", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
-    ("formats.E3M2", "FP6 grid, for FP6 quantization ahead of an FP6 format search"),
+    ("formats.E3M4", "8-bit grid, one of the FORMATS a --format option names"),
+    ("formats.E4M3", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
     ("formats.decode", "scalar decode of one code, the per-value form of decode_bits"),
     ("formats.encode", "scalar encode of an on-grid value, the inverse of decode"),
@@ -32,10 +32,8 @@ API_ONLY = (
     ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
     ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),
     ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),
-    ("hwemu.LutTables", "the type of a table set, which every luts argument takes"),
     ("hwemu.build_address_lut", "builds one quantizer address table, for inspecting it"),
-    ("hwemu.build_mul_lut", "builds one multiplier table pair, for inspecting it"),
-    ("hwemu.emu_dot", "the table-walking dot product that emu_gemm must reproduce"),
+    ("hwemu.build_mul_lut", "builds one integer multiplier table, for inspecting it"),
     ("quantize.IntFormat", "the format of rtn_int_quantize results"),
     ("quantize.rtn_int_quantize", "the INT round-to-nearest baseline the FP formats are compared with"),
     ("quantize.afpq_quantize", "asymmetric FP quantization, the one-grid special case of DFQ"),

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from fpq import hwemu
 from fpq.cli import main
-from fpq.formats import E2M1, E2M3, E3M0
+from fpq.formats import E2M1, E2M3, E3M0, E3M2, encode
 from fpq.quantize import dfq_quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
@@ -334,10 +334,12 @@ class TestEmuCheck:
         result = CliRunner().invoke(main, ["emu-check", "--samples", "20000"])
         assert result.exit_code == 0, result.output
         metrics = json.loads(result.stdout)["metrics"]
-        assert (metrics["quantizer_parity"], metrics["mul_tables"]) == ("pass", "pass")
-        assert metrics["mul_exact"] == {"E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256"}
-        # Three grids and nine DFQ pairs, every one exact.
-        assert len(metrics["mismatches"]) == 12 and set(metrics["mismatches"].values()) == {0}
+        assert (metrics["quantizer_parity"], metrics["mul_tables"], metrics["gemm_rows"]) == ("pass",) * 3
+        assert metrics["mul_exact"] == {
+            "E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256",
+            "E2M3xE2M3": "4096/4096", "E2M3xE3M2": "4096/4096", "E3M2xE2M3": "4096/4096", "E3M2xE3M2": "4096/4096"}
+        # Three FP4 grids, two FP6 grids and nine DFQ pairs, every one exact.
+        assert len(metrics["mismatches"]) == 14 and set(metrics["mismatches"].values()) == {0}
         assert metrics["scale_mismatches"] == [] and metrics["samples"] == 20000
         assert (metrics["addr_frac_bits"]["E2M1"], metrics["addr_frac_bits"]["E3M0/E2M1"]) == (2, 3)
 
@@ -361,10 +363,9 @@ class TestEmuCheck:
 
         def flipped():
             luts = build()
-            mul, p2i = luts.multiplier(E3M0, E2M1)
-            mul = mul.copy()
-            mul[0x17] ^= 1  # 0.25 * 6 = 1.5 in E4M3 becomes 1.625
-            return hwemu.LutTables(luts.address, {**luts.product, (E3M0, E2M1): (mul, p2i)})
+            mul = luts.multiplier(E3M0, E2M1).copy()
+            mul[0x17] ^= 1  # 8 * 0.25 * 6 = 12 becomes 13
+            return hwemu.LutTables(luts.address, {**luts.product, (E3M0, E2M1): mul})
 
         monkeypatch.setattr(hwemu, "build_tables", flipped)
         result = CliRunner().invoke(main, ["emu-check", "--samples", "2000"])
@@ -372,6 +373,26 @@ class TestEmuCheck:
         metrics = json.loads(result.stdout)["metrics"]
         assert metrics["mul_tables"] == "fail" and metrics["mul_exact"]["E3M0xE2M1"] == "255/256"
         assert metrics["quantizer_parity"] == "pass"
+
+    def test_wrong_fp6_product_fails_the_gemm_rows(self, monkeypatch) -> None:
+        # emu_gemm multiplies k-scaled values and emu_dot reads the table, so
+        # one wrong entry sets them apart.  With the exhaustive table check
+        # stubbed to pass, the GEMM rows alone fail the run.
+        build = hwemu.build_tables
+
+        def bumped():
+            luts = build()
+            mul = luts.multiplier(E3M2, E3M2).copy()
+            c = encode(E3M2, 8.0).bits
+            mul[(c << E3M2.width) | c] += 1
+            return hwemu.LutTables(luts.address, {**luts.product, (E3M2, E3M2): mul})
+
+        monkeypatch.setattr(hwemu, "build_tables", bumped)
+        monkeypatch.setattr(hwemu, "verify_mul_tables", lambda luts: {"mul_tables": "pass"})
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "2000"])
+        assert result.exit_code == 1
+        metrics = json.loads(result.stdout)["metrics"]
+        assert (metrics["gemm_rows"], metrics["mul_tables"], metrics["quantizer_parity"]) == ("fail", "pass", "pass")
 
 
 def _write_config(tmp_path, doc) -> str:

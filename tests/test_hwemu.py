@@ -19,7 +19,6 @@ from fpq.formats import (
     E2M3,
     E3M0,
     E3M2,
-    E3M4,
     E4M3,
     _rounding_tables,
     decode_bits,
@@ -58,6 +57,13 @@ ADDRESSES = range(-64, 64)  # the 7-bit signed bus
 TABLE_PAIRS = [(E2M1, E2M1), (E1M2, E2M1)]
 # Every (negative, positive) grid pair the DFQ search can pick.
 SEARCH_PAIRS = list(product(DFQ_CANDIDATE_FORMATS, repeat=2))
+# max |k_act * k_wt * a * b| of each multiplier the emulator runs: the FP4
+# pairs, E1M2 x E1M2, and the FP6 pairs, none of which an 8-bit product
+# code holds.
+MUL_PEAKS = {
+    (E2M1, E2M1): 144, (E1M2, E2M1): 84, (E3M0, E2M1): 768, (E1M2, E1M2): 49,
+    (E2M3, E2M1): 720, (E3M2, E2M1): 5376, (E2M3, E2M3): 3600, (E3M2, E3M2): 200704,
+}
 
 
 def _pair_id(pair) -> str:
@@ -65,8 +71,9 @@ def _pair_id(pair) -> str:
 
 
 # The tables as the datapath built them when it was wired for E2M1 and
-# E1M2/E2M1 alone: address tables, product codes (E4M3, E3M4) and the
-# sha256 of the product-to-integer tables.
+# E1M2/E2M1 alone: the address tables, and the sha256 of the int16 integer
+# products of three multipliers (then a product-code table and a
+# product-to-integer table, prod_to_int[mul_lut]).
 PARENT_ADDRESS = {
     (E2M1, E2M1): bytes.fromhex(
         "000000010101020202020203030304040404040404050505050505050606060606060606060606060607070707070707"
@@ -78,22 +85,9 @@ PARENT_ADDRESS = {
         "0f0f0f0f0f0f0e0e0e0e0e0d0d0d0c0c0c0c0c0b0b0b0a0a0a0a0a0909090000"),
 }
 PARENT_PRODUCT = {
-    (E2M1, E2M1): (bytes.fromhex(
-        "0000000000000000000000000000000000283034383c404400a8b0b4b8bcc0c40030383c4044484c00b0b8bcc0c4c8cc"
-        "00343c4144494c5100b4bcc1c4c9ccd100384044484c505400b8c0c4c8ccd0d4003c44494c51545900bcc4c9ccd1d4d9"
-        "0040484c5054585c00c0c8ccd0d4d8dc00444c5154595c6100c4ccd1d4d9dce100000000000000000000000000000000"
-        "00a8b0b4b8bcc0c400283034383c404400b0b8bcc0c4c8cc0030383c4044484c00b4bcc1c4c9ccd100343c4144494c51"
-        "00b8c0c4c8ccd0d400384044484c505400bcc4c9ccd1d4d9003c44494c51545900c0c8ccd0d4d8dc0040484c5054585c"
-        "00c4ccd1d4d9dce100444c5154595c61"),
-        "e8d61e475e462f20c5d7c7055a2e4fae845c9b298f6505192c90feee587274fe"),
-    (E1M2, E2M1): (bytes.fromhex(
-        "0000000000000000000000000000000000102028303840480090a0a8b0b8c0c8002030384048505800a0b0b8c0c8d0d8"
-        "002838424852586200a8b8c2c8d2d8e2003040485058606800b0c0c8d0d8e0e80034444e545e646e00b4c4ced4dee4ee"
-        "003848525862687200b8c8d2d8e2e8f2003c4c555c656c7500bcccd5dce5ecf500000000000000000000000000000000"
-        "0090a0a8b0b8c0c8001020283038404800a0b0b8c0c8d0d8002030384048505800a8b8c2c8d2d8e20028384248525862"
-        "00b0c0c8d0d8e0e8003040485058606800b4c4ced4dee4ee0034444e545e646e00b8c8d2d8e2e8f20038485258626872"
-        "00bcccd5dce5ecf5003c4c555c656c75"),
-        "c4ff5a8f7d0b4708dd0a81e5557095f2cdfaca8d4106fc7ff1565fa1ce9c069c"),
+    (E2M1, E2M1): "d5fb0071f293602a07bf925534af70bd3dfce9e4b0909d71b02b08989899d004",
+    (E1M2, E2M1): "c305e3f313389ca6405665216335af62cbb236314aa747c51f6d5ad0506d09dc",
+    (E3M0, E2M1): "6d264547c0dbd5b8bb897f24f75f0dc607de729b1ca5dfd0956757ec10270d05",
 }
 
 
@@ -176,13 +170,12 @@ class TestAddressTables:
 
     def test_tables_equal_the_parent_bytes(self) -> None:
         fresh = build_tables()
-        assert set(fresh.address) == set(PARENT_ADDRESS) and set(fresh.product) == set(PARENT_PRODUCT)
+        assert set(fresh.address) == set(fresh.product) == set(TABLE_PAIRS)
         for pair, want in PARENT_ADDRESS.items():
             assert fresh.address[pair].tobytes() == want
-        for pair, (mul, p2i_sha) in PARENT_PRODUCT.items():
-            got_mul, got_p2i = fresh.product[pair]
-            assert got_mul.dtype == np.uint8 and got_mul.tobytes() == mul
-            assert got_p2i.dtype == np.int32 and hashlib.sha256(got_p2i.tobytes()).hexdigest() == p2i_sha
+        for pair, sha in PARENT_PRODUCT.items():
+            mul = fresh.multiplier(*pair)
+            assert mul.dtype == np.int16 and hashlib.sha256(mul.tobytes()).hexdigest() == sha
 
     def test_quantizers_form_the_address(self) -> None:
         # Through a table that echoes its index, the quantizer returns the
@@ -399,75 +392,87 @@ def _k(fmt) -> float:
     return 1 / grid[grid > 0].min()
 
 
-def _exhaustive_products(act, wt, product_format) -> None:
-    """Every code pair of the (act, wt) multiplier gives the exact product in
-    ``product_format`` and k_act * k_wt times it as an integer."""
-    mul, p2i = LUTS.multiplier(act, wt)
+def _exhaustive_products(act, wt) -> None:
+    """Every code pair of the (act, wt) multiplier holds k_act * k_wt times
+    the exact product of the decoded operands."""
+    mul = LUTS.multiplier(act, wt)
+    assert len(mul) == act.code_count * wt.code_count and not mul.flags.writeable
     k = Fraction(_k(act) * _k(wt))
     for a in range(act.code_count):
         va = Fraction(decode_bits(act, a))
         for b in range(wt.code_count):
-            p = va * Fraction(decode_bits(wt, b))
-            code = int(mul[(a << wt.width) | b])
-            assert Fraction(decode_bits(product_format, code)) == p
-            assert p2i[code] == p * k
+            assert int(mul[(a << wt.width) | b]) == va * Fraction(decode_bits(wt, b)) * k
 
 
 class TestMulTables:
     def test_spot_products(self) -> None:
-        mul, p2i = LUTS.multiplier(E2M1, E2M1)
+        mul = LUTS.multiplier(E2M1, E2M1)
         c = encode(E2M1, 1.5).bits
-        addr = (c << 4) | c
-        assert decode_bits(E4M3, int(mul[addr])) == 2.25
-        assert p2i[mul[addr]] == 9
+        assert mul[(c << 4) | c] == 9  # 2.25 * 4
         c6 = encode(E2M1, 6.0).bits
-        assert decode_bits(E4M3, int(mul[(c6 << 4) | c6])) == 36.0
-        assert p2i[mul[(c6 << 4) | c6]] == 144
+        assert mul[(c6 << 4) | c6] == 144
 
     def test_zero_times_anything(self) -> None:
-        mul, p2i = LUTS.multiplier(E2M1, E2M1)
+        mul = LUTS.multiplier(E2M1, E2M1)
         for b in range(16):
             assert mul[(0 << 4) | b] == 0
-            assert p2i[mul[(b << 4) | 0]] == 0
+            assert mul[(b << 4) | 0] == 0
 
     def test_exhaustive_e2m1_pairs_exact(self) -> None:
-        _exhaustive_products(E2M1, E2M1, E4M3)
+        _exhaustive_products(E2M1, E2M1)
 
     def test_exhaustive_dfq_pairs_exact(self) -> None:
-        _exhaustive_products(E1M2, E2M1, E3M4)
+        _exhaustive_products(E1M2, E2M1)
 
-    @pytest.mark.parametrize("act, wt", [p for p in SEARCH_PAIRS if p != (E1M2, E1M2)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("act, wt", SEARCH_PAIRS, ids=lambda f: f.name)
     def test_exhaustive_search_grid_pairs_exact(self, act, wt) -> None:
-        # E1M2 x E2M1 significand products need a fourth mantissa bit, which
-        # E3M4 has.  E1M2 x E3M0 products reach 3.5 * 16 = 56, past E3M4's 31,
-        # and, like the rest, need no more than E4M3's three mantissa bits.
-        _exhaustive_products(act, wt, E3M4 if {act, wt} == {E1M2, E2M1} else E4M3)
+        _exhaustive_products(act, wt)
+
+    @pytest.mark.parametrize("act, wt", MUL_PEAKS, ids=lambda f: f.name)
+    def test_exhaustive_emulated_pairs_exact(self, act, wt) -> None:
+        # int16 holds every peak but E3M2 x E3M2's 448 * 448 = 200704.
+        _exhaustive_products(act, wt)
+        mul = LUTS.multiplier(act, wt)
+        assert np.abs(mul).max() == MUL_PEAKS[act, wt]
+        assert mul.dtype == (np.int32 if (act, wt) == (E3M2, E3M2) else np.int16)
 
     def test_e4m3_would_reject_mixed_products(self) -> None:
         with pytest.raises(ValueError, match="not on the E4M3 grid"):
             encode(E4M3, 3.5 * 6.0)
-        mul, _ = build_mul_lut(E1M2, E2M1)
+        mul = build_mul_lut(E1M2, E2M1)
         a, b = encode(E1M2, 3.5).bits, encode(E2M1, 6.0).bits
-        assert decode_bits(E3M4, int(mul[(a << 4) | b])) == 21.0
+        assert mul[(a << 4) | b] == 21 * 4
 
-    @pytest.mark.parametrize("act, wt", [(E1M2, E1M2), (E2M3, E2M1)], ids=lambda f: f.name)
-    def test_pair_no_product_format_holds(self, act, wt) -> None:
-        # 1.75 * 1.75 = 2 * 1.53125 and the FP6 product 7.5 * 6 = 45 =
-        # 2^5 * 1.40625 need five mantissa bits; E3M4 has four.
-        with pytest.raises(ValueError, match=f"no product format holds every {act.name} x {wt.name} product"):
-            build_mul_lut(act, wt)
+    @pytest.mark.parametrize("act, wt, x, y", [(E1M2, E1M2, 3.5, 3.5), (E2M3, E2M1, 7.5, 6.0)],
+                             ids=["E1M2-E1M2", "E2M3-E2M1"])
+    def test_pair_past_the_8bit_product_codes_builds_exact(self, act, wt, x, y) -> None:
+        # 3.5 * 3.5 = 2^3 * 1.53125 and the FP6 product 7.5 * 6 = 45 =
+        # 2^5 * 1.40625 need five mantissa bits, one more than E3M4 has.
+        mul = build_mul_lut(act, wt)
+        assert mul[(encode(act, x).bits << wt.width) | encode(wt, y).bits] == x * y * _k(act) * _k(wt)
+        assert mul.tobytes() == LUTS.multiplier(act, wt).tobytes()
+        _exhaustive_products(act, wt)
 
     def test_verify_helper(self) -> None:
         report = verify_mul_tables(LUTS)
         assert report == {"mul_tables": "pass", "mul_exact": {
-            "E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256"}}
+            "E1M2xE2M1": "256/256", "E2M1xE2M1": "256/256", "E3M0xE2M1": "256/256",
+            "E2M3xE2M3": "4096/4096", "E2M3xE3M2": "4096/4096",
+            "E3M2xE2M3": "4096/4096", "E3M2xE3M2": "4096/4096"}}
 
     def test_verify_counts_a_wrong_product(self) -> None:
-        mul, p2i = LUTS.multiplier(E3M0, E2M1)
-        mul = mul.copy()
+        mul = LUTS.multiplier(E3M0, E2M1).copy()
         mul[(encode(E3M0, 16.0).bits << 4) | encode(E2M1, 6.0).bits] ^= 1
-        report = verify_mul_tables(LutTables(product={(E3M0, E2M1): (mul, p2i)}))
+        report = verify_mul_tables(LutTables(product={(E3M0, E2M1): mul}))
         assert report["mul_tables"] == "fail" and report["mul_exact"]["E3M0xE2M1"] == "255/256"
+
+    def test_verify_checks_the_decoded_products(self, monkeypatch) -> None:
+        # The expected entries come from decode_bits, not from the build's
+        # own k-scaled values: a build from doubled values keeps only the
+        # 60 entries with a zero operand (two zero codes of 16 each side).
+        monkeypatch.setattr(hwemu, "_int_values", lambda fmt: 2 * _k_values(fmt))
+        report = verify_mul_tables(LutTables())
+        assert report["mul_tables"] == "fail" and report["mul_exact"]["E2M1xE2M1"] == "60/256"
 
 
 class TestEmuDot:
@@ -520,9 +525,13 @@ class TestEmuDot:
         with pytest.raises(ValueError, match="length mismatch"):
             emu_dot([1, 2], [1], LUTS)
 
-    def test_pair_without_product_format(self) -> None:
-        with pytest.raises(ValueError, match="no product format holds every E1M2 x E1M2 product"):
-            emu_dot([1], [1], LUTS, E1M2, E1M2)
+    @pytest.mark.parametrize("act, wt", [(E1M2, E1M2), (E2M3, E2M1), (E3M2, E3M2)], ids=lambda f: f.name)
+    def test_pairs_past_the_8bit_product_codes(self, act, wt) -> None:
+        rng = np.random.default_rng(18)
+        a = rng.integers(0, act.code_count, 128).astype(np.uint8)
+        b = rng.integers(0, wt.code_count, 128).astype(np.uint8)
+        want = sum(Fraction(decode_bits(act, int(x))) * Fraction(decode_bits(wt, int(y))) for x, y in zip(a, b))
+        assert emu_dot(a, b, LUTS, act, wt) == want * Fraction(_k(act) * _k(wt))
 
     @pytest.mark.parametrize("variant", ["e2m1", "dfq"])
     @pytest.mark.parametrize("a, b", [
@@ -543,11 +552,12 @@ def _k_values(fmt) -> np.ndarray:
     return _k(fmt) * decode_bits(fmt, np.arange(fmt.code_count))
 
 
-def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales, groups) -> np.ndarray:
+def _gemm_planes_oracle(code_planes, w_codes, w_format, w_scales, groups, peak) -> np.ndarray:
     """``hwemu._gemm_planes`` with a float64 copy of every accumulator and
-    a fresh rows x out array for every rescale."""
+    a fresh rows x out array for every rescale; the accumulator peak it is
+    given must be the largest |k_act * a * k_wt * b|."""
     w_tab = _k_values(w_format)
-    peak = max(np.abs(_k_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
+    assert peak == max(np.abs(_k_values(f)).max() for _, f, _ in code_planes) * np.abs(w_tab).max()
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
     w_vals = w_tab.astype(dtype)[w_codes]
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
@@ -773,7 +783,7 @@ class TestEmuGemm:
         # The kind-derived scale matrices give the same bytes.
         sx = _scales_2d(xq.scales, 3, len(groups), gx)
         sw = _scales_2d(wq.scales, 4, len(groups), gw)
-        want = _gemm_planes_oracle([(xq.codes, E2M1, sx)], wq.codes, E2M1, sw, groups)
+        want = _gemm_planes_oracle([(xq.codes, E2M1, sx)], wq.codes, E2M1, sw, groups, 144)
         assert out.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_group_misalignment_rejected(self) -> None:
@@ -788,21 +798,80 @@ class TestEmuGemm:
         x = quantize(np.ones((2, 128)), E2M1, PT)
         with pytest.raises(ValueError, match="micro-float codes"):
             emu_gemm(x, rtn_int_quantize(np.ones((2, 128)), 4), LUTS)
-        with pytest.raises(ValueError, match="no product format holds every E2M1 x E2M3 product"):
-            emu_gemm(x, quantize(np.ones((2, 128)), E2M3, PT), LUTS)
-        with pytest.raises(ValueError, match="no product format holds every E1M2 x E1M2 product"):
-            emu_gemm(dfq_quantize(np.ones((2, 128)), E1M2, E2M1), quantize(np.ones((2, 128)), E1M2, PT))
+
+    @pytest.mark.parametrize("act, wt", [(E2M3, E2M1), (E3M2, E3M2)], ids=lambda f: f.name)
+    def test_fp6_rows_match_the_table_walk(self, act, wt) -> None:
+        rng = np.random.default_rng(19)
+        g = Granularity.per_group(128)
+        xq = quantize(rng.standard_normal((3, 256)) * rng.uniform(0.1, 10, 256), act, g)
+        wq = quantize(rng.standard_normal((4, 256)), wt, g)
+        out = emu_gemm(xq, wq, LUTS)
+        for t in range(3):
+            assert out[t].view(np.uint64).tolist() == _table_walk_row(xq, wq, t).view(np.uint64).tolist()
+
+    def test_e3m2_pair_takes_the_float64_accumulator(self, monkeypatch) -> None:
+        # 200704 * 128 passes 2^24: 127 products 28 * 28 and one of the
+        # smallest subnormals, 1/16 * 1/16, sum to 256 * 127 * 784 + 1, an
+        # odd integer past 2^24 that float32 would round.
+        x = np.full((1, 128), 28.0)
+        x[0, 0] = 1 / 16
+        g = Granularity.per_group(128)
+        xq, wq = quantize(x, E3M2, g), quantize(x, E3M2, g)
+        acc = emu_dot(xq.codes[0], wq.codes[0], LUTS, E3M2, E3M2)
+        assert acc == 200704 * 127 + 1 and acc > 2**24
+        peaks = []
+
+        def spy(*args):
+            peaks.append(args[-1])
+            return _gemm_planes(*args)
+
+        _gemm_planes = hwemu._gemm_planes
+        monkeypatch.setattr(hwemu, "_gemm_planes", spy)
+        assert emu_gemm(xq, wq, LUTS)[0, 0] == acc / 256 and peaks == [200704]
+
+    def test_fp6_dfq_planes_run(self) -> None:
+        g = Granularity.per_group(128)
+        x = gelu_activations(20, (3, 256))
+        w = np.random.default_rng(21).standard_normal((4, 256))
+        dq, wq = dfq_quantize(x, E2M3, E3M2, g), quantize(w, E3M2, g)
+        assert np.any(dq.neg_codes) and np.any(dq.pos_codes)
+        out = emu_gemm(dq, wq, LUTS)
+        for t in range(3):
+            assert out[t].view(np.uint64).tolist() == _table_walk_row(dq, wq, t).view(np.uint64).tolist()
+        want = dequantize(dq) @ dequantize(wq).T
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _table_walk_row(xq, wq, t: int) -> np.ndarray:
+    """Row ``t`` of ``emu_gemm``'s output from ``emu_dot`` over each per_group
+    unit pair of each plane, rescaled in the GEMM's order; each dot is
+    checked against the ``Fraction`` sum of its products."""
+    width = wq.granularity.group_size
+    n_groups = wq.codes.shape[1] // width
+    sw = np.reshape(wq.scales, (-1, n_groups))
+    row = np.zeros(wq.codes.shape[0])
+    for o, w_codes in enumerate(wq.codes):
+        for gi, c in enumerate(range(0, wq.codes.shape[1], width)):
+            for codes, fmt, sx in xq.planes:
+                a, b = codes[t, c:c + width], w_codes[c:c + width]
+                k = _k(fmt) * _k(wq.format)
+                dot = emu_dot(a, b, LUTS, fmt, wq.format)
+                assert dot == k * sum(Fraction(decode_bits(fmt, int(p))) * Fraction(decode_bits(wq.format, int(q)))
+                                      for p, q in zip(a, b))
+                row[o] += dot * (np.reshape(sx, (-1, n_groups))[t, gi] * sw[o, gi]) * (1 / k)
+    return row
 
 
 class TestParitySuite:
     def test_verify_quantizer_parity(self) -> None:
         report = verify_quantizer_parity(50_000, seed=1, luts=LUTS)
         assert report["quantizer_parity"] == "pass"
-        keys = [f.name for f in DFQ_CANDIDATE_FORMATS] + [_pair_id(p) for p in SEARCH_PAIRS]
+        keys = [f.name for f in (*DFQ_CANDIDATE_FORMATS, E2M3, E3M2)] + [_pair_id(p) for p in SEARCH_PAIRS]
         assert list(report["mismatches"]) == list(report["addr_frac_bits"]) == keys
         assert set(report["mismatches"].values()) == {0} and report["scale_mismatches"] == []
         assert report["addr_frac_bits"]["E2M1"] == report["addr_frac_bits"]["E1M2/E2M1"] == 2
         assert report["addr_frac_bits"]["E3M0"] == report["addr_frac_bits"]["E1M2/E3M0"] == 3
+        assert (report["addr_frac_bits"]["E2M3"], report["addr_frac_bits"]["E3M2"]) == (4, 5)
 
     # q in (0.25, 0.5) for the E2M1 table; in (-0.5, -0.25) for the DFQ
     # table, whose positive part the parity data keeps above q = 1.
