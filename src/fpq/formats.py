@@ -165,12 +165,17 @@ def decode(code: FpCode) -> float:
     return float(_decode_table(code.format)[code.bits])
 
 
+def _checked_table(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
+    """``_decode_table(fmt)``, once every bit pattern in ``bits`` is in range."""
+    if bits.size and (bits.max() >= fmt.code_count or (bits.dtype.kind != "u" and bits.min() < 0)):
+        raise ValueError(f"bit pattern out of range for {fmt.name}")
+    return _decode_table(fmt)
+
+
 def decode_bits(fmt: FpFormat, bits):
     """Decode bit patterns (scalar or array) to values in ``fmt``."""
     arr = np.asarray(bits)
-    if arr.size and (arr.max() >= fmt.code_count or (arr.dtype.kind != "u" and arr.min() < 0)):
-        raise ValueError(f"bit pattern out of range for {fmt.name}")
-    out = _decode_table(fmt)[arr]
+    out = _checked_table(fmt, arr)[arr]
     return float(out) if np.ndim(bits) == 0 else out
 
 
@@ -258,6 +263,11 @@ def _finite(x, op: str) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
+def _row_step(n_cols: int) -> int:
+    """Rows of ``n_cols`` in one slice: about ``_BLOCK`` elements, at least one row."""
+    return max(1, _BLOCK // n_cols)
+
+
 def _lookup(table: np.ndarray, key, x: np.ndarray, scale=None, rescale: bool = False) -> np.ndarray:
     """``table`` at ``key(q, scratch, out)`` of each finite q = ``x / scale``,
     unchecked.  Without ``scale``, any float64 x, one element per row; else x
@@ -265,7 +275,7 @@ def _lookup(table: np.ndarray, key, x: np.ndarray, scale=None, rescale: bool = F
     values back with ``rescale``) and ``key`` may overwrite the quotient."""
     x2 = x.reshape(-1, 1) if scale is None else x
     out = np.empty(x2.shape, table.dtype)
-    step = max(1, _BLOCK // x2.shape[1])
+    step = _row_step(x2.shape[1])
     q = np.empty((min(step, len(x2)), x2.shape[1]))
     keys = np.empty(q.shape, np.int64)
     for r0 in range(0, len(x2), step):

@@ -43,6 +43,7 @@ from .formats import (
     _finite,
     _lookup,
     _nearest,
+    _row_step,
     decode_bits,
     max_value,
 )
@@ -247,24 +248,27 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
     largest |entry| of the planes' multipliers; below 2^24 float32 holds
     them exactly in any BLAS summation order, else float64 does, so the
     matmul reproduces the multiplier-table accumulation integer for integer
-    (the exhaustive product tests pin the per-pair identity).  The rescale
-    is float64, by s_act * s_wt and then the power of two 1 / (k_act *
-    k_wt); groups accumulate in ascending order.  Every rescale reuses one
-    rows x out buffer and reads acc with no float64 copy.
+    (the exhaustive product tests pin the per-pair identity) in one reused
+    rows x out array.  Its float64 rescale by s_act * s_wt / (k_act * k_wt),
+    the power of two folded into s_wt (rounding the same while products are
+    normal floats), runs a slice of rows at a time in one reused buffer;
+    groups accumulate in ascending order.
     """
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
     w_vals = _int_values(w_format).astype(dtype)[w_codes]
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
-    term = np.empty_like(out)
+    step = _row_step(out.shape[1])
+    acc, term = np.empty(out.shape, dtype), np.empty((min(step, len(out)), out.shape[1]))
     for gi, (c0, c1) in enumerate(groups):
         wj = w_vals[:, c0:c1]
-        sw = w_scales[:, gi]
         for codes, fmt, sx in code_planes:
-            xa = _int_values(fmt).astype(dtype)[codes[:, c0:c1]]
-            np.multiply.outer(sx[:, gi], sw, out=term)
-            np.multiply(xa @ wj.T, term, out=term)
-            term *= 1 / (_int_scale(fmt) * _int_scale(w_format))
-            out += term
+            np.matmul(_int_values(fmt).astype(dtype)[codes[:, c0:c1]], wj.T, out=acc)
+            sw = w_scales[:, gi] * (1 / (_int_scale(fmt) * _int_scale(w_format)))
+            for r0 in range(0, len(out), step):
+                t = term[: len(out) - r0]
+                np.multiply.outer(sx[r0:r0 + step, gi], sw, out=t)
+                t *= acc[r0:r0 + step]
+                out[r0:r0 + step] += t
     return out
 
 
@@ -278,8 +282,9 @@ def emu_gemm(xq: QuantizedTensor | DfqResult, wq: QuantizedTensor,
     grid bounds the accumulator.  Activation and weight must have the same
     column count and unit width, and the width must divide the columns.
     """
-    if wq.codes.ndim != 2:
-        raise ValueError("weight codes must be 2-D")
+    for name, codes in (("weight", wq.codes), ("activation", xq.planes[0][0])):
+        if codes.ndim != 2:
+            raise ValueError(f"{name} codes must be 2-D, got shape {codes.shape}")
     peak = 0
     for _, fmt, _ in xq.planes:
         if not (isinstance(fmt, FpFormat) and isinstance(wq.format, FpFormat)):

@@ -11,7 +11,8 @@ earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 values, how per-unit scales expand back over it, and how many columns one
 unit spans.  It hands the rounding kernel (``formats._lookup``) a 2-D view
 and the scales of each slice of its rows, so no quantizer builds a
-full-size scale, quotient or key array.  The unit max, min or absmax is
+full-size scale, quotient or key array; ``dequantize`` decodes and scales
+the same slices straight into its output.  The unit max, min or absmax is
 the finiteness check: a non-finite element makes it non-finite.  A
 quantized result lists its ``planes``, one ``(codes, format, scales)`` per
 code plane on that layout, so consumers never re-derive it.
@@ -29,10 +30,11 @@ from .formats import (
     E2M1,
     E3M0,
     FpFormat,
+    _checked_table,
     _finite,
     _nearest,
     _round,
-    decode_bits,
+    _row_step,
     max_value,
     nearest_codes,
 )
@@ -250,14 +252,23 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
-    """Reconstruct real values: the sum over the planes of decoded codes
-    times their unit scale."""
-    out = None
-    for codes, fmt, scales in q.planes:
-        vals = codes.astype(np.float64) if isinstance(fmt, IntFormat) else decode_bits(fmt, codes)
-        part = vals * q.granularity.expand(scales, q.shape)
-        out = part if out is None else out + part
-    return out
+    """Reconstruct real values: the sum over the planes, in order, of decoded
+    codes times their unit scale, one slice of rows at a time."""
+    g = q.granularity
+    planes = [(g.rows(codes), fmt, g.row_scales(scales, q.shape)) for codes, fmt, scales in q.planes]
+    out = np.empty(planes[0][0].shape)
+    step = _row_step(out.shape[1])
+    vals = np.empty((min(step, len(out)), out.shape[1]))
+    for r0 in range(0, len(out), step):
+        rows = slice(r0, r0 + step)
+        for i, (codes, fmt, scale) in enumerate(planes):
+            c, dst = codes[rows], (vals[: len(out) - r0] if i else out[rows])
+            if isinstance(fmt, FpFormat):
+                c = _checked_table(fmt, c).take(c, out=dst, mode="clip")
+            np.multiply(c, scale(rows), out=dst)
+            if i:
+                out[rows] += dst
+    return out.reshape(q.shape)
 
 
 def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
@@ -334,19 +345,18 @@ DFQ_CANDIDATE_FORMATS: tuple[FpFormat, ...] = (E1M2, E2M1, E3M0)
 
 def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndarray:
     """[i, j] sums the MSE of ``dfq_quantize(t, C[i], C[j], g)`` over the tensors.
-    Each grid rounds every element once, at its part's scale; a part's error
-    is exactly 0 on the other part, so pair (i, j) has where(mask, e[i], e[j])."""
+    Each grid rounds every element once, at its part's scale; pair (i, j) has
+    grid i's squared error summed over the part <= 0 plus grid j's over the rest."""
     cands = DFQ_CANDIDATE_FORMATS
     totals = np.zeros((len(cands), len(cands)))
     for t in tensors:
         split = _dfq_split(t, g, "dfq_search_format")
-        errs = []
-        for fmt in cands:
+        rest, neg, pos = ~split[0], np.empty(len(cands)), np.empty(len(cands))
+        for i, fmt in enumerate(cands):
             err = _round(fmt, g.rows(t), _dfq_scales(split, fmt, fmt, g)[2]).reshape(t.shape)
-            np.subtract(t, err, out=err)
-            errs.append(np.square(err, out=err))
-        for i, j in np.ndindex(totals.shape):
-            totals[i, j] += np.mean(np.where(split[0], errs[i], errs[j]))
+            np.square(np.subtract(t, err, out=err), out=err)
+            neg[i], pos[i] = err.sum(where=split[0]), err.sum(where=rest)
+        totals += np.add.outer(neg, pos) / t.size
     return totals
 
 

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpq import hwemu
+from fpq import formats, hwemu
 from fpq.formats import (
     E1M2,
     E2M1,
@@ -794,6 +797,19 @@ class TestEmuGemm:
         with pytest.raises(ValueError, match="do not match"):
             emu_gemm(xq, wq, LUTS)
 
+    @pytest.mark.parametrize("shape, g", [
+        ((128,), PT),
+        ((2, 3, 128), Granularity.per_group(128)),
+    ], ids=["1d", "3d"])
+    def test_activation_codes_must_be_2d(self, shape, g) -> None:
+        x = gelu_activations(26, shape)
+        wq = quantize(np.ones((4, 128)), E2M1, Granularity.per_group(128) if len(shape) == 3 else PT)
+        for xq in (quantize(x, E2M1, g), dfq_quantize(x, E1M2, E2M1, g)):
+            with pytest.raises(ValueError, match=rf"^activation codes must be 2-D, got shape {re.escape(str(shape))}$"):
+                emu_gemm(xq, wq, LUTS)
+        with pytest.raises(ValueError, match=r"^weight codes must be 2-D, got shape \(128,\)$"):
+            emu_gemm(quantize(np.ones((4, 128)), E2M1, PT), quantize(np.ones(128), E2M1, PT), LUTS)
+
     def test_weight_format_enforced(self) -> None:
         x = quantize(np.ones((2, 128)), E2M1, PT)
         with pytest.raises(ValueError, match="micro-float codes"):
@@ -840,6 +856,63 @@ class TestEmuGemm:
             assert out[t].view(np.uint64).tolist() == _table_walk_row(dq, wq, t).view(np.uint64).tolist()
         want = dequantize(dq) @ dequantize(wq).T
         assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _rescale_case(name: str, rows: int = 13, out_features: int = 11):
+    """(activation, weight) for one rescale layout: DFQ per_token planes with
+    per_channel weights, E2M1 per_group 128, and E3M2 x E3M2 per_group 128,
+    whose partial sums take the float64 accumulator."""
+    rng = np.random.default_rng(23)
+    x = gelu_activations(24, (rows, 256)) * rng.uniform(0.1, 10, 256)
+    w = rng.standard_normal((out_features, 256))
+    g = Granularity.per_group(128)
+    if name == "dfq_per_token":
+        return dfq_quantize(x, E1M2, E2M1, Granularity.per_token()), quantize(w, E2M1, Granularity.per_channel())
+    fmt = {"e2m1_per_group128": E2M1, "e3m2_float64_accumulator": E3M2}[name]
+    return quantize(x, fmt, g), quantize(w, fmt, g)
+
+
+class TestBlockedRescale:
+    """The rescale runs a slice of rows at a time; any slice size gives the
+    bytes of the full-size rescale (``_gemm_planes_oracle``)."""
+
+    @pytest.mark.parametrize("case", ["dfq_per_token", "e2m1_per_group128", "e3m2_float64_accumulator"])
+    @pytest.mark.parametrize("block", [1, 7, 40, 2**15], ids=lambda b: f"block{b}")
+    def test_bytes_match_the_full_size_rescale(self, case: str, block: int, monkeypatch) -> None:
+        # 13 rows of 11 outputs: a 40-element slice holds 3 rows (13 is no
+        # multiple), a 1- or 7-element one a single row wider than itself.
+        xq, wq = _rescale_case(case)
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        got = emu_gemm(xq, wq, LUTS)
+        monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
+        want = emu_gemm(xq, wq, LUTS)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @settings(max_examples=30)
+    @given(rows=st.integers(1, 20), out_features=st.integers(1, 20), block=st.integers(1, 64),
+           case=st.sampled_from(["dfq_per_token", "e2m1_per_group128", "e3m2_float64_accumulator"]))
+    def test_any_slice_size(self, rows: int, out_features: int, block: int, case: str) -> None:
+        xq, wq = _rescale_case(case, rows, out_features)
+        with mock.patch.object(formats, "_BLOCK", block):
+            got = emu_gemm(xq, wq, LUTS)
+        with mock.patch.object(hwemu, "_gemm_planes", _gemm_planes_oracle):
+            want = emu_gemm(xq, wq, LUTS)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_makes_no_second_rows_by_out_float64_array(self) -> None:
+        # 1024 x 1024 float64 is 8 MiB: the float32 accumulator (4 MiB), the
+        # weight values (1 MiB) and one group of activation values fit below
+        # it; a rows x out float64 term buffer beside ``out`` would not.
+        g = Granularity.per_group(128)
+        rng = np.random.default_rng(25)
+        xq, wq = (quantize(rng.standard_normal((1024, 256)), E2M1, g) for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = emu_gemm(xq, wq, LUTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < out.nbytes
 
 
 def _table_walk_row(xq, wq, t: int) -> np.ndarray:

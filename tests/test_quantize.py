@@ -28,6 +28,7 @@ from fpq.formats import (
 from fpq.hwemu import dfq_lut_quantize, lut_quantize
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
+    DfqResult,
     Granularity,
     IntFormat,
     QuantizedTensor,
@@ -44,7 +45,7 @@ from fpq.quantize import (
     quantize,
     rtn_int_quantize,
 )
-from fpq.synth import gelu_activations
+from fpq.synth import gaussian_channel_weights, gelu_activations
 
 PT = Granularity.per_tensor()
 _SHIPPED = sorted(FORMATS.values(), key=lambda f: f.name)
@@ -496,19 +497,29 @@ class TestDfqPlanes:
 
 def _search_oracle(tensors, g: Granularity):
     """The exhaustive search: nine full dual quantizations per tensor, scanned
-    with strict ``<`` in (negative, positive) order.  Returns the pick and the
-    3x3 table of summed MSEs."""
+    with strict ``<`` in (negative, positive) order.  Each pair's squared
+    error is summed over the part <= 0 and over the rest, the reduction
+    ``_dfq_search_totals`` makes.  Returns the pick and the 3x3 table of
+    summed MSEs."""
     best, best_mse = None, np.inf
     totals = np.zeros((3, 3))
     for i, neg_fmt in enumerate(DFQ_CANDIDATE_FORMATS):
         for j, pos_fmt in enumerate(DFQ_CANDIDATE_FORMATS):
             total = 0.0
             for t in tensors:
-                total += quant_mse(t, dequantize(dfq_quantize(t, neg_fmt, pos_fmt, g)))
+                err = (t - dequantize(dfq_quantize(t, neg_fmt, pos_fmt, g))) ** 2
+                total += (err.sum(where=t <= 0) + err.sum(where=t > 0)) / err.size
             totals[i, j] = total
             if total < best_mse:
                 best_mse, best = total, (neg_fmt, pos_fmt)
     return best, totals
+
+
+def _mean_where_totals(tensors, g: Granularity) -> np.ndarray:
+    """The search totals as nine-pair means: each pair's MSE as one
+    ``np.mean`` over the whole tensor, not as two part sums."""
+    return np.array([[sum(quant_mse(t, dequantize(dfq_quantize(t, neg, pos, g))) for t in tensors)
+                      for pos in DFQ_CANDIDATE_FORMATS] for neg in DFQ_CANDIDATE_FORMATS])
 
 
 class TestSeparableSearch:
@@ -543,6 +554,23 @@ class TestSeparableSearch:
         assert pick == _search_oracle(tensors, g)[0]
         tied = {"positive": pick[:1], "non_positive": pick[1:], "zero": pick}[sign]
         assert all(f == E1M2 for f in tied)
+
+    @pytest.mark.parametrize("g", [PT, Granularity.per_token(), Granularity.per_group(128)],
+                             ids=lambda g: f"{g.kind}{g.group_size}")
+    @pytest.mark.parametrize("kind", ["gelu", "channel_scaled_gaussian"])
+    def test_picks_equal_the_whole_tensor_means(self, g: Granularity, kind: str) -> None:
+        # Summing each part once moves the totals by rounding only: the
+        # picks stay those of one mean per pair over the whole tensor.
+        for seed in range(10):
+            if kind == "gelu":
+                tensors = [gelu_activations(100 * seed + i, (32, 256)) for i in range(2)]
+            else:
+                tensors = [gaussian_channel_weights(100 * seed + i, 256, 32).T for i in range(2)]
+            means = _mean_where_totals(tensors, g)
+            totals = _dfq_search_totals(tensors, g)
+            np.testing.assert_allclose(totals, means, rtol=1e-13, atol=0)
+            i, j = np.unravel_index(np.argmin(means), means.shape)
+            assert dfq_search_format(tensors, g) == (DFQ_CANDIDATE_FORMATS[i], DFQ_CANDIDATE_FORMATS[j])
 
 
 class TestMultiBlock:
@@ -584,6 +612,78 @@ class TestMultiBlock:
         tensors = [x[:70], x[70:]]
         totals = _dfq_search_totals(tensors, g)
         assert totals.view(np.uint64).tolist() == _search_oracle(tensors, g)[1].view(np.uint64).tolist()
+
+
+def _dequantize_oracle(q) -> np.ndarray:
+    """The whole-array ``dequantize``: each plane's decoded codes times its
+    expanded unit scales, the planes summed in order."""
+    out = None
+    for codes, fmt, scales in q.planes:
+        vals = codes.astype(np.float64) if isinstance(fmt, IntFormat) else decode_bits(fmt, codes)
+        part = vals * _per_element_scales(scales, q.shape, q.granularity)
+        out = part if out is None else out + part
+    return out
+
+
+class TestSlicedDequantize:
+    """``dequantize`` walks the rows in kernel slices; every slice size gives
+    the bytes of the whole-array formula, for every plane kind."""
+
+    @pytest.mark.parametrize("g", [*_GRANULARITIES, None],
+                             ids=lambda g: f"{g.kind}{g.group_size}" if g else "zero_d")
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_bit_identical_to_whole_array(self, g: Granularity | None, data) -> None:
+        fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        if g is None:
+            g, x = PT, np.float64(data.draw(values))
+        else:
+            cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
+            if g.pad_partial:
+                cols += data.draw(st.integers(0, 7))
+            x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 9)), cols), elements=values))
+        q, r = quantize(x, fmt, g), dfq_quantize(x, neg_fmt, fmt, g)
+
+        def any_codes(f):  # as read back from a file, not only what a quantizer emits
+            return data.draw(arrays(np.uint8, np.shape(x), elements=st.integers(0, f.code_count - 1)))
+
+        results = [q, r, rtn_int_quantize(x, data.draw(st.sampled_from([4, 6, 8])), g),
+                   QuantizedTensor(any_codes(fmt), q.scales, fmt, g, q.shape),
+                   DfqResult(any_codes(neg_fmt), any_codes(fmt), r.s_neg, r.s_pos, neg_fmt, fmt, g, r.shape)]
+        with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
+            got = [dequantize(result) for result in results]
+        for result, values in zip(results, got):
+            want = np.asarray(_dequantize_oracle(result))
+            assert values.shape == want.shape == np.shape(x)
+            assert values.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("dtype, bad", [(np.uint8, 16), (np.int16, 16), (np.int16, -1)])
+    def test_out_of_range_code_raises(self, dtype, bad: int) -> None:
+        g = Granularity.per_group(4)
+        q = quantize(np.ones((3, 8)), E2M1, g)
+        codes = q.codes.astype(dtype)
+        codes[-1, -1] = bad
+        with pytest.raises(ValueError, match="^bit pattern out of range for E2M1$"):
+            dequantize(QuantizedTensor(codes, q.scales, E2M1, g, q.shape))
+        with pytest.raises(ValueError, match="^bit pattern out of range for E2M1$"):
+            dequantize(DfqResult(q.codes, codes, q.scales, q.scales, E1M2, E2M1, g, q.shape))
+
+
+@pytest.mark.parametrize("g", [Granularity.per_token(), Granularity.per_group(128)],
+                         ids=["per_token", "per_group128"])
+def test_dequantize_makes_no_full_size_temporaries(g: Granularity) -> None:
+    """The 8 MiB output of a 1024 x 1024 DFQ result is the only full-size
+    array: decoded codes and expanded scales exist one slice at a time."""
+    r = dfq_quantize(gelu_activations(6, (1024, 1024)), E1M2, E2M1, g)
+    tracemalloc.start()
+    try:
+        out = dequantize(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * 2**20
+    assert out.view(np.uint64).tolist() == _dequantize_oracle(r).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("g", [Granularity.per_token(), Granularity.per_group(128)],
