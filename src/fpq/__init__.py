@@ -15,15 +15,11 @@ from .formats import (
     E3M4,
     E4M3,
     FORMATS,
-    FpCode,
     FpFormat,
-    decode,
     decode_bits,
-    encode,
     get_format,
     grid_values,
     max_value,
-    round_to_grid,
 )
 from .galt import (
     CalibrationSet,

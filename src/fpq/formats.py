@@ -1,28 +1,29 @@
 """Sub-byte floating-point codecs.
 
-Encode/decode and grid enumeration for EjMk micro-float formats (1 sign
-bit, j exponent bits, k mantissa bits), following the OCP microscaling
+Grids, decoding and nearest-grid rounding for EjMk micro-float formats (1
+sign bit, j exponent bits, k mantissa bits), following the OCP microscaling
 encoding rule: normal values decode to (1 + M/2^k) * 2^(E-bias) and the
 E == 0 field is subnormal, decoding to (M/2^k) * 2^(1-bias).  None of the
 shipped formats reserve encodings for Inf or NaN, so every bit pattern
 decodes to a finite real number.
 
 The value grid is symmetric about zero and there are two zero encodings
-(both sign values with E = M = 0); ``encode`` always emits the all-zeros
-pattern so lookup tables never see the redundant code.
+(both sign values with E = M = 0); ``nearest_codes`` always emits the
+all-zeros pattern, so ``decode_bits(fmt, nearest_codes(fmt, x))`` is x
+rounded to the grid and lookup tables never see the redundant code.
 
-Rounding (``round_to_grid``, ``nearest_codes``) is one lookup, like a
-hardware quantizer's LUT, keyed by three integer ops on the float64 bits:
-2i on the lower edge of bucket i (the inputs that share sign, exponent and
-top k + 1 mantissa bits) and 2i + 1 inside it.  Every midpoint between
-grid neighbours has at most k + 1 significant bits, so it is such an edge.
-Ties go to the even magnitude code, the tie rule of the OCP microscaling
-formats.  The sign bit of the key selects the grid: a pair table rounds
-the key half with it clear like a positive format and the other half like
-a negative one, both at the wider k; dual format quantization rounds
-through one.  The kernel (``_lookup``) divides, keys and looks up one
-slice of about ``_BLOCK`` elements at a time in two reused scratch
-buffers, so its output is the only full-size array it makes.
+Rounding is one lookup, like a hardware quantizer's LUT, keyed by three
+integer ops on the float64 bits: 2i on the lower edge of bucket i (the
+inputs that share sign, exponent and top k + 1 mantissa bits) and 2i + 1
+inside it.  Every midpoint between grid neighbours has at most k + 1
+significant bits, so it is such an edge.  Ties go to the even magnitude
+code, the tie rule of the OCP microscaling formats.  The sign bit of the
+key selects the grid: a pair table rounds the key half with it clear like
+a positive format and the other half like a negative one, both at the
+wider k; dual format quantization rounds through one.  The kernel
+(``_lookup``) divides, keys and looks up one slice of about ``_BLOCK``
+elements at a time in two reused scratch buffers, so its output is the
+only full-size array it makes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "FpFormat",
-    "FpCode",
     "FORMATS",
     "E1M2",
     "E2M1",
@@ -46,11 +46,8 @@ __all__ = [
     "get_format",
     "grid_values",
     "max_value",
-    "decode",
     "decode_bits",
-    "encode",
     "nearest_codes",
-    "round_to_grid",
 ]
 
 
@@ -77,20 +74,6 @@ class FpFormat:
     @property
     def code_count(self) -> int:
         return 1 << self.width
-
-
-@dataclass(frozen=True)
-class FpCode:
-    """One encoded value: a bit pattern tied to its format."""
-
-    bits: int
-    format: FpFormat
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < self.format.code_count:
-            raise ValueError(
-                f"code {self.bits:#x} out of range for {self.format.name}"
-            )
 
 
 # Biases: E2M3, E3M2, and E4M3 follow the OCP MX definitions; E2M1 bias=1
@@ -160,11 +143,6 @@ def max_value(fmt: FpFormat) -> float:
     return float(_magnitudes(fmt)[-1])
 
 
-def decode(code: FpCode) -> float:
-    """Decode one code to its exact real value."""
-    return float(_decode_table(code.format)[code.bits])
-
-
 def _checked_table(fmt: FpFormat, bits: np.ndarray) -> np.ndarray:
     """``_decode_table(fmt)``, once every bit pattern in ``bits`` is in range."""
     if bits.size and (bits.max() >= fmt.code_count or (bits.dtype.kind != "u" and bits.min() < 0)):
@@ -177,23 +155,6 @@ def decode_bits(fmt: FpFormat, bits):
     arr = np.asarray(bits)
     out = _checked_table(fmt, arr)[arr]
     return float(out) if np.ndim(bits) == 0 else out
-
-
-def encode(fmt: FpFormat, value: float) -> FpCode:
-    """Encode a value that lies exactly on the grid of ``fmt``.
-
-    Zero always encodes to the all-zeros pattern.  Off-grid values raise;
-    callers that need rounding must go through ``round_to_grid`` first.
-    """
-    if not np.isfinite(value):
-        raise ValueError(f"cannot encode non-finite value {value!r}")
-    hits = np.flatnonzero(_magnitudes(fmt) == abs(value))
-    if not hits.size:
-        raise ValueError(f"{value!r} is not on the {fmt.name} grid")
-    bits = int(hits[0])
-    if value < 0 and bits > 0:
-        bits |= 1 << (fmt.exp_bits + fmt.man_bits)
-    return FpCode(bits, fmt)
 
 
 def _rounding_tables(fmt: FpFormat) -> tuple[np.ndarray, np.ndarray]:
@@ -308,17 +269,6 @@ def _nearest(neg: FpFormat, pos: FpFormat, x, scale=None) -> np.ndarray:
     return _lookup(_bucket_codes(neg, pos), partial(_bits_key, max(neg.man_bits, pos.man_bits)), x, scale)
 
 
-def round_to_grid(fmt: FpFormat, x):
-    """Round scalars or arrays to the nearest grid value of ``fmt``.
-
-    Saturates beyond +-max_value; exact ties resolve to the neighbor whose
-    magnitude code is even, so the result is odd symmetric in the input.
-    The result is the decoded ``nearest_codes`` (zero is always +0).
-    """
-    out = _round(fmt, _finite(x, "round_to_grid"))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 @lru_cache(maxsize=None)
 def _value_table(fmt: FpFormat) -> np.ndarray:
     """Read-only float64 decoded value of every ``_bucket_codes(fmt, fmt)`` entry."""
@@ -328,14 +278,17 @@ def _value_table(fmt: FpFormat) -> np.ndarray:
 
 
 def _round(fmt: FpFormat, x, scale=None) -> np.ndarray:
-    """``round_to_grid`` of finite ``x / scale``, times ``scale`` (see ``_lookup``)."""
+    """Nearest ``fmt`` grid value of each finite ``x / scale``, the decoded
+    ``nearest_codes`` (zero is +0), times ``scale`` (see ``_lookup``)."""
     return _lookup(_value_table(fmt), partial(_bits_key, fmt.man_bits), x, scale, rescale=scale is not None)
 
 
-def nearest_codes(fmt: FpFormat, x) -> np.ndarray:
-    """Bit patterns of the nearest grid values (canonical zero).
-
-    Same rounding as ``round_to_grid`` but returning codes directly; this
-    is the hot path used by the quantizers.
-    """
-    return _nearest(fmt, fmt, _finite(x, "nearest_codes"))
+def nearest_codes(fmt: FpFormat, x, scale=None) -> np.ndarray:
+    """Bit patterns of the grid values nearest x (canonical zero, ties to
+    the even magnitude code, saturating beyond +-max_value).  Without
+    ``scale``, x is any finite scalar or array; with it, the codes are
+    those of x / ``scale(rows)`` over slices of the 2-D rows view x
+    (``Granularity.row_scales``), and the caller's unit absmax checks x finite."""
+    if scale is None:
+        x = _finite(x, "nearest_codes")
+    return _nearest(fmt, fmt, x, scale)

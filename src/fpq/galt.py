@@ -44,8 +44,8 @@ DESK_SCHEDULE: tuple[int, ...] = (1, 4, 9, 16, 25, 36, 64, 100, 169, 256)
 @dataclass
 class CalibrationSet:
     """Per-step (tokens, dim) activation matrices, coarse to fine: at least
-    one step, all with step 0's columns, token counts strictly increasing.
-    The counts and dim are read off the arrays."""
+    one step, all with step 0's columns and at least one token, token counts
+    strictly increasing.  The counts and dim are read off the arrays."""
 
     per_step: list[np.ndarray]
 
@@ -55,6 +55,8 @@ class CalibrationSet:
         for i, x in enumerate(self.per_step):
             if x.ndim != 2 or x.shape[1] != self.dim:
                 raise ValueError(f"calibration step {i} must be 2-D with step 0's columns, got {x.shape}")
+            if not x.shape[0]:
+                raise ValueError(f"calibration step {i} has no tokens, got shape {x.shape}")
         counts = self.step_token_counts
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise ValueError(f"token counts must strictly increase, got {counts}")

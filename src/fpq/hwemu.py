@@ -56,6 +56,8 @@ from .quantize import (
     _dfq_scales,
     _dfq_split,
     _validate_input,
+    dfq_quantize,
+    quantize,
 )
 
 __all__ = [
@@ -69,6 +71,7 @@ __all__ = [
     "emu_gemm",
     "verify_mul_tables",
     "verify_quantizer_parity",
+    "verify_gemm_rows",
 ]
 
 # The FP6 grids emu-check covers besides the DFQ candidates, and the
@@ -327,8 +330,6 @@ def verify_quantizer_parity(
     candidate grid, each FP6 grid and every DFQ grid pair: code mismatches
     per grid ("E2M1") and per pair ("E1M2/E2M1"), and the pairs whose
     scales differ."""
-    from .quantize import dfq_quantize, quantize
-
     pt = Granularity.per_tensor()
     x = np.random.default_rng(seed).standard_normal(n_samples)
     # Skewed data exercises both branches of the dual-format path.
@@ -355,3 +356,19 @@ def verify_quantizer_parity(
         "mismatches": mismatches,
         "scale_mismatches": scale_mismatches,
     }
+
+
+def verify_gemm_rows(luts: LutTables | None = None, seed: int = 0) -> dict:
+    """For every multiplier ``verify_mul_tables`` proves, compare ``emu_gemm``
+    of a small seeded per_group-128 sample entry by entry with the table
+    walk: ``emu_dot`` of each unit pair, rescaled by the unit scales in the
+    GEMM's order."""
+    g, rng = Granularity.per_group(128), np.random.default_rng(seed)
+    for act, wt in _CHECKED_PAIRS:
+        xq, wq = quantize(rng.standard_normal((4, 256)), act, g), quantize(rng.standard_normal((3, 256)), wt, g)
+        out, inv_k = emu_gemm(xq, wq, luts), 1 / (_int_scale(act) * _int_scale(wt))
+        for t, o in np.ndindex(out.shape):
+            dots = (emu_dot(xq.codes[t, c:c + 128], wq.codes[o, c:c + 128], luts, act, wt) for c in (0, 128))
+            if out[t, o] != sum(d * (xq.scales[t, gi] * wq.scales[o, gi]) * inv_k for gi, d in enumerate(dots)):
+                return {"gemm_rows": "fail"}
+    return {"gemm_rows": "pass"}

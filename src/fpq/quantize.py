@@ -8,9 +8,10 @@ separable 3x3 FP4 format search (each element rounded once per grid;
 earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 
 ``Granularity`` owns the unit layout: how a tensor reduces to per-unit
-values, how per-unit scales expand back over it, and how many columns one
-unit spans.  It hands the rounding kernel (``formats._lookup``) a 2-D view
-and the scales of each slice of its rows, so no quantizer builds a
+values, the 2-D rows view the kernel slices, the per-unit scales of each
+slice of those rows, and how many columns one unit spans.  Every quantizer,
+``quantize`` and the INT baseline included, hands the rounding kernel
+(``formats._lookup``) that view and those slice scales, so none builds a
 full-size scale, quotient or key array; ``dequantize`` decodes and scales
 the same slices straight into its output.  The unit max, min or absmax is
 the finiteness check: a non-finite element makes it non-finite.  A
@@ -21,6 +22,7 @@ code plane on that layout, so consumers never re-derive it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -32,6 +34,7 @@ from .formats import (
     FpFormat,
     _checked_table,
     _finite,
+    _lookup,
     _nearest,
     _round,
     _row_step,
@@ -121,14 +124,6 @@ class Granularity:
         grouped = x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs)
         return fn(grouped, axis=-1)
 
-    def expand(self, scales: np.ndarray, shape: tuple[int, ...]):
-        """Per-unit scales expanded so they broadcast against a tensor of ``shape``."""
-        if self.kind == "per_tensor":
-            return scales
-        if self.kind in ("per_channel", "per_token"):
-            return scales[:, None]
-        return np.repeat(scales, self.group_size, axis=-1)[..., : shape[-1]]
-
     def rows(self, x: np.ndarray) -> np.ndarray:
         """``x`` as the 2-D view the kernel slices by rows (per_tensor: one element a row)."""
         return x.reshape(-1, 1) if self.kind == "per_tensor" else x.reshape(-1, x.shape[-1])
@@ -139,8 +134,8 @@ class Granularity:
         if self.kind == "per_tensor":
             return lambda rows: scales
         if self.kind == "per_group":
-            per_row = scales.reshape(-1, scales.shape[-1])
-            return lambda rows: self.expand(per_row[rows], shape)
+            per_row, n = scales.reshape(-1, scales.shape[-1]), shape[-1]
+            return lambda rows: np.repeat(per_row[rows], self.group_size, axis=-1)[:, :n]
         return lambda rows: scales[rows, None]
 
     def width(self, n_cols: int) -> int:
@@ -239,7 +234,7 @@ def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> Qua
     """Absmax-scale each unit and round to the nearest grid value."""
     arr = _validate_input(x, "quantize")
     scales = _absmax_scales(arr, max_value(fmt), g, "quantize")
-    codes = nearest_codes(fmt, arr / g.expand(scales, arr.shape))
+    codes = nearest_codes(fmt, g.rows(arr), g.row_scales(scales, arr.shape)).reshape(arr.shape)
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
@@ -271,6 +266,14 @@ def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
     return out.reshape(q.shape)
 
 
+def _int_key(qmax: int, q: np.ndarray, _, out: np.ndarray) -> None:
+    """The key of ``arange(-qmax, qmax + 1)`` at the integer nearest each
+    quotient q (ties to even): rint(q) clipped to +-qmax, plus qmax."""
+    np.rint(q, out=q)
+    np.clip(q, -qmax, qmax, out=q)
+    np.add(q, qmax, out=out, casting="unsafe")
+
+
 def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) -> QuantizedTensor:
     """Round-to-nearest integer baseline on a symmetric uniform grid."""
     if bits not in (4, 6, 8):
@@ -278,9 +281,9 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
     arr = _validate_input(x, "rtn_int_quantize")
     fmt = IntFormat(f"INT{bits}", bits)
     scales = _absmax_scales(arr, float(fmt.qmax), g, "rtn_int_quantize")
-    scaled = arr / g.expand(scales, arr.shape)
-    codes = np.clip(np.round(scaled), -fmt.qmax, fmt.qmax).astype(np.int8)
-    return QuantizedTensor(codes, scales, fmt, g, arr.shape)
+    table = np.arange(-fmt.qmax, fmt.qmax + 1, dtype=np.int8)
+    codes = _lookup(table, partial(_int_key, fmt.qmax), g.rows(arr), g.row_scales(scales, arr.shape))
+    return QuantizedTensor(codes.reshape(arr.shape), scales, fmt, g, arr.shape)
 
 
 def _dfq_split(arr: np.ndarray, g: Granularity, op: str):

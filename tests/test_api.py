@@ -20,18 +20,16 @@ BENCH = SRC.parents[1] / "bench"
 # each with why it stays public.  A name that gains a caller leaves this
 # tuple; a new public name without one must be added with its reason.
 API_ONLY = (
-    ("formats.FpCode", "the one-code value type encode returns and decode reads"),
     ("formats.E3M4", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.E4M3", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
-    ("formats.decode", "scalar decode of one code, the per-value form of decode_bits"),
-    ("formats.encode", "scalar encode of an on-grid value, the inverse of decode"),
-    ("formats.round_to_grid", "reference rounding to grid values, the oracle of the rounding tables"),
     ("galt.LayerNormAffine", "the AdaLN affine that fuse_lambda folds lambda into"),
     ("galt.OptimizerState", "AdamW moments, for stepping lambda by hand with adamw_step"),
     ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
     ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),
     ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),
+    ("hwemu.LutTables", "the table set build_tables returns and every LUT quantizer, emu_dot and emu_gemm read"),
+    ("hwemu.emu_dot", "the multiplier-table walk of one unit pair, the reference verify_gemm_rows holds emu_gemm to"),
     ("hwemu.build_address_lut", "builds one quantizer address table, for inspecting it"),
     ("hwemu.build_mul_lut", "builds one integer multiplier table, for inspecting it"),
     ("quantize.IntFormat", "the format of rtn_int_quantize results"),

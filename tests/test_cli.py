@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from fpq import hwemu
 from fpq.cli import main
-from fpq.formats import E2M1, E2M3, E3M0, E3M2, encode
+from fpq.formats import E2M1, E2M3, E3M0, E3M2, nearest_codes
 from fpq.quantize import dfq_quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
@@ -319,6 +319,37 @@ class TestGaltInputs:
         ])
         assert _problems(result) == ["galt: calibration step 1 must be 2-D with step 0's columns, got (4, 8)"]
 
+    def test_calibration_step_without_tokens_is_a_json_error(self, tmp_path) -> None:
+        calib, weight = tmp_path / "c.fpqt", tmp_path / "w.fpqt"
+        write_tensor(calib, np.ones((0, 4)))
+        write_tensor(weight, np.ones((2, 4)))
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(calib), "--weight", str(weight), "--group", "4", "--epochs", "1",
+            "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(tmp_path / "r.jsonl"),
+        ])
+        assert _problems(result) == ["galt: calibration step 0 has no tokens, got shape (0, 4)"]
+        assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "lam.fpqt").exists()
+
+    def test_zero_loss_run_writes_strict_json(self, tmp_path) -> None:
+        # All-ones data quantizes exactly, so every loss is 0 and the
+        # improvement ratio has no value.
+        calib, weight, report = tmp_path / "c.fpqt", tmp_path / "w.fpqt", tmp_path / "r.jsonl"
+        write_tensor(calib, np.ones((2, 4)))
+        write_tensor(weight, np.ones((2, 4)))
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(calib), "--weight", str(weight), "--granularity", "per_tensor",
+            "--group", "4", "--epochs", "2", "--out-lambda", str(tmp_path / "lam.fpqt"),
+            "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        records = [json.loads(line, parse_constant=reject) for line in report.read_text().splitlines()]
+        assert len(records) == 4 and records[-1]["metrics"]["best_loss"] == 0.0
+        assert records[-1]["metrics"]["improvement"] is None
+
     @pytest.mark.parametrize("flags", [
         ["--dim", "0"], ["--out-features", "0"], ["--epochs", "-3"], ["--outlier-channels", "-1"],
     ])
@@ -383,7 +414,7 @@ class TestEmuCheck:
         def bumped():
             luts = build()
             mul = luts.multiplier(E3M2, E3M2).copy()
-            c = encode(E3M2, 8.0).bits
+            c = int(nearest_codes(E3M2, 8.0))
             mul[(c << E3M2.width) | c] += 1
             return hwemu.LutTables(luts.address, {**luts.product, (E3M2, E3M2): mul})
 

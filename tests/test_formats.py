@@ -21,7 +21,6 @@ from fpq.formats import (
     E3M4,
     E4M3,
     FORMATS,
-    FpCode,
     FpFormat,
     _bucket_codes,
     _decode_table,
@@ -29,14 +28,11 @@ from fpq.formats import (
     _round,
     _rounding_tables,
     _value_table,
-    decode,
     decode_bits,
-    encode,
     get_format,
     grid_values,
     max_value,
     nearest_codes,
-    round_to_grid,
 )
 
 # Reference FP4 value grids, one row per format (goldens).
@@ -99,31 +95,31 @@ class TestGrids:
             assert get_format(name).name == name
 
 
+def _codes_of(fmt: FpFormat, values) -> list[int]:
+    """Canonical codes of on-grid values, by their place in ``grid_values``:
+    the code list of the threshold search in ``_rounding_tables``."""
+    return _rounding_tables(fmt)[1][np.searchsorted(grid_values(fmt), values)].tolist()
+
+
 class TestDecodeEncode:
     def test_decode_examples(self) -> None:
-        assert decode(FpCode(0b0111, E2M1)) == 6.0
-        assert decode(FpCode(0b1000, E2M1)) == 0.0  # negative-zero pattern
-        assert decode(FpCode(0b000000, E3M2)) == 0.0  # subnormal zero
+        assert decode_bits(E2M1, 0b0111) == 6.0
+        assert decode_bits(E2M1, 0b1000) == 0.0  # negative-zero pattern
+        assert decode_bits(E3M2, 0b000000) == 0.0  # subnormal zero
 
     def test_encode_examples(self) -> None:
-        assert encode(E2M1, 6.0).bits == 0b0111
-        assert encode(E2M1, 0.0).bits == 0b0000
-        assert encode(E3M0, 0.25).bits == 0b0001
-
-    def test_encode_rejects_off_grid(self) -> None:
-        with pytest.raises(ValueError, match="not on the E2M1 grid"):
-            encode(E2M1, 5.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            encode(E2M1, float("nan"))
+        assert nearest_codes(E2M1, 6.0) == 0b0111
+        assert nearest_codes(E2M1, 0.0) == nearest_codes(E2M1, -0.0) == 0b0000
+        assert nearest_codes(E3M0, 0.25) == 0b0001
+        assert nearest_codes(E2M1, -6.0) == 0b1111
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_roundtrip_every_code(self, fmt: FpFormat) -> None:
+        bits = np.arange(fmt.code_count)
         neg_zero = 1 << (fmt.width - 1)
-        for bits in range(fmt.code_count):
-            value = decode(FpCode(bits, fmt))
-            back = encode(fmt, value)
-            canonical = 0 if bits == neg_zero else bits
-            assert back.bits == canonical
+        back = nearest_codes(fmt, decode_bits(fmt, bits))
+        assert back.tolist() == np.where(bits == neg_zero, 0, bits).tolist()
+        assert back.tolist() == _codes_of(fmt, decode_bits(fmt, bits))
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_decode_monotone_in_magnitude_bits(self, fmt: FpFormat) -> None:
@@ -135,66 +131,65 @@ class TestDecodeEncode:
         with pytest.raises(ValueError, match="out of range"):
             decode_bits(E2M1, 16)
 
-    def test_code_out_of_range(self) -> None:
-        with pytest.raises(ValueError, match="out of range"):
-            FpCode(0b10000, E2M1)
-
 
 class TestRoundToGrid:
+    """Rounding through the array API: ``decode_bits`` of ``nearest_codes``."""
+
     def test_examples(self) -> None:
-        assert round_to_grid(E2M1, 5.1) == 6.0
-        assert round_to_grid(E2M1, 5.0) == 4.0  # tie; code of 4 has even LSB
-        assert round_to_grid(E2M1, 100.0) == 6.0  # saturation
-        assert round_to_grid(E2M1, -100.0) == -6.0
+        assert decode_bits(E2M1, nearest_codes(E2M1, 5.1)) == 6.0
+        assert decode_bits(E2M1, nearest_codes(E2M1, 5.0)) == 4.0  # tie; code of 4 has even LSB
+        assert decode_bits(E2M1, nearest_codes(E2M1, 100.0)) == 6.0  # saturation
+        assert decode_bits(E2M1, nearest_codes(E2M1, -100.0)) == -6.0
 
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="finite"):
-            round_to_grid(E2M1, float("inf"))
+            nearest_codes(E2M1, float("inf"))
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_all_midpoint_ties(self, fmt: FpFormat) -> None:
         g = grid_values(fmt)
         mids = (g[:-1] + g[1:]) / 2
-        for m in mids:
-            assert round_to_grid(fmt, float(m)) == _nearest_by_scan(fmt, float(m))
+        got = decode_bits(fmt, nearest_codes(fmt, mids))
+        assert got.tolist() == [_nearest_by_scan(fmt, float(m)) for m in mids]
 
     @pytest.mark.parametrize("fmt", [E1M2, E2M1, E3M0, E2M3], ids=lambda f: f.name)
     def test_nearest_against_scan_oracle(self, fmt: FpFormat) -> None:
         rng = np.random.default_rng(42)
         xs = rng.uniform(-1.5 * max_value(fmt), 1.5 * max_value(fmt), 500)
-        for x in xs:
-            assert round_to_grid(fmt, float(x)) == _nearest_by_scan(fmt, float(x))
+        got = decode_bits(fmt, nearest_codes(fmt, xs))
+        assert got.tolist() == [_nearest_by_scan(fmt, float(x)) for x in xs]
 
     def test_nearest_property(self) -> None:
         rng = np.random.default_rng(7)
         xs = rng.uniform(-6, 6, 1000)
         grid = grid_values(E2M1)
-        r = round_to_grid(E2M1, xs)
+        r = decode_bits(E2M1, nearest_codes(E2M1, xs))
         for x, v in zip(xs, r):
             assert abs(x - v) <= np.abs(x - grid).min() + 1e-15
 
     def test_idempotent(self) -> None:
         rng = np.random.default_rng(3)
         xs = rng.uniform(-10, 10, 1000)
-        once = round_to_grid(E2M1, xs)
-        np.testing.assert_array_equal(round_to_grid(E2M1, once), once)
+        codes = nearest_codes(E2M1, xs)
+        np.testing.assert_array_equal(nearest_codes(E2M1, decode_bits(E2M1, codes)), codes)
 
     def test_odd_symmetry(self) -> None:
         rng = np.random.default_rng(5)
         xs = np.concatenate([rng.uniform(-8, 8, 1000), (grid_values(E2M1)[:-1] + grid_values(E2M1)[1:]) / 2])
-        np.testing.assert_array_equal(round_to_grid(E2M1, -xs), -round_to_grid(E2M1, xs))
+        np.testing.assert_array_equal(decode_bits(E2M1, nearest_codes(E2M1, -xs)),
+                                      -decode_bits(E2M1, nearest_codes(E2M1, xs)))
 
     def test_scalar_and_array_agree(self) -> None:
         xs = np.linspace(-7, 7, 113)
-        arr = round_to_grid(E2M1, xs)
-        for x, v in zip(xs, arr):
-            assert round_to_grid(E2M1, float(x)) == v
+        codes = nearest_codes(E2M1, xs)
+        for x, c in zip(xs, codes):
+            assert nearest_codes(E2M1, float(x)) == c
 
     def test_nearest_codes_matches_round(self) -> None:
         rng = np.random.default_rng(11)
         xs = rng.uniform(-8, 8, 2000)
         codes = nearest_codes(E2M1, xs)
-        np.testing.assert_array_equal(decode_bits(E2M1, codes), round_to_grid(E2M1, xs))
+        np.testing.assert_array_equal(decode_bits(E2M1, codes), _round(E2M1, xs))
         assert codes.dtype == np.uint8
         assert 0b1000 not in codes  # canonical zero only
 
@@ -232,19 +227,20 @@ class TestRoundingProperties:
     def test_matches_scan_oracle(self, fmt: FpFormat, data) -> None:
         xs = np.array(data.draw(st.lists(_rounding_inputs(fmt), min_size=1, max_size=20)))
         want = np.array([_nearest_by_scan(fmt, x) for x in xs])
-        got = round_to_grid(fmt, xs)
+        codes = nearest_codes(fmt, xs)
+        got = decode_bits(fmt, codes)
         np.testing.assert_array_equal(got, want)
         assert not np.any(np.signbit(got) & (got == 0))  # zero is always +0
-        codes = nearest_codes(fmt, xs)
         assert codes.dtype == np.uint8
-        assert codes.tolist() == [encode(fmt, v).bits for v in want]
+        assert codes.tolist() == _codes_of(fmt, want)
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     @given(data=st.data())
     def test_scalar_matches_array(self, fmt: FpFormat, data) -> None:
         x = data.draw(_rounding_inputs(fmt))
-        assert round_to_grid(fmt, x) == round_to_grid(fmt, np.array([x]))[0]
-        assert nearest_codes(fmt, x) == nearest_codes(fmt, np.array([x]))[0]
+        code = nearest_codes(fmt, x)
+        assert np.ndim(code) == 0 and code == nearest_codes(fmt, np.array([x]))[0]
+        assert decode_bits(fmt, code) == _nearest_by_scan(fmt, x)
 
     def test_rejects_non_finite(self) -> None:
         with pytest.raises(ValueError, match="nearest_codes requires finite"):
@@ -256,8 +252,9 @@ class TestRoundingProperties:
         xs = np.array(bits, dtype=np.uint64).view(np.float64)
         xs = xs[np.isfinite(xs)]
         want = [_nearest_by_scan(fmt, x) for x in xs]
-        assert round_to_grid(fmt, xs).tolist() == want
-        assert nearest_codes(fmt, xs).tolist() == [encode(fmt, v).bits for v in want]
+        codes = nearest_codes(fmt, xs)
+        assert decode_bits(fmt, codes).tolist() == want
+        assert codes.tolist() == _codes_of(fmt, want)
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     @given(data=st.data())
@@ -308,7 +305,7 @@ class TestBucketTable:
     @pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
     def test_round_is_decoded_codes(self, fmt: FpFormat) -> None:
         xs = np.concatenate([_bucket_probes(fmt.man_bits)[::7], grid_values(fmt)])
-        np.testing.assert_array_equal(round_to_grid(fmt, xs), decode_bits(fmt, nearest_codes(fmt, xs)))
+        np.testing.assert_array_equal(_round(fmt, xs), decode_bits(fmt, nearest_codes(fmt, xs)))
 
     @pytest.mark.parametrize("fmt", [E2M1, E3M4], ids=lambda f: f.name)
     def test_layouts(self, fmt: FpFormat) -> None:
@@ -316,10 +313,8 @@ class TestBucketTable:
         x = rng.uniform(-2, 2, (6, 10)) * max_value(fmt)
         want = np.array([[_nearest_by_scan(fmt, v) for v in row] for row in x])
         for view, ref in ((x.astype(">f8"), want), (x[::2, 1::3], want[::2, 1::3]), (x.T, want.T)):
-            np.testing.assert_array_equal(round_to_grid(fmt, view), ref)
             np.testing.assert_array_equal(decode_bits(fmt, nearest_codes(fmt, view)), ref)
         zero_d = np.asarray(x[1, 2])
-        assert round_to_grid(fmt, zero_d) == want[1, 2]
         assert decode_bits(fmt, int(nearest_codes(fmt, zero_d))) == want[1, 2]
         assert np.ndim(nearest_codes(fmt, zero_d)) == 0
 
@@ -390,7 +385,6 @@ class TestBlockedKernel:
                 assert codes.tolist() == _bucket_codes(neg, pos).take(_whole_key(view, k)).tolist()
                 want = _value_table(fmt).take(_whole_key(view, fmt.man_bits))
                 assert vals.view(np.uint64).tolist() == want.view(np.uint64).tolist()
-                assert round_to_grid(fmt, view).view(np.uint64).tolist() == want.view(np.uint64).tolist()
                 want_codes = _bucket_codes(fmt, fmt).take(_whole_key(view, fmt.man_bits))
                 assert nearest_codes(fmt, view).tolist() == want_codes.tolist()
             zero_d = np.asarray(x[0])
@@ -444,5 +438,4 @@ class TestProductFormats:
     def test_e4m3_cannot_hold_mixed_products(self) -> None:
         # 3.5 * 6 = 21 = 2^4 * 1.3125 needs four mantissa bits.
         assert 21.0 not in set(grid_values(E4M3).tolist())
-        with pytest.raises(ValueError, match="not on the E4M3 grid"):
-            encode(E4M3, 21.0)
+        assert decode_bits(E4M3, nearest_codes(E4M3, 21.0)) == 20.0

@@ -25,11 +25,9 @@ from fpq.formats import (
     E4M3,
     _rounding_tables,
     decode_bits,
-    encode,
     grid_values,
     max_value,
     nearest_codes,
-    round_to_grid,
 )
 from fpq.hwemu import (
     LutTables,
@@ -40,6 +38,7 @@ from fpq.hwemu import (
     emu_dot,
     emu_gemm,
     lut_quantize,
+    verify_gemm_rows,
     verify_mul_tables,
     verify_quantizer_parity,
 )
@@ -122,13 +121,13 @@ class TestQuantLut:
         assert len(lut) == 128
         assert lut[48] == 0b0111  # q = +6.0
         assert lut[0] == 0b0000  # zero
-        assert lut[-48] == encode(E2M1, -6.0).bits
+        assert lut[-48] == nearest_codes(E2M1, -6.0) == 0b1111
 
     def test_live_addresses_match_reference_rounding(self) -> None:
         lut = build_address_lut(E2M1, E2M1)
         for addr in ADDRESSES:
             for q in _bucket(addr):
-                assert decode_bits(E2M1, int(lut[addr])) == round_to_grid(E2M1, q)
+                assert decode_bits(E2M1, int(lut[addr])) == decode_bits(E2M1, nearest_codes(E2M1, q))
 
     def test_dead_addresses_saturate(self) -> None:
         # Addresses past the grid's ends, q beyond +-6, hold the saturation codes.
@@ -357,7 +356,7 @@ class TestDfqLuts:
         for addr in ADDRESSES:
             fmt = E1M2 if addr < 0 else E2M1
             for q in _bucket(addr):
-                assert decode_bits(fmt, int(lut[addr])) == round_to_grid(fmt, q)
+                assert decode_bits(fmt, int(lut[addr])) == decode_bits(fmt, nearest_codes(fmt, q))
 
     def test_dfq_lut_quantize_bit_exact(self) -> None:
         x = gelu_activations(2, (128, 128))
@@ -410,9 +409,9 @@ def _exhaustive_products(act, wt) -> None:
 class TestMulTables:
     def test_spot_products(self) -> None:
         mul = LUTS.multiplier(E2M1, E2M1)
-        c = encode(E2M1, 1.5).bits
+        c = int(nearest_codes(E2M1, 1.5))
         assert mul[(c << 4) | c] == 9  # 2.25 * 4
-        c6 = encode(E2M1, 6.0).bits
+        c6 = int(nearest_codes(E2M1, 6.0))
         assert mul[(c6 << 4) | c6] == 144
 
     def test_zero_times_anything(self) -> None:
@@ -440,10 +439,9 @@ class TestMulTables:
         assert mul.dtype == (np.int32 if (act, wt) == (E3M2, E3M2) else np.int16)
 
     def test_e4m3_would_reject_mixed_products(self) -> None:
-        with pytest.raises(ValueError, match="not on the E4M3 grid"):
-            encode(E4M3, 3.5 * 6.0)
+        assert 3.5 * 6.0 not in grid_values(E4M3)
         mul = build_mul_lut(E1M2, E2M1)
-        a, b = encode(E1M2, 3.5).bits, encode(E2M1, 6.0).bits
+        a, b = int(nearest_codes(E1M2, 3.5)), int(nearest_codes(E2M1, 6.0))
         assert mul[(a << 4) | b] == 21 * 4
 
     @pytest.mark.parametrize("act, wt, x, y", [(E1M2, E1M2, 3.5, 3.5), (E2M3, E2M1, 7.5, 6.0)],
@@ -452,7 +450,7 @@ class TestMulTables:
         # 3.5 * 3.5 = 2^3 * 1.53125 and the FP6 product 7.5 * 6 = 45 =
         # 2^5 * 1.40625 need five mantissa bits, one more than E3M4 has.
         mul = build_mul_lut(act, wt)
-        assert mul[(encode(act, x).bits << wt.width) | encode(wt, y).bits] == x * y * _k(act) * _k(wt)
+        assert mul[(int(nearest_codes(act, x)) << wt.width) | int(nearest_codes(wt, y))] == x * y * _k(act) * _k(wt)
         assert mul.tobytes() == LUTS.multiplier(act, wt).tobytes()
         _exhaustive_products(act, wt)
 
@@ -463,9 +461,15 @@ class TestMulTables:
             "E2M3xE2M3": "4096/4096", "E2M3xE3M2": "4096/4096",
             "E3M2xE2M3": "4096/4096", "E3M2xE3M2": "4096/4096"}}
 
+    def test_verify_gemm_rows(self) -> None:
+        assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "pass"}
+        mul = LUTS.multiplier(E2M1, E2M1) + 1  # every table walk sums one per element more
+        luts = LutTables(LUTS.address, {**LUTS.product, (E2M1, E2M1): mul})
+        assert verify_gemm_rows(luts, seed=3) == {"gemm_rows": "fail"}
+
     def test_verify_counts_a_wrong_product(self) -> None:
         mul = LUTS.multiplier(E3M0, E2M1).copy()
-        mul[(encode(E3M0, 16.0).bits << 4) | encode(E2M1, 6.0).bits] ^= 1
+        mul[(int(nearest_codes(E3M0, 16.0)) << 4) | int(nearest_codes(E2M1, 6.0))] ^= 1
         report = verify_mul_tables(LutTables(product={(E3M0, E2M1): mul}))
         assert report["mul_tables"] == "fail" and report["mul_exact"]["E3M0xE2M1"] == "255/256"
 
@@ -483,7 +487,7 @@ class TestEmuDot:
         assert emu_dot([], [], LUTS) == 0
 
     def test_single_pair(self) -> None:
-        c = encode(E2M1, 1.5).bits
+        c = int(nearest_codes(E2M1, 1.5))
         assert emu_dot([c], [c], LUTS) == 9
 
     def test_random_vectors_exact_rational(self) -> None:
@@ -519,7 +523,7 @@ class TestEmuDot:
         assert emu_dot(a, b, LUTS, E3M0, E2M1) == want * 8
 
     def test_accumulator_headroom(self) -> None:
-        full = np.full(128, encode(E2M1, 6.0).bits, dtype=np.uint8)
+        full = np.full(128, nearest_codes(E2M1, 6.0), dtype=np.uint8)
         acc = emu_dot(full, full, LUTS)
         assert abs(acc) == 144 * 128
         assert abs(acc) < 2**31

@@ -23,7 +23,6 @@ from fpq.formats import (
     grid_values,
     max_value,
     nearest_codes,
-    round_to_grid,
 )
 from fpq.hwemu import dfq_lut_quantize, lut_quantize
 from fpq.quantize import (
@@ -66,8 +65,8 @@ def _unit_reduce(x: np.ndarray, g: Granularity, fn) -> np.ndarray:
 
 
 def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granularity):
-    """``Granularity.expand`` as a free function on ``g``'s kind: the oracle
-    the method replaced."""
+    """Per-unit scales expanded to broadcast against a tensor of ``shape``:
+    the full-size form of ``Granularity.row_scales``, as an oracle."""
     if g.kind == "per_tensor":
         return scales
     if g.kind in ("per_channel", "per_token"):
@@ -670,6 +669,70 @@ class TestSlicedDequantize:
             dequantize(DfqResult(q.codes, codes, q.scales, q.scales, E1M2, E2M1, g, q.shape))
 
 
+def _full_size_quantize(x, fmt, g: Granularity):
+    """``quantize``'s codes and scales from one full-size quotient by the
+    expanded unit scales, rounded by ``nearest_codes`` without a scale."""
+    arr = np.asarray(x, dtype=np.float64)
+    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
+    return nearest_codes(fmt, arr / _per_element_scales(scales, arr.shape, g)), scales
+
+
+def _full_size_rtn_int(x, bits: int, g: Granularity):
+    """``rtn_int_quantize``'s codes and scales: the full-size quotient rounded
+    half to even, clipped to +-qmax and cast to int8."""
+    arr, qmax = np.asarray(x, dtype=np.float64), (1 << (bits - 1)) - 1
+    scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), float(qmax))
+    codes = np.clip(np.round(arr / _per_element_scales(scales, arr.shape, g)), -qmax, qmax).astype(np.int8)
+    return codes, scales
+
+
+class TestOneScalePath:
+    """``quantize`` and ``rtn_int_quantize`` divide each kernel slice by its
+    rows' unit scales; every slice size gives the codes, scales, dtypes and
+    shapes of the full-size quotient."""
+
+    @pytest.mark.parametrize("g", [*_GRANULARITIES, None],
+                             ids=lambda g: f"{g.kind}{g.group_size}" if g else "zero_d")
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_bit_identical_to_full_size_quotient(self, g: Granularity | None, data) -> None:
+        fmt, bits = data.draw(st.sampled_from(_SHIPPED)), data.draw(st.sampled_from([4, 6, 8]))
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e13, 1e13), st.floats(-1e-13, 1e-13))
+        if g is None:
+            g, shape = PT, ()
+        elif g.kind in ("per_channel", "per_token"):
+            shape = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12)))
+        else:
+            cols = data.draw(st.integers(1, 4)) * g.group_size + (data.draw(st.integers(0, 7)) if g.pad_partial else 0)
+            shape = (*data.draw(st.lists(st.integers(1, 4), max_size=2)), cols)
+        x = data.draw(arrays(np.float64, shape, elements=values))
+        with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
+            q, iq = quantize(x, fmt, g), rtn_int_quantize(x, bits, g)
+        for got, (codes, scales) in ((q, _full_size_quantize(x, fmt, g)), (iq, _full_size_rtn_int(x, bits, g))):
+            assert got.codes.dtype == codes.dtype and got.codes.shape == codes.shape == shape
+            assert got.codes.tobytes() == codes.tobytes()
+            assert (np.shape(got.scales), np.asarray(got.scales).tobytes()) == (np.shape(scales), scales.tobytes())
+
+
+@pytest.mark.parametrize("g", [Granularity.per_channel(), Granularity.per_group(128)],
+                         ids=["per_channel", "per_group128"])
+@pytest.mark.parametrize("run", [lambda x, g: quantize(x, E2M1, g), lambda x, g: rtn_int_quantize(x, 4, g)],
+                         ids=["quantize", "rtn_int_quantize"])
+def test_quantize_makes_no_full_size_quotient(run, g: Granularity) -> None:
+    """Beyond its codes and scales, quantizing 1024 x 1024 holds at most one
+    input-sized float64 array, the |x| of the unit absmax, plus 1 MiB: the
+    quotient and the expanded scales exist one slice at a time."""
+    x = gelu_activations(7, (1024, 1024))
+    run(x[:2], g)  # builds the cached table
+    tracemalloc.start()
+    try:
+        q = run(x, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (q.codes.nbytes + q.scales.nbytes) <= x.nbytes + 2**20
+
+
 @pytest.mark.parametrize("g", [Granularity.per_token(), Granularity.per_group(128)],
                          ids=["per_token", "per_group128"])
 def test_dequantize_makes_no_full_size_temporaries(g: Granularity) -> None:
@@ -714,7 +777,6 @@ _CHECKED = {
     "lut_quantize": lambda x: lut_quantize(x, 1.0),
     "dfq_lut_quantize": lambda x: dfq_lut_quantize(x),
     "nearest_codes": lambda x: nearest_codes(E2M1, x),
-    "round_to_grid": lambda x: round_to_grid(E2M1, x),
 }
 
 
