@@ -166,6 +166,12 @@ def _report(ctx: click.Context, cfg: dict, metrics: dict) -> None:
     })
 
 
+def _record_mse(x, q) -> float | None:
+    """MSE of ``dequantize(q)`` against ``x``, or None where strict JSON cannot hold it."""
+    mse = quant_mse(x, dequantize(q))
+    return mse if np.isfinite(mse) else None
+
+
 def _codes_kind(fmt: formats.FpFormat) -> str:
     return "code4" if fmt.width <= 4 else "code8"
 
@@ -247,14 +253,13 @@ def cli_quantize(ctx, cfg, problems) -> None:
     x = t.data
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     q = quantize(x, fmt, gran)
-    mse = quant_mse(x, dequantize(q))
 
     out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
     out_scales = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
     _write(out_codes, q.codes, _codes_kind(fmt))
     _write(out_scales, np.asarray(q.scales, dtype=np.float64), "f64")
     cfg.update(out_codes=out_codes, out_scales=out_scales, layer=layer)
-    _report(ctx, cfg, {"layer": layer, "format": fmt.name, "granularity": gran.kind, "mse": mse})
+    _report(ctx, cfg, {"layer": layer, "format": fmt.name, "granularity": gran.kind, "mse": _record_mse(x, q)})
 
 
 @_command("dfq")
@@ -282,7 +287,6 @@ def cli_dfq(ctx, cfg, problems) -> None:
         cfg["neg_format"], cfg["pos_format"] = neg_fmt.name, pos_fmt.name
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     r = dfq_quantize(x, neg_fmt, pos_fmt, gran)
-    mse = quant_mse(x, dequantize(r))
 
     prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
     paths = {}
@@ -297,7 +301,7 @@ def cli_dfq(ctx, cfg, problems) -> None:
         "neg_format": neg_fmt.name,
         "pos_format": pos_fmt.name,
         "granularity": gran.kind,
-        "mse": mse,
+        "mse": _record_mse(x, r),
         "outputs": paths,
     })
 

@@ -7,13 +7,14 @@ multiples of 2^-F, F = bias + man_bits: k = 2, F = 2 for E2M1 and E1M2;
 k = 4, F = 3 for E3M0.  A (neg, pos) quantizer saturates q = x / s to its
 bus, truncates it to the pair's larger F, f = floor(2^F q) (two's
 complement, so no separate sign), and adds a sticky bit for any lower bit
-set: the signed address 2f + sticky is the point f / 2^F when even and the
-open step above it when odd.  No bucket holds a threshold, so each entry is
-the reference code, ties included; the build proves it.  Tables have 128
-entries for E2M1 and E1M2/E2M1 and 1024 with E3M0.  With one bit fewer,
-midpoints fall inside buckets: the 5-bit E2M1 address clip(round(2q), +-12)
-gives the wrong code for 2.3% of Gaussian inputs (q in (2.5, 2.75) rounds
-to 2.5, which ties to 2, while 3 is nearest).
+set: the signed address 2f + sticky = floor(2^F q) + ceil(2^F q) is the
+point f / 2^F when even and the open step above it when odd.  No bucket
+holds a threshold, so each entry is the reference code, ties included; the
+build proves it.  Tables have 128 entries for E2M1 and E1M2/E2M1 and 1024
+with E3M0.  With one bit fewer, midpoints fall inside buckets: the 5-bit
+E2M1 address clip(round(2q), +-12) gives the wrong code for 2.3% of
+Gaussian inputs (q in (2.5, 2.75) rounds to 2.5, which ties to 2, while 3
+is nearest).
 
 An (act, wt) multiplier is one table addressed by (a << wt.width) | b
 that holds the integer k_act * k_wt * product: int16, or int32 for E3M2 x
@@ -176,17 +177,18 @@ _LUTS = LutTables()
 def _lut_codes(luts: LutTables | None, neg: FpFormat, pos: FpFormat, arr: np.ndarray, scale) -> np.ndarray:
     """Codes of ``arr / scale(rows)`` (see ``formats._lookup``, one element
     per row) from the pair's address table: q saturates to the bus range,
-    and the low bits of the address 2*floor(2^F q) + sticky index the table."""
+    and the low bits of the address 2*floor(2^F q) + sticky = floor(2^F q) +
+    ceil(2^F q), an exact float64 sum cast once, index the table."""
     lut, frac_bits = (luts or _LUTS).quantizer(neg, pos), _frac_bits(neg, pos)
     top = len(lut) >> (frac_bits + 2)
 
     def address(q, _, addr):
         np.clip(q, -top, top - 2.0 ** -(frac_bits + 1), out=q)
         q *= 1 << frac_bits
-        np.floor(q, out=addr, casting="unsafe")
-        sticky = q != addr
-        addr <<= 1
-        addr += sticky
+        floor = np.floor(q, out=addr.view(np.float64))
+        np.ceil(q, out=q)
+        q += floor
+        np.copyto(addr, q, casting="unsafe")
         addr &= len(lut) - 1
     return _lookup(lut, address, arr.reshape(-1, 1), scale).reshape(arr.shape)
 

@@ -346,19 +346,43 @@ def afpq_quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -
 DFQ_CANDIDATE_FORMATS: tuple[FpFormat, ...] = (E1M2, E2M1, E3M0)
 
 
+def _part_sums(err: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """Sums of the non-negative ``err`` where ``mask`` is set and where it is
+    not, in slices of ``_BLOCK`` elements: a BLAS dot of each slice with a
+    0/1 float copy of its mask, then with the complement, added in slice
+    order.  An inf in ``err`` gives 0 * inf = NaN in the other part's dot, so
+    a sum that is not finite is taken by numpy's masked sums instead."""
+    e, m, step = err.reshape(-1), mask.reshape(-1), _row_step(1)
+    f, neg, pos = np.empty(min(step, e.size)), 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, e.size, step):
+            es, fs = e[i:i + step], f[: min(step, e.size - i)]
+            np.copyto(fs, m[i:i + step])
+            neg += np.dot(es, fs)
+            np.subtract(1.0, fs, out=fs)
+            pos += np.dot(es, fs)
+    if not np.isfinite(neg + pos):
+        return err.sum(where=mask), err.sum(where=~mask)
+    return neg, pos
+
+
 def _dfq_search_totals(tensors: Sequence[np.ndarray], g: Granularity) -> np.ndarray:
     """[i, j] sums the MSE of ``dfq_quantize(t, C[i], C[j], g)`` over the tensors.
     Each grid rounds every element once, at its part's scale; pair (i, j) has
-    grid i's squared error summed over the part <= 0 plus grid j's over the rest."""
+    grid i's squared error summed over the part <= 0 plus grid j's over the
+    rest, both from ``_part_sums``.  A squared error past float64's range is
+    inf, and so is every total it enters."""
     cands = DFQ_CANDIDATE_FORMATS
     totals = np.zeros((len(cands), len(cands)))
     for t in tensors:
         split = _dfq_split(t, g, "dfq_search_format")
-        rest, neg, pos = ~split[0], np.empty(len(cands)), np.empty(len(cands))
+        neg, pos = np.empty(len(cands)), np.empty(len(cands))
         for i, fmt in enumerate(cands):
             err = _round(fmt, g.rows(t), _dfq_scales(split, fmt, fmt, g)[2]).reshape(t.shape)
-            np.square(np.subtract(t, err, out=err), out=err)
-            neg[i], pos[i] = err.sum(where=split[0]), err.sum(where=rest)
+            with np.errstate(over="ignore"):
+                np.square(np.subtract(t, err, out=err), out=err)
+            neg[i], pos[i] = _part_sums(err, split[0])
+            del err  # the next grid's error is allocated before it rebinds
         totals += np.add.outer(neg, pos) / t.size
     return totals
 
@@ -383,9 +407,17 @@ def dfq_search_format(
 
 
 def quant_mse(x, x_hat) -> float:
-    """Mean squared error over all elements."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(x_hat, dtype=np.float64)
+    """Mean squared error over all elements, in float64: the differences of
+    each ``_BLOCK``-element slice go into one reused buffer and are summed
+    as its BLAS dot with itself, so an MSE past float64's range is inf,
+    without a warning."""
+    a, b = np.asarray(x), np.asarray(x_hat)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    a, b, step = a.reshape(-1), b.reshape(-1), _row_step(1)
+    d, total = np.empty(min(step, a.size)), 0.0
+    with np.errstate(over="ignore"):
+        for i in range(0, a.size, step):
+            ds = np.subtract(a[i:i + step], b[i:i + step], d[: min(step, a.size - i)], dtype=np.float64)
+            total += float(np.dot(ds, ds))
+    return total / a.size if a.size else float("nan")

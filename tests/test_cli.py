@@ -45,6 +45,32 @@ class TestDfq:
         assert record["metrics"]["neg_format"] == "E2M3"
 
 
+class TestOverflowingMse:
+    """An MSE past float64's range is recorded as null: the outputs are
+    written, the record stays strict JSON and the run exits 0."""
+
+    @pytest.mark.parametrize("command, values, n_outputs", [
+        (["quantize"], [1e200, -3e199, 7e150, 1.0], 2),
+        (["dfq", "--pos-format", "E1M2"], [1e200, 2.5e199, -1.0, -0.3], 4),
+    ], ids=["quantize", "dfq"])
+    def test_record_holds_null(self, tmp_path, command, values, n_outputs: int) -> None:
+        path, report = tmp_path / "big.fpqt", tmp_path / "r.jsonl"
+        write_tensor(path, np.array([values]))
+        result = CliRunner().invoke(main, [*command, "--input", str(path), "--report", str(report)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+
+        def reject(constant):
+            raise AssertionError(f"non-strict JSON constant {constant}")
+
+        (record,) = [json.loads(line, parse_constant=reject) for line in report.read_text().splitlines()]
+        assert record["metrics"]["mse"] is None
+        outputs = sorted(tmp_path.glob("big.*.fpqt"))
+        assert len(outputs) == n_outputs
+        for out in outputs:
+            assert read_tensor(out).data.shape in ((1, 4), (), (1,))
+
+
 class TestErrors:
     def test_unwritable_output_is_a_json_error(self, tmp_path, activation) -> None:
         result = CliRunner().invoke(main, [

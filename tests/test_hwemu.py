@@ -344,6 +344,37 @@ class TestAgainstReference:
             assert np.asarray(a).view(np.uint64) == np.asarray(b).view(np.uint64)
 
 
+def _old_address_codes(lut: np.ndarray, frac_bits: int, q: np.ndarray) -> np.ndarray:
+    """The address as formed before the one-cast form: floor(2^F q) cast to
+    int64, a sticky compare, a shift, an add and the bus mask."""
+    top = len(lut) >> (frac_bits + 2)
+    v = np.clip(q, -top, top - 2.0 ** -(frac_bits + 1)) * (1 << frac_bits)
+    f = np.floor(v).astype(np.int64)
+    return lut[((f << 1) + (v != f)) & (len(lut) - 1)]
+
+
+class TestOneCastAddress:
+    """floor(v) + ceil(v) is the address 2 floor(v) + sticky: the codes equal
+    those of the old formula at bucket edges, their neighbours, saturation
+    and huge quotients, for every slice size."""
+
+    @pytest.mark.parametrize("neg, pos", [*SEARCH_PAIRS, (E2M3, E2M3), (E3M2, E3M2)], ids=lambda f: f.name)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_equals_the_old_formula(self, neg, pos, data) -> None:
+        lut, frac_bits = LUTS.quantizer(neg, pos), hwemu._frac_bits(neg, pos)
+        top = len(lut) >> (frac_bits + 2)
+        edges = st.integers(-(top << frac_bits) - 3, (top << frac_bits) + 3).map(lambda k: k / 2**frac_bits)
+        near = st.tuples(edges, st.sampled_from([-np.inf, 0.0, np.inf])).map(
+            lambda e: float(np.nextafter(*e)) if e[1] else e[0])
+        ends = st.sampled_from([-top, top, top - 2.0 ** -(frac_bits + 1), -0.0, 5e-324, -5e-324])
+        q = np.array(data.draw(st.lists(st.one_of(near, ends, st.floats(-1e300, 1e300)), min_size=1, max_size=50)))
+        with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
+            got = hwemu._lut_codes(LUTS, neg, pos, q, lambda rows: 1.0)
+        want = _old_address_codes(lut, frac_bits, q)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestDfqLuts:
     def test_reference_entries(self) -> None:
         lut = build_address_lut(E1M2, E2M1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,7 @@ from fpq.quantize import (
     QuantizedTensor,
     _dfq_planes,
     _dfq_search_totals,
+    _part_sums,
     _fake_quantize,
     _unit_scales,
     afpq_quantize,
@@ -497,9 +499,9 @@ class TestDfqPlanes:
 def _search_oracle(tensors, g: Granularity):
     """The exhaustive search: nine full dual quantizations per tensor, scanned
     with strict ``<`` in (negative, positive) order.  Each pair's squared
-    error is summed over the part <= 0 and over the rest, the reduction
-    ``_dfq_search_totals`` makes.  Returns the pick and the 3x3 table of
-    summed MSEs."""
+    error is summed over the part <= 0 and over the rest by ``_part_sums``,
+    the reduction ``_dfq_search_totals`` makes.  Returns the pick and the
+    3x3 table of summed MSEs."""
     best, best_mse = None, np.inf
     totals = np.zeros((3, 3))
     for i, neg_fmt in enumerate(DFQ_CANDIDATE_FORMATS):
@@ -507,11 +509,26 @@ def _search_oracle(tensors, g: Granularity):
             total = 0.0
             for t in tensors:
                 err = (t - dequantize(dfq_quantize(t, neg_fmt, pos_fmt, g))) ** 2
-                total += (err.sum(where=t <= 0) + err.sum(where=t > 0)) / err.size
+                total += sum(_part_sums(err, t <= 0)) / err.size
             totals[i, j] = total
             if total < best_mse:
                 best_mse, best = total, (neg_fmt, pos_fmt)
     return best, totals
+
+
+def _masked_sum_totals(tensors, g: Granularity) -> np.ndarray:
+    """The search totals with numpy's masked sums: each grid's squared error
+    at its part's scale, ``err.sum(where=t <= 0)`` and over the rest."""
+    totals = np.zeros((3, 3))
+    for t in tensors:
+        neg, pos = [], []
+        for fmt in DFQ_CANDIDATE_FORMATS:
+            with np.errstate(over="ignore"):
+                err = (t - dequantize(afpq_quantize(t, fmt, g))) ** 2
+            neg.append(err.sum(where=t <= 0))
+            pos.append(err.sum(where=t > 0))
+        totals += np.add.outer(neg, pos) / t.size
+    return totals
 
 
 def _mean_where_totals(tensors, g: Granularity) -> np.ndarray:
@@ -565,11 +582,41 @@ class TestSeparableSearch:
                 tensors = [gelu_activations(100 * seed + i, (32, 256)) for i in range(2)]
             else:
                 tensors = [gaussian_channel_weights(100 * seed + i, 256, 32).T for i in range(2)]
-            means = _mean_where_totals(tensors, g)
             totals = _dfq_search_totals(tensors, g)
-            np.testing.assert_allclose(totals, means, rtol=1e-13, atol=0)
-            i, j = np.unravel_index(np.argmin(means), means.shape)
-            assert dfq_search_format(tensors, g) == (DFQ_CANDIDATE_FORMATS[i], DFQ_CANDIDATE_FORMATS[j])
+            pick = dfq_search_format(tensors, g)
+            for oracle in (_mean_where_totals, _masked_sum_totals):
+                want = oracle(tensors, g)
+                np.testing.assert_allclose(totals, want, rtol=1e-13, atol=0)
+                i, j = np.unravel_index(np.argmin(want), want.shape)
+                assert pick == (DFQ_CANDIDATE_FORMATS[i], DFQ_CANDIDATE_FORMATS[j])
+
+    @pytest.mark.parametrize("block", [1, 5, 16, 40, formats._BLOCK])
+    def test_empty_part_sums_to_zero(self, block: int) -> None:
+        err = np.random.default_rng(22).uniform(0, 3, (3, 17))
+        with mock.patch.object(formats, "_BLOCK", block):
+            for mask, part in ((np.zeros(err.shape, bool), 0), (np.ones(err.shape, bool), 1)):
+                sums = _part_sums(err, mask)
+                assert sums[part] == 0.0 and not np.signbit(sums[part])
+                assert sums[1 - part] == pytest.approx(err.sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("g", [PT, Granularity.per_token(), Granularity.per_group(2)],
+                             ids=lambda g: f"{g.kind}{g.group_size}")
+    def test_overflowing_errors_give_the_masked_sums(self, g: Granularity) -> None:
+        # +-2.5e199 is on the E2M1 and E3M0 grids at its part's scale but not
+        # on E1M2's, whose rounding error squares past float64's max: the
+        # grids mix inf and finite part sums, and 0 * inf must leave no NaN.
+        tensors = [np.array([[1e200, 2.5e199, -1.0, -0.3], [-1e200, -2.5e199, 0.7, 0.2]]),
+                   np.array([[0.5, -0.25, 3.0, -4.0], [1.0, 2.0, -0.1, -7.5]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            totals = _dfq_search_totals(tensors, g)
+            pick = dfq_search_format(tensors, g)
+        want = _masked_sum_totals(tensors, g)
+        assert not np.isnan(totals).any()
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        np.testing.assert_array_equal(totals, want)
+        i, j = np.unravel_index(np.argmin(want), want.shape)
+        assert pick == (DFQ_CANDIDATE_FORMATS[i], DFQ_CANDIDATE_FORMATS[j])
 
 
 class TestMultiBlock:
@@ -590,11 +637,11 @@ class TestMultiBlock:
             got = _fake_quantize(x, fmt, g)
             r = dfq_quantize(x, neg_fmt, fmt, g)
             totals = _dfq_search_totals([x, x[::-1] * 0.5], g)
+            want_totals = _search_oracle([x, x[::-1] * 0.5], g)[1]
         assert got.view(np.uint64).tolist() == dequantize(quantize(x, fmt, g)).view(np.uint64).tolist()
         neg_codes, pos_codes, s_neg, s_pos = _dfq_oracle(x, neg_fmt, fmt, g)
         assert (r.neg_codes.tolist(), r.pos_codes.tolist()) == (neg_codes.tolist(), pos_codes.tolist())
         assert (r.s_neg.tolist(), r.s_pos.tolist()) == (s_neg.tolist(), s_pos.tolist())
-        want_totals = _search_oracle([x, x[::-1] * 0.5], g)[1]
         assert totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("g", [*_GRANULARITIES[:3], Granularity.per_group(128),
@@ -731,6 +778,25 @@ def test_quantize_makes_no_full_size_quotient(run, g: Granularity) -> None:
     finally:
         tracemalloc.stop()
     assert peak - (q.codes.nbytes + q.scales.nbytes) <= x.nbytes + 2**20
+
+
+@pytest.mark.parametrize("g", [PT, Granularity.per_token(), Granularity.per_group(128)],
+                         ids=["per_tensor", "per_token", "per_group128"])
+def test_search_makes_no_full_size_float_mask(g: Granularity) -> None:
+    """Beyond its inputs, the search over two 128 x 1024 tensors holds one
+    input-sized float64 array, the squared error of one grid, plus at most
+    2 MiB: the split's bool mask and the slice buffers (1.1-1.7 MiB).  A
+    float mask of a part, or a second grid's error alive beside the first,
+    would add 1 MiB more."""
+    tensors = [gelu_activations(8 + i, (128, 1024)) for i in range(2)]
+    _dfq_search_totals([tensors[0][:2]], g)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        _dfq_search_totals(tensors, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= tensors[0].nbytes + 2 * 2**20
 
 
 @pytest.mark.parametrize("g", [Granularity.per_token(), Granularity.per_group(128)],
