@@ -21,7 +21,9 @@ that holds the integer k_act * k_wt * product: int16, or int32 for E3M2 x
 E3M2, whose products reach 200704.  Every pair of grids has one, FP6
 included.  Dot products accumulate in integers, and one multiply by
 s_act * s_wt / (k_act * k_wt) gives the real result, the only rounding in
-a GEMM.
+a GEMM.  A one-group DFQ GEMM whose rarer plane is at most 1/32 nonzero
+multiplies once: a matmul of both planes summed, less a CSR product of the
+rare one, gives the other's sums, exact as integers below the bound.
 
 ``emu_gemm`` reads the code planes a quantized result lists and the unit
 layout its ``Granularity`` owns: activation and weight units must have
@@ -244,6 +246,38 @@ def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
     return int(mul[(a.astype(np.int64) << wt_format.width) | b].sum(dtype=np.int64))
 
 
+# The rarer DFQ plane takes a CSR product up to this density: at 1024^3, CSR
+# build + product took 6.8/9.8/16.7/24.5/36.8 ms at 1/2/4/6.25/10% nonzero
+# codes, against 21.8 ms for one dense matmul.
+_RARE_DENSITY = 1 / 32
+
+
+def _merged_products(code_planes, w_codes: np.ndarray, w_format: FpFormat) -> list | None:
+    """Both plane accumulators of a one-group DFQ activation, or None if its
+    rarer plane holds more than ``_RARE_DENSITY`` nonzero codes: a matmul of
+    the planes' summed values less a CSR product of the rarer plane gives
+    the other's.  The dtype holds the sums through the merged table exactly,
+    so the subtraction is exact, overlapping planes included."""
+    (neg, neg_fmt, _), (pos, pos_fmt, _) = code_planes
+    counts = np.count_nonzero(neg), np.count_nonzero(pos)
+    rare = int(counts[1] < counts[0])
+    if counts[rare] > neg.size * _RARE_DENSITY:
+        return None
+    from scipy.sparse import csr_matrix  # 16 ms or more to import: `import fpq` must not pay it
+    table, w_k = np.add.outer(_int_values(pos_fmt), _int_values(neg_fmt)), _int_values(w_format)
+    rows, cols = neg.shape
+    dtype = np.float32 if np.abs(table).max() * np.abs(w_k).max() * cols < 2**24 else np.float64
+    w_t = w_k.astype(dtype).take(w_codes.T.copy())  # C-ordered: scipy copies a transposed operand
+    index_type = np.uint8 if neg_fmt.width + pos_fmt.width <= 8 else np.uint16
+    acc = table.astype(dtype).take(pos.astype(index_type) << neg_fmt.width | neg) @ w_t
+    codes, fmt, _ = code_planes[rare]
+    flat = np.flatnonzero(codes != 0)
+    part = csr_matrix((_int_values(fmt).astype(dtype)[codes.flat[flat]], flat % cols,
+                       np.searchsorted(flat, np.arange(rows + 1) * cols)), shape=codes.shape) @ w_t
+    acc -= part
+    return [acc, part] if rare else [part, acc]
+
+
 def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_codes: np.ndarray,
                  w_format: FpFormat, w_scales: np.ndarray, groups: list[tuple[int, int]],
                  peak: int) -> np.ndarray:
@@ -254,20 +288,26 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
     them exactly in any BLAS summation order, else float64 does, so the
     matmul reproduces the multiplier-table accumulation integer for integer
     (the exhaustive product tests pin the per-pair identity) in one reused
-    rows x out array.  Its float64 rescale by s_act * s_wt / (k_act * k_wt),
-    the power of two folded into s_wt (rounding the same while products are
-    normal floats), runs a slice of rows at a time in one reused buffer;
-    groups accumulate in ascending order.
+    rows x out array; a one-group DFQ activation with a rare plane takes the
+    same integers from ``_merged_products`` (per group, its CSR outputs cost
+    more than they save).  Its float64 rescale by s_act * s_wt / (k_act *
+    k_wt), the power of two folded into s_wt (rounding the same while
+    products are normal floats), runs a slice of rows at a time in one
+    reused buffer; groups accumulate in ascending order, planes neg first.
     """
-    dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
-    w_vals = _int_values(w_format).astype(dtype)[w_codes]
+    merged = (_merged_products(code_planes, w_codes, w_format)
+              if len(groups) == 1 and len(code_planes) == 2 else None)
+    if merged is None:
+        dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
+        w_vals = _int_values(w_format).astype(dtype)[w_codes]
+        acc = np.empty((len(code_planes[0][0]), len(w_codes)), dtype)
     out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
     step = _row_step(out.shape[1])
-    acc, term = np.empty(out.shape, dtype), np.empty((min(step, len(out)), out.shape[1]))
+    term = np.empty((min(step, len(out)), out.shape[1]))
     for gi, (c0, c1) in enumerate(groups):
-        wj = w_vals[:, c0:c1]
-        for codes, fmt, sx in code_planes:
-            np.matmul(_int_values(fmt).astype(dtype)[codes[:, c0:c1]], wj.T, out=acc)
+        for pi, (codes, fmt, sx) in enumerate(code_planes):
+            acc = merged[pi] if merged else np.matmul(_int_values(fmt).astype(dtype)[codes[:, c0:c1]],
+                                                      w_vals[:, c0:c1].T, out=acc)
             sw = w_scales[:, gi] * (1 / (_int_scale(fmt) * _int_scale(w_format)))
             for r0 in range(0, len(out), step):
                 t = term[: len(out) - r0]
@@ -282,7 +322,7 @@ def emu_gemm(xq: QuantizedTensor | DfqResult, wq: QuantizedTensor,
     """Emulated GEMM: per-group integer accumulation, then rescale.
 
     ``xq`` may be a plain quantized tensor or a dual-format result: each of
-    its ``planes`` accumulates separately and combines through its own
+    its ``planes`` has its own integer sums and combines through its own
     scales.  The largest entry of each plane's multiplier with the weight
     grid bounds the accumulator.  Activation and weight must have the same
     column count and unit width, and the width must divide the columns.
@@ -363,14 +403,22 @@ def verify_quantizer_parity(
 def verify_gemm_rows(luts: LutTables | None = None, seed: int = 0) -> dict:
     """For every multiplier ``verify_mul_tables`` proves, compare ``emu_gemm``
     of a small seeded per_group-128 sample entry by entry with the table
-    walk: ``emu_dot`` of each unit pair, rescaled by the unit scales in the
-    GEMM's order."""
+    walk: ``emu_dot`` of each unit pair and plane, rescaled by the unit
+    scales in the GEMM's order.  A per_token E1M2/E2M1 sample with about
+    1.4% of its values > 0 checks the one-product DFQ route the same way."""
     g, rng = Granularity.per_group(128), np.random.default_rng(seed)
-    for act, wt in _CHECKED_PAIRS:
-        xq, wq = quantize(rng.standard_normal((4, 256)), act, g), quantize(rng.standard_normal((3, 256)), wt, g)
-        out, inv_k = emu_gemm(xq, wq, luts), 1 / (_int_scale(act) * _int_scale(wt))
+    samples = [(quantize(rng.standard_normal((4, 256)), act, g), quantize(rng.standard_normal((3, 256)), wt, g))
+               for act, wt in _CHECKED_PAIRS]
+    x = rng.standard_normal((4, 256))
+    samples.append((dfq_quantize(np.where(x > 2.2, x, -np.abs(x) * 0.05), E1M2, E2M1, Granularity.per_token()),
+                    quantize(rng.standard_normal((3, 256)), E2M1, Granularity.per_channel())))
+    for xq, wq in samples:
+        out, sw = emu_gemm(xq, wq, luts), np.reshape(wq.scales, (len(wq.codes), -1))
+        w = 256 // sw.shape[1]
         for t, o in np.ndindex(out.shape):
-            dots = (emu_dot(xq.codes[t, c:c + 128], wq.codes[o, c:c + 128], luts, act, wt) for c in (0, 128))
-            if out[t, o] != sum(d * (xq.scales[t, gi] * wq.scales[o, gi]) * inv_k for gi, d in enumerate(dots)):
+            if out[t, o] != sum(emu_dot(codes[t, c:c + w], wq.codes[o, c:c + w], luts, fmt, wq.format)
+                                * (np.reshape(sx, (len(codes), -1))[t, c // w] * sw[o, c // w])
+                                * (1 / (_int_scale(fmt) * _int_scale(wq.format)))
+                                for c in range(0, 256, w) for codes, fmt, sx in xq.planes):
                 return {"gemm_rows": "fail"}
     return {"gemm_rows": "pass"}

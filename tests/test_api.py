@@ -6,6 +6,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,12 @@ def test_no_module_reads_the_environment() -> None:
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {a.name for a in node.names} & {"environ", "getenv"})]
     assert reads == []
+
+
+def test_import_leaves_scipy_sparse_unloaded() -> None:
+    # Only emu_gemm's one-product DFQ route needs scipy.sparse, and it
+    # costs 16 ms or more to import: the package and the CLI must not pay it.
+    code = "import sys, fpq, fpq.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

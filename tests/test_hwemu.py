@@ -44,6 +44,7 @@ from fpq.hwemu import (
 )
 from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
+    DfqResult,
     Granularity,
     compute_scale,
     dequantize,
@@ -51,7 +52,7 @@ from fpq.quantize import (
     quantize,
     rtn_int_quantize,
 )
-from fpq.synth import gelu_activations
+from fpq.synth import gaussian_channel_weights, gelu_activations
 
 LUTS = build_tables()
 PT = Granularity.per_tensor()
@@ -497,6 +498,22 @@ class TestMulTables:
         mul = LUTS.multiplier(E2M1, E2M1) + 1  # every table walk sums one per element more
         luts = LutTables(LUTS.address, {**LUTS.product, (E2M1, E2M1): mul})
         assert verify_gemm_rows(luts, seed=3) == {"gemm_rows": "fail"}
+
+    def test_verify_gemm_rows_checks_the_merged_dfq_route(self, monkeypatch) -> None:
+        # Only the per_token DFQ sample takes the one-product route; one
+        # count too many in its accumulators fails the check.
+        calls = _spy_route(monkeypatch)
+        assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "pass"}
+        assert [c is not None for c in calls] == [True]
+        route = hwemu._merged_products
+
+        def off_by_one(*args):
+            accs = route(*args)
+            accs[1] += 1
+            return accs
+
+        monkeypatch.setattr(hwemu, "_merged_products", off_by_one)
+        assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "fail"}
 
     def test_verify_counts_a_wrong_product(self) -> None:
         mul = LUTS.multiplier(E3M0, E2M1).copy()
@@ -948,6 +965,139 @@ class TestBlockedRescale:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < out.nbytes
+
+
+def _spy_route(monkeypatch) -> list:
+    """Record what ``_merged_products`` returns (None where it declines)
+    on every ``emu_gemm`` call that reaches it."""
+    calls, route = [], hwemu._merged_products
+
+    def spy(*args):
+        calls.append(route(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(hwemu, "_merged_products", spy)
+    return calls
+
+
+def _with_positives(n_pos: int, rows: int = 32, cols: int = 64) -> np.ndarray:
+    """Magnitudes in [0.5, 1], exactly ``n_pos`` of them positive: each
+    quantizes to a nonzero code of its plane at any unit scale."""
+    rng = np.random.default_rng(33)
+    x = -rng.uniform(0.5, 1, rows * cols)
+    x[rng.choice(x.size, n_pos, replace=False)] *= -1
+    return x.reshape(rows, cols)
+
+
+class TestMergedPlanes:
+    """A one-group DFQ activation whose rarer plane holds at most 1/32
+    nonzero codes multiplies once (``_merged_products``); every input gives
+    the bytes of one matmul per plane (``_gemm_planes_oracle``)."""
+
+    @staticmethod
+    def _check(xq, wq, monkeypatch, taken: bool) -> list:
+        calls = _spy_route(monkeypatch)
+        got = emu_gemm(xq, wq, LUTS)
+        assert any(c is not None for c in calls) == taken
+        monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
+        want = emu_gemm(xq, wq, LUTS)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        return calls
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["gelu", "negated_gelu"])
+    @pytest.mark.parametrize("gx, gw", [
+        (PT, PT),
+        (Granularity.per_token(), Granularity.per_channel()),
+        (Granularity.per_channel(), PT),
+    ], ids=["per_tensor", "per_token", "per_channel"])
+    def test_rare_plane_of_either_sign(self, sign, gx, gw, monkeypatch) -> None:
+        # GeLU leaves about 2.4% of its values > 0: the rare plane is pos,
+        # and neg once the input is negated.
+        dq = dfq_quantize(sign * gelu_activations(34, (48, 512)), E1M2, E2M1, gx)
+        wq = quantize(np.random.default_rng(35).standard_normal((24, 512)), E2M1, gw)
+        rare = dq.pos_codes if sign == 1 else dq.neg_codes
+        assert 0 < np.count_nonzero(rare) <= rare.size / 32
+        self._check(dq, wq, monkeypatch, taken=True)
+
+    @pytest.mark.parametrize("case", ["all_nonpositive", "all_positive", "all_zero"])
+    def test_empty_rare_plane(self, case: str, monkeypatch) -> None:
+        x = np.abs(np.random.default_rng(36).standard_normal((9, 256)))
+        x = {"all_nonpositive": -x, "all_positive": x + 0.1, "all_zero": 0 * x}[case]
+        dq = dfq_quantize(x, E1M2, E2M1, Granularity.per_token())
+        wq = quantize(np.random.default_rng(37).standard_normal((11, 256)), E2M1, Granularity.per_channel())
+        assert min(np.count_nonzero(dq.neg_codes), np.count_nonzero(dq.pos_codes)) == 0
+        self._check(dq, wq, monkeypatch, taken=True)
+
+    @pytest.mark.parametrize("n_pos, taken", [(63, True), (64, True), (65, False)])
+    def test_density_bound_is_one_in_32(self, n_pos: int, taken: bool, monkeypatch) -> None:
+        dq = dfq_quantize(_with_positives(n_pos), E1M2, E2M1, Granularity.per_token())
+        assert np.count_nonzero(dq.pos_codes) == n_pos and dq.pos_codes.size == 32 * 64
+        wq = quantize(np.random.default_rng(38).standard_normal((5, 64)), E2M1, Granularity.per_channel())
+        self._check(dq, wq, monkeypatch, taken)
+
+    def test_fp6_planes_take_a_wide_index_and_float64(self, monkeypatch) -> None:
+        # E2M3/E3M2 codes need a 12-bit pair index, and (60 + 448) * 448 *
+        # 256 passes 2^24: a uint8 index or a float32 sum would change bytes.
+        dq = dfq_quantize(gelu_activations(39, (32, 256)), E2M3, E3M2, Granularity.per_token())
+        wq = quantize(np.random.default_rng(40).standard_normal((8, 256)), E3M2, Granularity.per_channel())
+        calls = self._check(dq, wq, monkeypatch, taken=True)
+        assert [acc.dtype for acc in calls[0]] == [np.float64, np.float64]
+
+    def test_overlapping_planes_stay_exact_past_2_24(self, monkeypatch) -> None:
+        # E2M1 planes and weights: one plane's sums stay within 144 * width
+        # < 2^24, so the oracle runs in float32.  Here the positive plane
+        # also holds -6 at every 32nd column, so the merged sum,
+        # -144 * (width - 1) - 1 - 144 * width / 32, is an odd integer past
+        # 2^24 that only a float64 accumulator holds.
+        width = 116480
+        neg = np.full((1, width), nearest_codes(E2M1, -6.0), np.uint8)
+        neg[0, 0] = nearest_codes(E2M1, -0.5)
+        pos = np.zeros_like(neg)
+        pos[0, 1::32] = neg[0, 1]
+        w = np.full((1, width), 6.0)
+        w[0, 0] = 0.5
+        g, wq = Granularity.per_token(), quantize(w, E2M1, Granularity.per_channel())
+        dq = DfqResult(neg, pos, np.ones(1), np.ones(1), E2M1, E2M1, g, neg.shape)
+        calls = self._check(dq, wq, monkeypatch, taken=True)
+        merged = calls[0][0] + calls[0][1]
+        assert merged.dtype == np.float64 and merged[0, 0] == -144 * (width - 1) - 1 - 144 * width // 32 < -2**24
+        want = 0.0 + emu_dot(neg[0], wq.codes[0], LUTS) * 0.25 + emu_dot(pos[0], wq.codes[0], LUTS) * 0.25
+        assert emu_gemm(dq, wq, LUTS)[0, 0] == want
+
+    @pytest.mark.parametrize("block", [1, 7, 40], ids=lambda b: f"block{b}")
+    def test_any_slice_size(self, block: int, monkeypatch) -> None:
+        x = gelu_activations(41, (13, 512)) * np.random.default_rng(42).uniform(0.1, 10, 512)
+        dq = dfq_quantize(x, E1M2, E2M1, Granularity.per_token())
+        wq = quantize(np.random.default_rng(43).standard_normal((11, 512)), E2M1, Granularity.per_channel())
+        monkeypatch.setattr(formats, "_BLOCK", block)
+        self._check(dq, wq, monkeypatch, taken=True)
+
+    @pytest.mark.parametrize("case", ["per_group", "balanced", "one_plane"])
+    def test_other_inputs_keep_one_matmul_per_plane(self, case: str, monkeypatch) -> None:
+        # Per group, the route would build a rows x out CSR output for every
+        # group, which costs more than the dense matmul it saves.
+        x = {"balanced": np.random.default_rng(44).standard_normal((9, 256))}.get(case, gelu_activations(45, (9, 256)))
+        g = Granularity.per_group(128) if case == "per_group" else Granularity.per_token()
+        xq = quantize(x, E2M1, g) if case == "one_plane" else dfq_quantize(x, E1M2, E2M1, g)
+        w = np.random.default_rng(46).standard_normal((11, 256))
+        wq = quantize(w, E2M1, g if case == "per_group" else Granularity.per_channel())
+        self._check(xq, wq, monkeypatch, taken=False)
+
+    def test_peak_memory_within_the_per_plane_bound(self, monkeypatch) -> None:
+        # The per-plane loop peaked 12.33 MiB beyond its 8 MiB output at this
+        # shape (tracemalloc); the route keeps neither its pair index nor its
+        # merged values past the dense matmul.
+        dq = dfq_quantize(gelu_activations(47, (1024, 1024)), E1M2, E2M1, Granularity.per_token())
+        wq = quantize(gaussian_channel_weights(48, 1024, 1024), E2M1, Granularity.per_channel())
+        calls = _spy_route(monkeypatch)
+        emu_gemm(dq, wq, LUTS)  # scipy.sparse loads outside the trace
+        tracemalloc.start()
+        try:
+            out = emu_gemm(dq, wq, LUTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls[-1] is not None and peak - out.nbytes <= 12.33 * 2**20
 
 
 def _table_walk_row(xq, wq, t: int) -> np.ndarray:
