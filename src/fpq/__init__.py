@@ -40,8 +40,6 @@ from .hadamard import (
 )
 from .hwemu import (
     LutTables,
-    build_address_lut,
-    build_mul_lut,
     build_tables,
     dfq_lut_quantize,
     emu_dot,

@@ -350,7 +350,7 @@ def cli_rotate(ctx, cfg, problems) -> None:
 @click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="channel count for --synth [256]")
 @click.option("--out-features", "out_features", default=256, type=click.IntRange(min=1),
               help="synthetic weight rows [256]")
-@click.option("--schedule", "schedule", default="1,4,9,16,25,36,64,100,169,256",
+@click.option("--schedule", "schedule", default=",".join(map(str, galt.DESK_SCHEDULE)),
               help="per-step token counts")
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed [0]")
 @click.option("--outlier-channels", "outlier_channels", default=4, type=click.IntRange(min=0))

@@ -21,9 +21,9 @@ that holds the integer k_act * k_wt * product: int16, or int32 for E3M2 x
 E3M2, whose products reach 200704.  Every pair of grids has one, FP6
 included.  Dot products accumulate in integers, and one multiply by
 s_act * s_wt / (k_act * k_wt) gives the real result, the only rounding in
-a GEMM.  A one-group DFQ GEMM whose rarer plane is at most 1/32 nonzero
-multiplies once: a matmul of both planes summed, less a CSR product of the
-rare one, gives the other's sums, exact as integers below the bound.
+a GEMM.  Each code plane has its own product: a CSR product where the
+activation is one group and the plane at most 1/32 nonzero (the rare DFQ
+plane of a GeLU input), a dense matmul otherwise.
 
 ``emu_gemm`` reads the code planes a quantized result lists and the unit
 layout its ``Granularity`` owns: activation and weight units must have
@@ -65,8 +65,6 @@ from .quantize import (
 
 __all__ = [
     "LutTables",
-    "build_address_lut",
-    "build_mul_lut",
     "build_tables",
     "lut_quantize",
     "dfq_lut_quantize",
@@ -111,16 +109,16 @@ class LutTables:
 
     def quantizer(self, neg: FpFormat, pos: FpFormat) -> np.ndarray:
         if (neg, pos) not in self.address:
-            self.address[neg, pos] = build_address_lut(neg, pos)
+            self.address[neg, pos] = _build_address_lut(neg, pos)
         return self.address[neg, pos]
 
     def multiplier(self, act: FpFormat, wt: FpFormat) -> np.ndarray:
         if (act, wt) not in self.product:
-            self.product[act, wt] = build_mul_lut(act, wt)
+            self.product[act, wt] = _build_mul_lut(act, wt)
         return self.product[act, wt]
 
 
-def build_address_lut(neg_fmt: FpFormat, pos_fmt: FpFormat, frac_bits: int | None = None) -> np.ndarray:
+def _build_address_lut(neg_fmt: FpFormat, pos_fmt: FpFormat, frac_bits: int | None = None) -> np.ndarray:
     """Code for every signed address 2*floor(2^F q) + sticky, F = frac_bits
     (by default the pair's own width), on a bus whose integer bits put every
     grid value below its top; negative addresses index from the end, as
@@ -148,7 +146,7 @@ def build_address_lut(neg_fmt: FpFormat, pos_fmt: FpFormat, frac_bits: int | Non
     return table
 
 
-def build_mul_lut(act_format: FpFormat, wt_format: FpFormat) -> np.ndarray:
+def _build_mul_lut(act_format: FpFormat, wt_format: FpFormat) -> np.ndarray:
     """The multiplier of one activation/weight grid pair, read-only.
 
     mul[(a << wt_format.width) | b] is k_act * k_wt times the exact product
@@ -246,36 +244,19 @@ def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
     return int(mul[(a.astype(np.int64) << wt_format.width) | b].sum(dtype=np.int64))
 
 
-# The rarer DFQ plane takes a CSR product up to this density: at 1024^3, CSR
-# build + product took 6.8/9.8/16.7/24.5/36.8 ms at 1/2/4/6.25/10% nonzero
-# codes, against 21.8 ms for one dense matmul.
+# A plane takes a CSR product up to this density: at 1024^3, CSR build +
+# product took 6.8/9.8/16.7/24.5/36.8 ms at 1/2/4/6.25/10% nonzero codes,
+# against 21.8 ms for one dense matmul.
 _RARE_DENSITY = 1 / 32
 
 
-def _merged_products(code_planes, w_codes: np.ndarray, w_format: FpFormat) -> list | None:
-    """Both plane accumulators of a one-group DFQ activation, or None if its
-    rarer plane holds more than ``_RARE_DENSITY`` nonzero codes: a matmul of
-    the planes' summed values less a CSR product of the rarer plane gives
-    the other's.  The dtype holds the sums through the merged table exactly,
-    so the subtraction is exact, overlapping planes included."""
-    (neg, neg_fmt, _), (pos, pos_fmt, _) = code_planes
-    counts = np.count_nonzero(neg), np.count_nonzero(pos)
-    rare = int(counts[1] < counts[0])
-    if counts[rare] > neg.size * _RARE_DENSITY:
-        return None
+def _sparse_product(vals: np.ndarray, codes: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """One CSR product: ``vals`` of the nonzero codes times the weight values."""
     from scipy.sparse import csr_matrix  # 16 ms or more to import: `import fpq` must not pay it
-    table, w_k = np.add.outer(_int_values(pos_fmt), _int_values(neg_fmt)), _int_values(w_format)
-    rows, cols = neg.shape
-    dtype = np.float32 if np.abs(table).max() * np.abs(w_k).max() * cols < 2**24 else np.float64
-    w_t = w_k.astype(dtype).take(w_codes.T.copy())  # C-ordered: scipy copies a transposed operand
-    index_type = np.uint8 if neg_fmt.width + pos_fmt.width <= 8 else np.uint16
-    acc = table.astype(dtype).take(pos.astype(index_type) << neg_fmt.width | neg) @ w_t
-    codes, fmt, _ = code_planes[rare]
-    flat = np.flatnonzero(codes != 0)
-    part = csr_matrix((_int_values(fmt).astype(dtype)[codes.flat[flat]], flat % cols,
+    rows, cols = codes.shape
+    flat = np.flatnonzero(codes)
+    return csr_matrix((vals.take(codes.flat[flat]), flat % cols,
                        np.searchsorted(flat, np.arange(rows + 1) * cols)), shape=codes.shape) @ w_t
-    acc -= part
-    return [acc, part] if rare else [part, acc]
 
 
 def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_codes: np.ndarray,
@@ -285,35 +266,37 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
 
     Partial sums are integers of at most peak * group width, ``peak`` the
     largest |entry| of the planes' multipliers; below 2^24 float32 holds
-    them exactly in any BLAS summation order, else float64 does, so the
-    matmul reproduces the multiplier-table accumulation integer for integer
-    (the exhaustive product tests pin the per-pair identity) in one reused
-    rows x out array; a one-group DFQ activation with a rare plane takes the
-    same integers from ``_merged_products`` (per group, its CSR outputs cost
-    more than they save).  Its float64 rescale by s_act * s_wt / (k_act *
+    them exactly in any summation order, else float64 does, so each plane's
+    product reproduces the multiplier-table accumulation integer for integer
+    (the exhaustive product tests pin the per-pair identity): a CSR product
+    if the activation is one group and the plane at most ``_RARE_DENSITY``
+    nonzero (per group, its rows x out outputs cost more than they save),
+    else a dense matmul.  Its float64 rescale by s_act * s_wt / (k_act *
     k_wt), the power of two folded into s_wt (rounding the same while
     products are normal floats), runs a slice of rows at a time in one
     reused buffer; groups accumulate in ascending order, planes neg first.
     """
-    merged = (_merged_products(code_planes, w_codes, w_format)
-              if len(groups) == 1 and len(code_planes) == 2 else None)
-    if merged is None:
-        dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
-        w_vals = _int_values(w_format).astype(dtype)[w_codes]
-        acc = np.empty((len(code_planes[0][0]), len(w_codes)), dtype)
-    out = np.zeros((code_planes[0][0].shape[0], w_codes.shape[0]))
-    step = _row_step(out.shape[1])
-    term = np.empty((min(step, len(out)), out.shape[1]))
+    dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
+    # C-ordered weight values: scipy copies a transposed operand.
+    w_t = _int_values(w_format).astype(dtype).take(w_codes.T.copy())
+    out = None
     for gi, (c0, c1) in enumerate(groups):
-        for pi, (codes, fmt, sx) in enumerate(code_planes):
-            acc = merged[pi] if merged else np.matmul(_int_values(fmt).astype(dtype)[codes[:, c0:c1]],
-                                                      w_vals[:, c0:c1].T, out=acc)
+        for codes, fmt, sx in code_planes:
+            vals = _int_values(fmt).astype(dtype)
+            if len(groups) == 1 and np.count_nonzero(codes) <= codes.size * _RARE_DENSITY:
+                acc = _sparse_product(vals, codes, w_t)
+            else:
+                acc = vals.take(codes[:, c0:c1]) @ w_t[c0:c1]
+            if out is None:  # after the first product, whose gathers are freed by now
+                out, step = np.zeros(acc.shape), _row_step(acc.shape[1])
+                term = np.empty((min(step, len(out)), out.shape[1]))
             sw = w_scales[:, gi] * (1 / (_int_scale(fmt) * _int_scale(w_format)))
             for r0 in range(0, len(out), step):
                 t = term[: len(out) - r0]
                 np.multiply.outer(sx[r0:r0 + step, gi], sw, out=t)
                 t *= acc[r0:r0 + step]
                 out[r0:r0 + step] += t
+            del acc  # before the next product allocates its own
     return out
 
 
@@ -404,14 +387,16 @@ def verify_gemm_rows(luts: LutTables | None = None, seed: int = 0) -> dict:
     """For every multiplier ``verify_mul_tables`` proves, compare ``emu_gemm``
     of a small seeded per_group-128 sample entry by entry with the table
     walk: ``emu_dot`` of each unit pair and plane, rescaled by the unit
-    scales in the GEMM's order.  A per_token E1M2/E2M1 sample with about
-    1.4% of its values > 0 checks the one-product DFQ route the same way."""
-    g, rng = Granularity.per_group(128), np.random.default_rng(seed)
+    scales in the GEMM's order.  Two per_token samples check the CSR product
+    the same way: the rare plane of an E1M2/E2M1 DFQ sample with about 1.4%
+    of its values > 0, and a single E2M1 plane about 0.9% nonzero."""
+    g, pt, rng = Granularity.per_group(128), Granularity.per_token(), np.random.default_rng(seed)
     samples = [(quantize(rng.standard_normal((4, 256)), act, g), quantize(rng.standard_normal((3, 256)), wt, g))
                for act, wt in _CHECKED_PAIRS]
-    x = rng.standard_normal((4, 256))
-    samples.append((dfq_quantize(np.where(x > 2.2, x, -np.abs(x) * 0.05), E1M2, E2M1, Granularity.per_token()),
-                    quantize(rng.standard_normal((3, 256)), E2M1, Granularity.per_channel())))
+    for sparse in (lambda x: dfq_quantize(np.where(x > 2.2, x, -np.abs(x) * 0.05), E1M2, E2M1, pt),
+                   lambda x: quantize(np.where(np.abs(x) > 2.6, x, 0), E2M1, pt)):
+        samples.append((sparse(rng.standard_normal((4, 256))),
+                        quantize(rng.standard_normal((3, 256)), E2M1, Granularity.per_channel())))
     for xq, wq in samples:
         out, sw = emu_gemm(xq, wq, luts), np.reshape(wq.scales, (len(wq.codes), -1))
         w = 256 // sw.shape[1]

@@ -33,8 +33,6 @@ API_ONLY = (
     ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),
     ("hwemu.LutTables", "the table set build_tables returns and every LUT quantizer, emu_dot and emu_gemm read"),
     ("hwemu.emu_dot", "the multiplier-table walk of one unit pair, the reference verify_gemm_rows holds emu_gemm to"),
-    ("hwemu.build_address_lut", "builds one quantizer address table, for inspecting it"),
-    ("hwemu.build_mul_lut", "builds one integer multiplier table, for inspecting it"),
     ("quantize.IntFormat", "the format of rtn_int_quantize results"),
     ("quantize.rtn_int_quantize", "the INT round-to-nearest baseline the FP formats are compared with"),
     ("quantize.afpq_quantize", "asymmetric FP quantization, the one-grid special case of DFQ"),

@@ -31,8 +31,8 @@ from fpq.formats import (
 )
 from fpq.hwemu import (
     LutTables,
-    build_address_lut,
-    build_mul_lut,
+    _build_address_lut,
+    _build_mul_lut,
     build_tables,
     dfq_lut_quantize,
     emu_dot,
@@ -118,21 +118,21 @@ def _reference_code(neg, pos, q: float) -> int:
 
 class TestQuantLut:
     def test_grid_max_address(self) -> None:
-        lut = build_address_lut(E2M1, E2M1)
+        lut = _build_address_lut(E2M1, E2M1)
         assert len(lut) == 128
         assert lut[48] == 0b0111  # q = +6.0
         assert lut[0] == 0b0000  # zero
         assert lut[-48] == nearest_codes(E2M1, -6.0) == 0b1111
 
     def test_live_addresses_match_reference_rounding(self) -> None:
-        lut = build_address_lut(E2M1, E2M1)
+        lut = _build_address_lut(E2M1, E2M1)
         for addr in ADDRESSES:
             for q in _bucket(addr):
                 assert decode_bits(E2M1, int(lut[addr])) == decode_bits(E2M1, nearest_codes(E2M1, q))
 
     def test_dead_addresses_saturate(self) -> None:
         # Addresses past the grid's ends, q beyond +-6, hold the saturation codes.
-        lut = build_address_lut(E2M1, E2M1)
+        lut = _build_address_lut(E2M1, E2M1)
         assert all(lut[a] == 0b0111 for a in range(49, 64))
         assert all(lut[a] == 0b1111 for a in range(-64, -48))
 
@@ -140,7 +140,7 @@ class TestQuantLut:
 class TestAddressTables:
     @pytest.mark.parametrize("neg, pos", TABLE_PAIRS, ids=lambda f: f.name)
     def test_every_bucket_matches_reference(self, neg, pos) -> None:
-        lut = build_address_lut(neg, pos)
+        lut = _build_address_lut(neg, pos)
         rng = np.random.default_rng(0)
         for addr in ADDRESSES:
             lo, hi = _bucket(addr)
@@ -156,7 +156,7 @@ class TestAddressTables:
     @pytest.mark.parametrize("neg, pos", TABLE_PAIRS, ids=lambda f: f.name)
     def test_one_fractional_bit_puts_midpoints_inside_buckets(self, neg, pos) -> None:
         with pytest.raises(RuntimeError, match="inside an address bucket at 1 fractional bits"):
-            build_address_lut(neg, pos, frac_bits=1)
+            _build_address_lut(neg, pos, frac_bits=1)
 
     def test_tables_record_their_width(self) -> None:
         # Fractional bits and entry count derive from the pair: 2^(I + F + 2)
@@ -378,13 +378,13 @@ class TestOneCastAddress:
 
 class TestDfqLuts:
     def test_reference_entries(self) -> None:
-        lut = build_address_lut(E1M2, E2M1)
+        lut = _build_address_lut(E1M2, E2M1)
         assert lut[48] == 0b0111  # q = +6.0 in E2M1
         assert lut[-28] == 0b1111  # q = -3.5 in E1M2
         assert lut[0] == 0
 
     def test_branch_domains_match_reference(self) -> None:
-        lut = build_address_lut(E1M2, E2M1)
+        lut = _build_address_lut(E1M2, E2M1)
         for addr in ADDRESSES:
             fmt = E1M2 if addr < 0 else E2M1
             for q in _bucket(addr):
@@ -472,7 +472,7 @@ class TestMulTables:
 
     def test_e4m3_would_reject_mixed_products(self) -> None:
         assert 3.5 * 6.0 not in grid_values(E4M3)
-        mul = build_mul_lut(E1M2, E2M1)
+        mul = _build_mul_lut(E1M2, E2M1)
         a, b = int(nearest_codes(E1M2, 3.5)), int(nearest_codes(E2M1, 6.0))
         assert mul[(a << 4) | b] == 21 * 4
 
@@ -481,7 +481,7 @@ class TestMulTables:
     def test_pair_past_the_8bit_product_codes_builds_exact(self, act, wt, x, y) -> None:
         # 3.5 * 3.5 = 2^3 * 1.53125 and the FP6 product 7.5 * 6 = 45 =
         # 2^5 * 1.40625 need five mantissa bits, one more than E3M4 has.
-        mul = build_mul_lut(act, wt)
+        mul = _build_mul_lut(act, wt)
         assert mul[(int(nearest_codes(act, x)) << wt.width) | int(nearest_codes(wt, y))] == x * y * _k(act) * _k(wt)
         assert mul.tobytes() == LUTS.multiplier(act, wt).tobytes()
         _exhaustive_products(act, wt)
@@ -499,21 +499,26 @@ class TestMulTables:
         luts = LutTables(LUTS.address, {**LUTS.product, (E2M1, E2M1): mul})
         assert verify_gemm_rows(luts, seed=3) == {"gemm_rows": "fail"}
 
-    def test_verify_gemm_rows_checks_the_merged_dfq_route(self, monkeypatch) -> None:
-        # Only the per_token DFQ sample takes the one-product route; one
-        # count too many in its accumulators fails the check.
-        calls = _spy_route(monkeypatch)
+    @pytest.mark.parametrize("bumped", [0, 1], ids=["dfq_rare_plane", "single_plane"])
+    def test_verify_gemm_rows_checks_the_sparse_products(self, bumped: int, monkeypatch) -> None:
+        # Two samples take the CSR product: the pos plane of the per_token
+        # DFQ sample, then the sparse E2M1 plane.  One count too many in
+        # either accumulator fails the check.
+        product, calls = hwemu._sparse_product, _spy_sparse(monkeypatch)
         assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "pass"}
-        assert [c is not None for c in calls] == [True]
-        route = hwemu._merged_products
+        assert len(calls) == 2 and 0 < np.count_nonzero(calls[1][0]) <= calls[1][0].size / 32
+        seen = []
 
         def off_by_one(*args):
-            accs = route(*args)
-            accs[1] += 1
-            return accs
+            acc = product(*args)
+            if len(seen) == bumped:
+                acc += 1
+            seen.append(acc)
+            return acc
 
-        monkeypatch.setattr(hwemu, "_merged_products", off_by_one)
+        monkeypatch.setattr(hwemu, "_sparse_product", off_by_one)
         assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "fail"}
+        assert len(seen) == bumped + 1
 
     def test_verify_counts_a_wrong_product(self) -> None:
         mul = LUTS.multiplier(E3M0, E2M1).copy()
@@ -967,16 +972,17 @@ class TestBlockedRescale:
         assert peak - out.nbytes < out.nbytes
 
 
-def _spy_route(monkeypatch) -> list:
-    """Record what ``_merged_products`` returns (None where it declines)
-    on every ``emu_gemm`` call that reaches it."""
-    calls, route = [], hwemu._merged_products
+def _spy_sparse(monkeypatch) -> list:
+    """Record the codes and the accumulator dtype of every
+    ``_sparse_product`` call."""
+    calls, product = [], hwemu._sparse_product
 
-    def spy(*args):
-        calls.append(route(*args))
-        return calls[-1]
+    def spy(vals, codes, w_t):
+        acc = product(vals, codes, w_t)
+        calls.append((codes, acc.dtype))
+        return acc
 
-    monkeypatch.setattr(hwemu, "_merged_products", spy)
+    monkeypatch.setattr(hwemu, "_sparse_product", spy)
     return calls
 
 
@@ -990,15 +996,17 @@ def _with_positives(n_pos: int, rows: int = 32, cols: int = 64) -> np.ndarray:
 
 
 class TestMergedPlanes:
-    """A one-group DFQ activation whose rarer plane holds at most 1/32
-    nonzero codes multiplies once (``_merged_products``); every input gives
-    the bytes of one matmul per plane (``_gemm_planes_oracle``)."""
+    """Each plane of an activation, DFQ or not, has its own product: a plane
+    of a one-group activation with at most 1/32 nonzero codes a CSR product
+    (``_sparse_product``), every other plane a dense matmul.  Every input
+    gives the bytes of one dense matmul per plane (``_gemm_planes_oracle``)."""
 
     @staticmethod
-    def _check(xq, wq, monkeypatch, taken: bool) -> list:
-        calls = _spy_route(monkeypatch)
+    def _check(xq, wq, monkeypatch, sparse: list) -> list:
+        """``sparse`` lists the code planes that must take the CSR product."""
+        calls = _spy_sparse(monkeypatch)
         got = emu_gemm(xq, wq, LUTS)
-        assert any(c is not None for c in calls) == taken
+        assert len(calls) == len(sparse) and all(c is p for (c, _), p in zip(calls, sparse))
         monkeypatch.setattr(hwemu, "_gemm_planes", _gemm_planes_oracle)
         want = emu_gemm(xq, wq, LUTS)
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -1017,38 +1025,38 @@ class TestMergedPlanes:
         wq = quantize(np.random.default_rng(35).standard_normal((24, 512)), E2M1, gw)
         rare = dq.pos_codes if sign == 1 else dq.neg_codes
         assert 0 < np.count_nonzero(rare) <= rare.size / 32
-        self._check(dq, wq, monkeypatch, taken=True)
+        self._check(dq, wq, monkeypatch, [rare])
 
     @pytest.mark.parametrize("case", ["all_nonpositive", "all_positive", "all_zero"])
     def test_empty_rare_plane(self, case: str, monkeypatch) -> None:
+        # An all-zero input leaves both planes empty, and both sparse.
         x = np.abs(np.random.default_rng(36).standard_normal((9, 256)))
         x = {"all_nonpositive": -x, "all_positive": x + 0.1, "all_zero": 0 * x}[case]
         dq = dfq_quantize(x, E1M2, E2M1, Granularity.per_token())
         wq = quantize(np.random.default_rng(37).standard_normal((11, 256)), E2M1, Granularity.per_channel())
-        assert min(np.count_nonzero(dq.neg_codes), np.count_nonzero(dq.pos_codes)) == 0
-        self._check(dq, wq, monkeypatch, taken=True)
+        empty = [codes for codes, _, _ in dq.planes if not codes.any()]
+        assert len(empty) == (2 if case == "all_zero" else 1)
+        self._check(dq, wq, monkeypatch, empty)
 
     @pytest.mark.parametrize("n_pos, taken", [(63, True), (64, True), (65, False)])
     def test_density_bound_is_one_in_32(self, n_pos: int, taken: bool, monkeypatch) -> None:
         dq = dfq_quantize(_with_positives(n_pos), E1M2, E2M1, Granularity.per_token())
         assert np.count_nonzero(dq.pos_codes) == n_pos and dq.pos_codes.size == 32 * 64
         wq = quantize(np.random.default_rng(38).standard_normal((5, 64)), E2M1, Granularity.per_channel())
-        self._check(dq, wq, monkeypatch, taken)
+        self._check(dq, wq, monkeypatch, [dq.pos_codes] if taken else [])
 
-    def test_fp6_planes_take_a_wide_index_and_float64(self, monkeypatch) -> None:
-        # E2M3/E3M2 codes need a 12-bit pair index, and (60 + 448) * 448 *
-        # 256 passes 2^24: a uint8 index or a float32 sum would change bytes.
+    def test_fp6_planes_take_float64(self, monkeypatch) -> None:
+        # 448 * 448 * 256 passes 2^24: a float32 sum would change bytes.
         dq = dfq_quantize(gelu_activations(39, (32, 256)), E2M3, E3M2, Granularity.per_token())
         wq = quantize(np.random.default_rng(40).standard_normal((8, 256)), E3M2, Granularity.per_channel())
-        calls = self._check(dq, wq, monkeypatch, taken=True)
-        assert [acc.dtype for acc in calls[0]] == [np.float64, np.float64]
+        calls = self._check(dq, wq, monkeypatch, [dq.pos_codes])
+        assert calls[0][1] == np.float64
 
     def test_overlapping_planes_stay_exact_past_2_24(self, monkeypatch) -> None:
-        # E2M1 planes and weights: one plane's sums stay within 144 * width
-        # < 2^24, so the oracle runs in float32.  Here the positive plane
-        # also holds -6 at every 32nd column, so the merged sum,
-        # -144 * (width - 1) - 1 - 144 * width / 32, is an odd integer past
-        # 2^24 that only a float64 accumulator holds.
+        # E2M1 planes and weights: each plane's sums stay within 144 * width
+        # < 2^24, so its product runs in float32.  Here the positive plane
+        # also holds -6 at every 32nd column, so the planes' total,
+        # -144 * (width - 1) - 1 - 144 * width / 32, passes 2^24.
         width = 116480
         neg = np.full((1, width), nearest_codes(E2M1, -6.0), np.uint8)
         neg[0, 0] = nearest_codes(E2M1, -0.5)
@@ -1058,9 +1066,7 @@ class TestMergedPlanes:
         w[0, 0] = 0.5
         g, wq = Granularity.per_token(), quantize(w, E2M1, Granularity.per_channel())
         dq = DfqResult(neg, pos, np.ones(1), np.ones(1), E2M1, E2M1, g, neg.shape)
-        calls = self._check(dq, wq, monkeypatch, taken=True)
-        merged = calls[0][0] + calls[0][1]
-        assert merged.dtype == np.float64 and merged[0, 0] == -144 * (width - 1) - 1 - 144 * width // 32 < -2**24
+        self._check(dq, wq, monkeypatch, [pos])
         want = 0.0 + emu_dot(neg[0], wq.codes[0], LUTS) * 0.25 + emu_dot(pos[0], wq.codes[0], LUTS) * 0.25
         assert emu_gemm(dq, wq, LUTS)[0, 0] == want
 
@@ -1070,34 +1076,48 @@ class TestMergedPlanes:
         dq = dfq_quantize(x, E1M2, E2M1, Granularity.per_token())
         wq = quantize(np.random.default_rng(43).standard_normal((11, 512)), E2M1, Granularity.per_channel())
         monkeypatch.setattr(formats, "_BLOCK", block)
-        self._check(dq, wq, monkeypatch, taken=True)
+        self._check(dq, wq, monkeypatch, [dq.pos_codes])
+
+    @pytest.mark.parametrize("gx, gw", [
+        (PT, PT),
+        (Granularity.per_token(), Granularity.per_channel()),
+    ], ids=["per_tensor", "per_token"])
+    @pytest.mark.parametrize("case", ["sparse", "all_zero"])
+    def test_sparse_single_plane(self, case: str, gx, gw, monkeypatch) -> None:
+        # |x| > 2.6 keeps about 0.9% of a Gaussian sample.
+        x = np.random.default_rng(49).standard_normal((24, 512))
+        xq = quantize(np.where(np.abs(x) > 2.6, x, 0) if case == "sparse" else 0 * x, E2M1, gx)
+        assert np.count_nonzero(xq.codes) <= xq.codes.size / 32
+        wq = quantize(np.random.default_rng(50).standard_normal((16, 512)), E2M1, gw)
+        self._check(xq, wq, monkeypatch, [xq.codes])
 
     @pytest.mark.parametrize("case", ["per_group", "balanced", "one_plane"])
     def test_other_inputs_keep_one_matmul_per_plane(self, case: str, monkeypatch) -> None:
-        # Per group, the route would build a rows x out CSR output for every
+        # Per group, a CSR product would build a rows x out output for every
         # group, which costs more than the dense matmul it saves.
         x = {"balanced": np.random.default_rng(44).standard_normal((9, 256))}.get(case, gelu_activations(45, (9, 256)))
         g = Granularity.per_group(128) if case == "per_group" else Granularity.per_token()
         xq = quantize(x, E2M1, g) if case == "one_plane" else dfq_quantize(x, E1M2, E2M1, g)
         w = np.random.default_rng(46).standard_normal((11, 256))
         wq = quantize(w, E2M1, g if case == "per_group" else Granularity.per_channel())
-        self._check(xq, wq, monkeypatch, taken=False)
+        self._check(xq, wq, monkeypatch, [])
 
     def test_peak_memory_within_the_per_plane_bound(self, monkeypatch) -> None:
-        # The per-plane loop peaked 12.33 MiB beyond its 8 MiB output at this
-        # shape (tracemalloc); the route keeps neither its pair index nor its
-        # merged values past the dense matmul.
+        # The dense per-plane loop peaked 12.33 MiB beyond its 8 MiB output
+        # at this shape (tracemalloc); ``out`` waits for the first product's
+        # gathers to go, and each product goes before the next.
         dq = dfq_quantize(gelu_activations(47, (1024, 1024)), E1M2, E2M1, Granularity.per_token())
         wq = quantize(gaussian_channel_weights(48, 1024, 1024), E2M1, Granularity.per_channel())
-        calls = _spy_route(monkeypatch)
+        calls = _spy_sparse(monkeypatch)
         emu_gemm(dq, wq, LUTS)  # scipy.sparse loads outside the trace
+        calls.clear()
         tracemalloc.start()
         try:
             out = emu_gemm(dq, wq, LUTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls[-1] is not None and peak - out.nbytes <= 12.33 * 2**20
+        assert len(calls) == 1 and peak - out.nbytes <= 12.33 * 2**20
 
 
 def _table_walk_row(xq, wq, t: int) -> np.ndarray:
