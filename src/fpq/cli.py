@@ -238,7 +238,8 @@ def _command(name: str):
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size [128]")
-@click.option("--pad-partial", "pad_partial", is_flag=True, default=False)
+@click.option("--pad-partial", "pad_partial", is_flag=True, default=False,
+              help="zero-pad a partial final group")
 @click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
 @click.option("--out-codes", "out_codes", default=None, type=click.Path())
 @click.option("--out-scales", "out_scales", default=None, type=click.Path())

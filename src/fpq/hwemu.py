@@ -25,6 +25,8 @@ a GEMM.  Each code plane has its own product: a CSR product where the
 activation is one group and the plane at most 1/32 nonzero (the rare DFQ
 plane of a GeLU input), a dense matmul otherwise.
 
+``dfq_lut_quantize`` is ``quantize``'s DFQ driver with the address table as
+its kernel: only the table it rounds through differs from ``dfq_quantize``.
 ``emu_gemm`` reads the code planes a quantized result lists and the unit
 layout its ``Granularity`` owns: activation and weight units must have
 equal widths over equal column counts, so their groups line up.
@@ -33,6 +35,7 @@ equal widths over equal column counts, so their groups line up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -55,9 +58,7 @@ from .quantize import (
     DfqResult,
     Granularity,
     QuantizedTensor,
-    _dfq_planes,
-    _dfq_scales,
-    _dfq_split,
+    _dfq,
     _validate_input,
     dfq_quantize,
     quantize,
@@ -207,21 +208,13 @@ def lut_quantize(x, scale: float, luts: LutTables | None = None, fmt: FpFormat =
 def dfq_lut_quantize(
     x, luts: LutTables | None = None, neg_format: FpFormat = E1M2, pos_format: FpFormat = E2M1
 ) -> DfqResult:
-    """Dual-format quantization through the address table (per-tensor).
-
-    Mask and scales come from the reference quantizer's split.  Each element
-    is divided by its part's scale and looked up once: a part <= 0 gives a
-    negative address or 0, whose entries hold ``neg_format`` codes (0 for
-    zero), and a part > 0 a positive one, holding ``pos_format`` codes.  The
-    mask splits the codes into the planes, bit-identical to ``dfq_quantize``.
-    """
-    arr = _validate_input(x, "dfq_lut_quantize")
-    g = Granularity.per_tensor()
-    split = _dfq_split(arr, g, "dfq_lut_quantize")
-    s_neg, s_pos, scale = _dfq_scales(split, neg_format, pos_format, g)
-    codes = _lut_codes(luts, neg_format, pos_format, arr, scale)
-    neg, pos = _dfq_planes(codes, split[0])
-    return DfqResult(neg, pos, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
+    """Dual-format quantization through the address table (per-tensor):
+    ``quantize``'s DFQ driver with the address kernel.  A part <= 0 over its
+    scale gives a negative address or 0, whose entries hold ``neg_format``
+    codes (0 for zero), and a part > 0 a positive one, holding ``pos_format``
+    codes, so the driver's mask splits them as in ``dfq_quantize``."""
+    return _dfq(x, neg_format, pos_format, Granularity.per_tensor(), "dfq_lut_quantize",
+                partial(_lut_codes, luts, neg_format, pos_format))
 
 
 def emu_dot(codes_a, codes_b, luts: LutTables | None = None,
@@ -389,14 +382,16 @@ def verify_gemm_rows(luts: LutTables | None = None, seed: int = 0) -> dict:
     walk: ``emu_dot`` of each unit pair and plane, rescaled by the unit
     scales in the GEMM's order.  Two per_token samples check the CSR product
     the same way: the rare plane of an E1M2/E2M1 DFQ sample with about 1.4%
-    of its values > 0, and a single E2M1 plane about 0.9% nonzero."""
+    of its values > 0, and a single E2M1 plane about 0.9% nonzero, each with
+    a nonzero code ending its first row, which a slipped row pointer moves."""
     g, pt, rng = Granularity.per_group(128), Granularity.per_token(), np.random.default_rng(seed)
     samples = [(quantize(rng.standard_normal((4, 256)), act, g), quantize(rng.standard_normal((3, 256)), wt, g))
                for act, wt in _CHECKED_PAIRS]
     for sparse in (lambda x: dfq_quantize(np.where(x > 2.2, x, -np.abs(x) * 0.05), E1M2, E2M1, pt),
                    lambda x: quantize(np.where(np.abs(x) > 2.6, x, 0), E2M1, pt)):
-        samples.append((sparse(rng.standard_normal((4, 256))),
-                        quantize(rng.standard_normal((3, 256)), E2M1, Granularity.per_channel())))
+        x = rng.standard_normal((4, 256))
+        x[0, -1] = 3.0
+        samples.append((sparse(x), quantize(rng.standard_normal((3, 256)), E2M1, Granularity.per_channel())))
     for xq, wq in samples:
         out, sw = emu_gemm(xq, wq, luts), np.reshape(wq.scales, (len(wq.codes), -1))
         w = 256 // sw.shape[1]

@@ -16,7 +16,9 @@ full-size scale, quotient or key array; ``dequantize`` decodes and scales
 the same slices straight into its output.  The unit max, min or absmax is
 the finiteness check: a non-finite element makes it non-finite.  A
 quantized result lists its ``planes``, one ``(codes, format, scales)`` per
-code plane on that layout, so consumers never re-derive it.
+code plane on that layout, so consumers never re-derive it.  The DFQ recipe
+(sign split, part scales, one kernel pass, the mask's plane split) is one
+driver, ``_dfq``; ``hwemu.dfq_lut_quantize`` runs it with its address kernel.
 """
 
 from __future__ import annotations
@@ -114,10 +116,7 @@ class Granularity:
         gs = self.group_size
         if n % gs:
             if not self.pad_partial:
-                raise ValueError(
-                    f"last axis ({n}) is not divisible by group size {gs}; "
-                    "set pad_partial to zero-pad the final group"
-                )
+                raise ValueError(f"last axis ({n}) is not divisible by group size {gs}")
             pad = gs - n % gs
             widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
             x = np.pad(x, widths)
@@ -294,14 +293,6 @@ def _dfq_split(arr: np.ndarray, g: Granularity, op: str):
     return arr <= 0, np.maximum(-lo, 0.0), np.maximum(hi, 0.0)
 
 
-def _dfq_planes(codes, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split one code array into the DFQ ``(neg, pos)`` planes: the split's
-    mask keeps the codes of the part <= 0 in neg, and pos holds the rest.
-    Both are fresh uint8 arrays, also for 0-d input."""
-    neg = np.multiply(codes, mask, out=np.empty(mask.shape, np.uint8))
-    return neg, np.subtract(codes, neg, out=np.empty_like(neg))
-
-
 def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
     """``(s_neg, s_pos, scale)``: each part's unit scales, and the function of
     a row slice of ``g.rows`` giving the scale of each element there,
@@ -312,6 +303,21 @@ def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
     m2 = g.rows(mask)
     sn, sp = (g.row_scales(u, mask.shape) for u in (s_neg, s_pos))
     return s_neg, s_pos, lambda rows: np.where(m2[rows], sn(rows), sp(rows))
+
+
+def _dfq(x, neg_format: FpFormat, pos_format: FpFormat, g: Granularity, op: str, codes_of) -> DfqResult:
+    """The one DFQ recipe: ``x`` validated as ``op``, its sign split, each
+    part's unit scales, and one ``codes_of(g.rows(arr), scale)`` pass over
+    the quotients (a kernel in the calling convention of ``formats._lookup``).
+    The split's mask cuts the codes into two fresh uint8 planes, also for
+    0-d input: the codes of the part <= 0 in neg, the rest in pos."""
+    arr = _validate_input(x, op)
+    split = _dfq_split(arr, g, op)
+    s_neg, s_pos, scale = _dfq_scales(split, neg_format, pos_format, g)
+    codes = codes_of(g.rows(arr), scale).reshape(arr.shape)
+    neg = np.multiply(codes, split[0], out=np.empty(arr.shape, np.uint8))
+    pos = np.subtract(codes, neg, out=np.empty_like(neg))
+    return DfqResult(neg, pos, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
 
 
 def dfq_quantize(
@@ -330,12 +336,7 @@ def dfq_quantize(
     table of both grids; a scaled element <= 0 has its sign bit set or is a
     zero (code 0 on both grids), so the mask splits the codes into the planes.
     """
-    arr = _validate_input(x, "dfq_quantize")
-    split = _dfq_split(arr, g, "dfq_quantize")
-    s_neg, s_pos, scale = _dfq_scales(split, neg_format, pos_format, g)
-    codes = _nearest(neg_format, pos_format, g.rows(arr), scale).reshape(arr.shape)
-    neg_codes, pos_codes = _dfq_planes(codes, split[0])
-    return DfqResult(neg_codes, pos_codes, s_neg, s_pos, neg_format, pos_format, g, arr.shape)
+    return _dfq(x, neg_format, pos_format, g, "dfq_quantize", partial(_nearest, neg_format, pos_format))
 
 
 def afpq_quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> DfqResult:

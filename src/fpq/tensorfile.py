@@ -10,6 +10,7 @@ rename into place.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import uuid
@@ -29,9 +30,8 @@ _DTYPES = {
     "code4": np.dtype(np.uint8),
     "code8": np.dtype(np.uint8),
 }
+# A kind's dtype tag in the file is its index here.
 KINDS = tuple(_DTYPES)
-_KIND_TAG = {k: i for i, k in enumerate(KINDS)}
-_TAG_KIND = {i: k for k, i in _KIND_TAG.items()}
 
 
 class TensorFileError(ValueError):
@@ -80,7 +80,7 @@ def write_tensor(path, array, kind: str | None = None) -> None:
     arr = np.asarray(array)
     if kind is None:
         kind = _default_kind(arr)
-    if kind not in _KIND_TAG:
+    if kind not in KINDS:
         raise ValueError(f"unknown tensor kind {kind!r}; one of {KINDS}")
 
     if kind.startswith("code"):
@@ -92,8 +92,7 @@ def write_tensor(path, array, kind: str | None = None) -> None:
     flat = np.ascontiguousarray(arr, dtype=_DTYPES[kind]).ravel()
     payload = _pack_code4(flat) if kind == "code4" else flat.tobytes()
 
-    header = MAGIC + struct.pack("<HBB", VERSION, _KIND_TAG[kind], arr.ndim)
-    header += b"".join(struct.pack("<Q", d) for d in arr.shape)
+    header = MAGIC + struct.pack(f"<HBB{arr.ndim}Q", VERSION, KINDS.index(kind), arr.ndim, *arr.shape)
 
     path = os.fspath(path)
     # Mode 0o666 under the umask, as open() gives (mkstemp's 0o600 would stick).
@@ -121,21 +120,17 @@ def read_tensor(path) -> TensorData:
     version, tag, ndim = struct.unpack_from("<HBB", blob, 4)
     if version != VERSION:
         raise TensorFileError(f"unsupported version {version}, expected {VERSION}", 4)
-    if tag not in _TAG_KIND:
+    if tag >= len(KINDS):
         raise TensorFileError(f"unknown dtype tag {tag}", 6)
-    kind = _TAG_KIND[tag]
+    kind = KINDS[tag]
 
     shape_end = 8 + 8 * ndim
     if len(blob) < shape_end:
         raise TensorFileError(
             f"truncated shape: need {shape_end} header bytes, file has {len(blob)}", 8
         )
-    shape = tuple(
-        struct.unpack_from("<Q", blob, 8 + 8 * i)[0] for i in range(ndim)
-    )
-    count = 1
-    for d in shape:
-        count *= d
+    shape = struct.unpack_from(f"<{ndim}Q", blob, 8)
+    count = math.prod(shape)
 
     dtype = _DTYPES[kind]
     expected = (count + 1) // 2 if kind == "code4" else count * dtype.itemsize

@@ -111,8 +111,8 @@ def test_no_module_reads_the_environment() -> None:
 
 
 def test_import_leaves_scipy_sparse_unloaded() -> None:
-    # Only emu_gemm's one-product DFQ route needs scipy.sparse, and it
-    # costs 16 ms or more to import: the package and the CLI must not pay it.
+    # Only emu_gemm's CSR product of a rare code plane needs scipy.sparse,
+    # and it costs 16 ms or more to import: the package and the CLI must not pay it.
     code = "import sys, fpq, fpq.cli; print('scipy.sparse' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)

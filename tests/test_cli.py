@@ -103,6 +103,7 @@ class TestSearchErrors:
         (problem,) = json.loads(result.stderr)["problems"]
         want = "requires finite input" if kind == "nan" else "not divisible by group size 128"
         assert problem.startswith(f"{command[0]}: ") and want in problem
+        assert "pad_partial" not in problem  # an option neither command has
         assert not (tmp_path / "r.jsonl").exists()
 
 

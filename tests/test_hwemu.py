@@ -520,6 +520,21 @@ class TestMulTables:
         assert verify_gemm_rows(LUTS, seed=3) == {"gemm_rows": "fail"}
         assert len(seen) == bumped + 1
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_verify_gemm_rows_catches_a_row_pointer_slip(self, seed: int, monkeypatch) -> None:
+        # Row pointers one element early move a row's last nonzero code into
+        # the next row; each sparse sample has a row that ends in one.
+        def slipped(vals, codes, w_t):
+            from scipy.sparse import csr_matrix
+            rows, cols = codes.shape
+            flat = np.flatnonzero(codes)
+            indptr = np.searchsorted(flat, np.arange(rows + 1) * cols - 1)
+            return csr_matrix((vals.take(codes.flat[flat]), flat % cols, indptr), shape=codes.shape) @ w_t
+
+        assert verify_gemm_rows(LUTS, seed=seed) == {"gemm_rows": "pass"}
+        monkeypatch.setattr(hwemu, "_sparse_product", slipped)
+        assert verify_gemm_rows(LUTS, seed=seed) == {"gemm_rows": "fail"}
+
     def test_verify_counts_a_wrong_product(self) -> None:
         mul = LUTS.multiplier(E3M0, E2M1).copy()
         mul[(int(nearest_codes(E3M0, 16.0)) << 4) | int(nearest_codes(E2M1, 6.0))] ^= 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -32,7 +33,6 @@ from fpq.quantize import (
     Granularity,
     IntFormat,
     QuantizedTensor,
-    _dfq_planes,
     _dfq_search_totals,
     _part_sums,
     _fake_quantize,
@@ -476,15 +476,34 @@ class TestDfqOneRounding:
 
 
 class TestDfqPlanes:
-    """Both DFQ quantizers split their codes with ``_dfq_planes``."""
+    """Both DFQ quantizers run ``quantize``'s one DFQ driver: its sign split,
+    its scales and its plane split."""
 
-    @given(codes=arrays(np.uint8, st.integers(0, 40)), data=st.data())
-    def test_matches_where_split(self, codes, data) -> None:
-        mask = data.draw(arrays(np.bool_, codes.shape))
-        neg, pos = _dfq_planes(codes, mask)
-        assert neg.dtype == pos.dtype == np.uint8
-        assert neg.tolist() == np.where(mask, codes, 0).tolist()
-        assert pos.tolist() == np.where(mask, 0, codes).tolist()
+    @given(x=arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e6, 1e6)))
+    def test_matches_where_split(self, x) -> None:
+        # The mask cuts one code array: neg holds the codes of the elements
+        # <= 0 and pos the rest, each a fresh uint8 array.
+        for r in (dfq_quantize(x, E1M2, E2M1), dfq_lut_quantize(x)):
+            codes = r.neg_codes | r.pos_codes
+            for plane in (r.neg_codes, r.pos_codes):
+                assert plane.dtype == np.uint8 and plane.flags.owndata
+            assert r.neg_codes.tolist() == np.where(x <= 0, codes, 0).tolist()
+            assert r.pos_codes.tolist() == np.where(x <= 0, 0, codes).tolist()
+
+    def test_both_quantizers_take_the_drivers_scales(self, monkeypatch) -> None:
+        # One ulp more on s_neg in the shared scale step shows in both results.
+        x = gelu_activations(5, (16, 64))
+        want = np.nextafter(dfq_quantize(x, E1M2, E2M1).s_neg, np.inf)
+        module = sys.modules["fpq.quantize"]
+        scales = module._dfq_scales
+
+        def nudged(*args):
+            s_neg, s_pos, scale = scales(*args)
+            return np.nextafter(s_neg, np.inf), s_pos, scale
+
+        monkeypatch.setattr(module, "_dfq_scales", nudged)
+        for r in (dfq_quantize(x, E1M2, E2M1, PT), dfq_lut_quantize(x)):
+            assert r.s_neg == want
 
     @pytest.mark.parametrize("quantizer", [lambda x: dfq_quantize(x, E1M2, E2M1), dfq_lut_quantize],
                              ids=["reference", "lut"])
