@@ -23,13 +23,16 @@ a positive format and the other half like a negative one, both at the
 wider k; dual format quantization rounds through one.  The kernel
 (``_lookup``) divides, keys and looks up one slice of about ``_BLOCK``
 elements at a time in two reused scratch buffers, so its output is the
-only full-size array it makes.
+only full-size array it makes.  ``_slices`` is that walk, and every sliced
+kernel of ``fpq`` runs on it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import Iterator
 
 import numpy as np
 
@@ -219,14 +222,20 @@ def _finite(x, op: str) -> np.ndarray:
     return arr
 
 
-# Elements per slice of the lookup kernel: its quotient and key scratch
-# (16 bytes an element) and the slice's input and output stay in L2.
+# Elements per ``_slices`` slice: the lookup kernel's quotient and key
+# scratch (16 bytes an element) and the slice's input and output stay in L2.
 _BLOCK = 1 << 15
 
 
-def _row_step(n_cols: int) -> int:
-    """Rows of ``n_cols`` in one slice: about ``_BLOCK`` elements, at least one row."""
-    return max(1, _BLOCK // n_cols)
+def _slices(shape: tuple[int, ...], *dtypes) -> Iterator[tuple]:
+    """``(rows, *scratch)`` for each slice of whole rows of ``shape`` (a 1-D
+    shape has one element a row): about ``_BLOCK`` elements, at least one
+    row.  Each dtype has one buffer, made as the walk starts and reused: its
+    scratch is that buffer cut to the slice's rows."""
+    step = max(1, _BLOCK // math.prod(shape[1:]))
+    bufs = [np.empty((min(step, shape[0]), *shape[1:]), dtype) for dtype in dtypes]
+    for r0 in range(0, shape[0], step):
+        yield (slice(r0, r0 + step), *(b[: shape[0] - r0] for b in bufs))
 
 
 def _lookup(table: np.ndarray, key, x: np.ndarray, scale=None, rescale: bool = False) -> np.ndarray:
@@ -234,15 +243,10 @@ def _lookup(table: np.ndarray, key, x: np.ndarray, scale=None, rescale: bool = F
     unchecked.  Without ``scale``, any float64 x, one element per row; else x
     is 2-D, ``scale(rows)`` divides a slice of its rows (and multiplies the
     values back with ``rescale``) and ``key`` may overwrite the quotient."""
-    x2 = x.reshape(-1, 1) if scale is None else x
+    x2 = x.reshape(-1) if scale is None else x
     out = np.empty(x2.shape, table.dtype)
-    step = _row_step(x2.shape[1])
-    q = np.empty((min(step, len(x2)), x2.shape[1]))
-    keys = np.empty(q.shape, np.int64)
-    for r0 in range(0, len(x2), step):
-        rows = slice(r0, r0 + step)
+    for rows, qb, kb in _slices(x2.shape, np.float64, np.int64):
         xb = x2[rows]
-        qb, kb = q[: len(xb)], keys[: len(xb)]
         if scale is not None:
             sb = scale(rows)
             xb = np.divide(xb, sb, out=qb)

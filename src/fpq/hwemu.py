@@ -49,7 +49,7 @@ from .formats import (
     _finite,
     _lookup,
     _nearest,
-    _row_step,
+    _slices,
     decode_bits,
     max_value,
 )
@@ -266,8 +266,9 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
     nonzero (per group, its rows x out outputs cost more than they save),
     else a dense matmul.  Its float64 rescale by s_act * s_wt / (k_act *
     k_wt), the power of two folded into s_wt (rounding the same while
-    products are normal floats), runs a slice of rows at a time in one
-    reused buffer; groups accumulate in ascending order, planes neg first.
+    products are normal floats), runs over one ``_slices`` walk of the
+    output rows, taken once so its one scratch buffer serves every group and
+    plane; groups accumulate in ascending order, planes neg first.
     """
     dtype = np.float32 if peak * (groups[0][1] - groups[0][0]) < 2**24 else np.float64
     # C-ordered weight values: scipy copies a transposed operand.
@@ -281,14 +282,13 @@ def _gemm_planes(code_planes: list[tuple[np.ndarray, FpFormat, np.ndarray]], w_c
             else:
                 acc = vals.take(codes[:, c0:c1]) @ w_t[c0:c1]
             if out is None:  # after the first product, whose gathers are freed by now
-                out, step = np.zeros(acc.shape), _row_step(acc.shape[1])
-                term = np.empty((min(step, len(out)), out.shape[1]))
+                out = np.zeros(acc.shape)
+                walk = list(_slices(out.shape, np.float64))
             sw = w_scales[:, gi] * (1 / (_int_scale(fmt) * _int_scale(w_format)))
-            for r0 in range(0, len(out), step):
-                t = term[: len(out) - r0]
-                np.multiply.outer(sx[r0:r0 + step, gi], sw, out=t)
-                t *= acc[r0:r0 + step]
-                out[r0:r0 + step] += t
+            for rows, t in walk:
+                np.multiply.outer(sx[rows, gi], sw, out=t)
+                t *= acc[rows]
+                out[rows] += t
             del acc  # before the next product allocates its own
     return out
 

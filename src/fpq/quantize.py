@@ -39,7 +39,7 @@ from .formats import (
     _lookup,
     _nearest,
     _round,
-    _row_step,
+    _slices,
     max_value,
     nearest_codes,
 )
@@ -251,12 +251,9 @@ def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
     g = q.granularity
     planes = [(g.rows(codes), fmt, g.row_scales(scales, q.shape)) for codes, fmt, scales in q.planes]
     out = np.empty(planes[0][0].shape)
-    step = _row_step(out.shape[1])
-    vals = np.empty((min(step, len(out)), out.shape[1]))
-    for r0 in range(0, len(out), step):
-        rows = slice(r0, r0 + step)
+    for rows, vals in _slices(out.shape, np.float64):
         for i, (codes, fmt, scale) in enumerate(planes):
-            c, dst = codes[rows], (vals[: len(out) - r0] if i else out[rows])
+            c, dst = codes[rows], (vals if i else out[rows])
             if isinstance(fmt, FpFormat):
                 c = _checked_table(fmt, c).take(c, out=dst, mode="clip")
             np.multiply(c, scale(rows), out=dst)
@@ -349,19 +346,17 @@ DFQ_CANDIDATE_FORMATS: tuple[FpFormat, ...] = (E1M2, E2M1, E3M0)
 
 def _part_sums(err: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     """Sums of the non-negative ``err`` where ``mask`` is set and where it is
-    not, in slices of ``_BLOCK`` elements: a BLAS dot of each slice with a
-    0/1 float copy of its mask, then with the complement, added in slice
-    order.  An inf in ``err`` gives 0 * inf = NaN in the other part's dot, so
-    a sum that is not finite is taken by numpy's masked sums instead."""
-    e, m, step = err.reshape(-1), mask.reshape(-1), _row_step(1)
-    f, neg, pos = np.empty(min(step, e.size)), 0.0, 0.0
+    not, over the flat ``_slices`` walk: a BLAS dot of each slice with a 0/1
+    float copy of its mask, then with the complement, added in slice order.
+    An inf in ``err`` gives 0 * inf = NaN in the other part's dot, so a sum
+    that is not finite is taken by numpy's masked sums instead."""
+    e, m, neg, pos = err.reshape(-1), mask.reshape(-1), 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, e.size, step):
-            es, fs = e[i:i + step], f[: min(step, e.size - i)]
-            np.copyto(fs, m[i:i + step])
-            neg += np.dot(es, fs)
+        for rows, fs in _slices(e.shape, np.float64):
+            np.copyto(fs, m[rows])
+            neg += np.dot(e[rows], fs)
             np.subtract(1.0, fs, out=fs)
-            pos += np.dot(es, fs)
+            pos += np.dot(e[rows], fs)
     if not np.isfinite(neg + pos):
         return err.sum(where=mask), err.sum(where=~mask)
     return neg, pos
@@ -409,16 +404,15 @@ def dfq_search_format(
 
 def quant_mse(x, x_hat) -> float:
     """Mean squared error over all elements, in float64: the differences of
-    each ``_BLOCK``-element slice go into one reused buffer and are summed
-    as its BLAS dot with itself, so an MSE past float64's range is inf,
-    without a warning."""
+    each slice of the flat ``_slices`` walk go into its scratch and are
+    summed as its BLAS dot with itself, so an MSE past float64's range is
+    inf, without a warning."""
     a, b = np.asarray(x), np.asarray(x_hat)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    a, b, step = a.reshape(-1), b.reshape(-1), _row_step(1)
-    d, total = np.empty(min(step, a.size)), 0.0
+    a, b, total = a.reshape(-1), b.reshape(-1), 0.0
     with np.errstate(over="ignore"):
-        for i in range(0, a.size, step):
-            ds = np.subtract(a[i:i + step], b[i:i + step], d[: min(step, a.size - i)], dtype=np.float64)
-            total += float(np.dot(ds, ds))
+        for rows, d in _slices(a.shape, np.float64):
+            np.subtract(a[rows], b[rows], d, dtype=np.float64)
+            total += float(np.dot(d, d))
     return total / a.size if a.size else float("nan")

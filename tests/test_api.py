@@ -1,6 +1,7 @@
 """Export consistency: each module's ``__all__`` and the package's re-exports
 agree, and every public name has a caller outside its module or a stated reason.
-No module reads the environment: every setting is an option or a config key."""
+No module reads the environment: every setting is an option or a config key.
+No module but ``formats`` reads the slice size: every sliced kernel walks ``_slices``."""
 
 from __future__ import annotations
 
@@ -107,6 +108,16 @@ def test_no_module_reads_the_environment() -> None:
                  and node.attr in ("environ", "getenv"))
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {a.name for a in node.names} & {"environ", "getenv"})]
+    assert reads == []
+
+
+def test_only_formats_reads_the_slice_size() -> None:
+    # formats._slices is the one slice walk: a module reading _BLOCK steps by hand.
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py")) if path.name != "formats.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id == "_BLOCK")
+             or (isinstance(node, ast.Attribute) and node.attr == "_BLOCK")
+             or (isinstance(node, ast.ImportFrom) and "_BLOCK" in {a.name for a in node.names})]
     assert reads == []
 
 

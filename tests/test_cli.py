@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from fpq import hwemu
 from fpq.cli import main
 from fpq.formats import E2M1, E2M3, E3M0, E3M2, nearest_codes
-from fpq.quantize import dfq_quantize
+from fpq.quantize import Granularity, dfq_quantize, quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
 
@@ -41,8 +41,28 @@ class TestDfq:
         assert (neg.kind, pos.kind) == ("code8", "code4")
         np.testing.assert_array_equal(neg.data, want.neg_codes)
         np.testing.assert_array_equal(pos.data, want.pos_codes)
+        for side, scales in (("neg", want.s_neg), ("pos", want.s_pos)):
+            written = read_tensor(f"{prefix}.{side}_scales.fpqt")
+            assert written.kind == "f64" and written.data.tobytes() == scales.tobytes()
         (record,) = _records(report)
         assert record["metrics"]["neg_format"] == "E2M3"
+
+
+class TestQuantize:
+    def test_writes_the_codes_and_f64_scales(self, tmp_path) -> None:
+        src = tmp_path / "w.fpqt"
+        write_tensor(src, np.random.default_rng(5).standard_normal((6, 64)).astype(np.float32))
+        codes, scales = tmp_path / "c.fpqt", tmp_path / "s.fpqt"
+        result = CliRunner().invoke(main, [
+            "quantize", "--input", str(src), "--granularity", "per_group", "--group", "16",
+            "--out-codes", str(codes), "--out-scales", str(scales),
+        ])
+        assert result.exit_code == 0, result.output
+        want = quantize(read_tensor(src).data, E2M1, Granularity.per_group(16))
+        written = read_tensor(scales)
+        assert written.kind == "f64" and written.data.tobytes() == want.scales.tobytes()
+        assert read_tensor(codes).kind == "code4"
+        np.testing.assert_array_equal(read_tensor(codes).data, want.codes)
 
 
 class TestOverflowingMse:
@@ -451,6 +471,17 @@ class TestEmuCheck:
         assert result.exit_code == 1
         metrics = json.loads(result.stdout)["metrics"]
         assert (metrics["gemm_rows"], metrics["mul_tables"], metrics["quantizer_parity"]) == ("fail", "pass", "pass")
+
+    def test_any_failing_suite_fails_the_run(self, monkeypatch) -> None:
+        # The suites name their own verdicts: a key the command does not
+        # know still fails the run when it reads "fail".
+        rows = hwemu.verify_gemm_rows
+        monkeypatch.setattr(hwemu, "verify_gemm_rows", lambda luts, seed: {**rows(luts, seed), "costs": "fail"})
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "2000"])
+        assert result.exit_code == 1
+        metrics = json.loads(result.stdout)["metrics"]
+        assert metrics["costs"] == "fail"
+        assert (metrics["gemm_rows"], metrics["mul_tables"], metrics["quantizer_parity"]) == ("pass",) * 3
 
 
 def _write_config(tmp_path, doc) -> str:

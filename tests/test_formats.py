@@ -27,6 +27,7 @@ from fpq.formats import (
     _nearest,
     _round,
     _rounding_tables,
+    _slices,
     _value_table,
     decode_bits,
     get_format,
@@ -355,6 +356,33 @@ def _layouts(x: np.ndarray) -> list[np.ndarray]:
     """x as float64 and big-endian, a strided and a transposed view of it."""
     x2 = x.reshape(1, -1) if len(x) % 2 else x.reshape(2, -1)
     return [x, x.astype(">f8"), np.repeat(x, 2)[::2], x2.T]
+
+
+class TestSlices:
+    """The one slice walk: whole rows, about ``_BLOCK`` elements a slice and
+    at least one row, a short tail, and one scratch buffer per dtype."""
+
+    @pytest.mark.parametrize("shape, step", [
+        ((0, 4), 4),  # no rows, no slices
+        ((8, 4), 4),  # a row count that is a multiple of the step
+        ((10, 4), 4),  # a tail slice of 2 rows
+        ((3, 40), 1),  # a row wider than _BLOCK is a slice alone
+        ((37,), 16),  # 1-D: one element a row, with a tail of 5
+    ], ids=str)
+    def test_rows_and_scratch(self, shape, step) -> None:
+        with mock.patch.object(formats, "_BLOCK", 16):
+            walk = list(_slices(shape, np.float64, np.int64))
+        n = shape[0]
+        assert [rows for rows, *_ in walk] == [slice(r0, r0 + step) for r0 in range(0, n, step)]
+        for rows, *scratch in walk:
+            assert [(b.shape, b.dtype) for b in scratch] == [
+                ((len(range(n)[rows]), *shape[1:]), np.dtype(t)) for t in (np.float64, np.int64)]
+        for i in (1, 2):  # every slice's scratch is a view of the dtype's one buffer
+            bases = {id(part[i].base) for part in walk}
+            assert len(bases) == min(len(walk), 1)
+            assert all(part[i].base.shape == (min(step, n), *shape[1:]) for part in walk)
+        if walk:
+            assert walk[0][1].base is not walk[0][2].base
 
 
 class TestBlockedKernel:

@@ -377,6 +377,20 @@ class TestQuantMse:
         with pytest.raises(ValueError, match="shape mismatch"):
             quant_mse(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("block", [1, 5, 16, 40])
+    def test_sums_across_slice_tails(self, block: int) -> None:
+        # 3 * block + 2 elements: whole slices and a short tail (for block > 2).
+        rng = np.random.default_rng(block)
+        a, b = rng.standard_normal((2, 3 * block + 2))
+        err, mask = rng.uniform(0, 3, a.size), a <= 0
+        with mock.patch.object(formats, "_BLOCK", block):
+            mse, sums = quant_mse(a, b), _part_sums(err, mask)
+            empty = quant_mse(np.empty((0, 3)), np.empty((0, 3)))
+        slow = math.fsum((float(x) - float(y)) ** 2 for x, y in zip(a, b)) / a.size
+        assert mse == pytest.approx(slow, rel=1e-12)
+        assert sums == pytest.approx((err.sum(where=mask), err.sum(where=~mask)), rel=1e-13)
+        assert math.isnan(empty)
+
 
 _GRANULARITIES = [
     Granularity.per_tensor(),
