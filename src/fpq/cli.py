@@ -11,15 +11,17 @@ run appends one JSON record per result to the report stream (file via
 --report, stdout otherwise) echoing the fully resolved config, so a run
 can be replayed exactly.  Validation problems are collected and reported
 together as machine-readable JSON on stderr with exit code 2, and so are
-usage errors and unwritable output files.  One error frame around each
-command turns a ValueError from its operation into the one problem
-"<command>: <message>".
+usage errors, unwritable output files and a report path that cannot be
+appended to (checked before any output is written).  One error frame
+around each command turns a ValueError from its operation into the one
+problem "<command>: <message>".
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -79,10 +81,23 @@ def _resolve_config(ctx: click.Context):
             problems.append(f"config: unknown key {key!r}")
         for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems)
+    report_path = ctx.params["report_path"]
+    if report_path and (why := _unappendable(Path(report_path))):
+        problems.append(f"report: cannot append to {report_path}: {why}")
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
     return resolved, problems
+
+
+def _unappendable(path: Path) -> str | None:
+    """Why the report stream cannot be appended to ``path``, checked without
+    creating it, so a failing command leaves no report behind; None if it can."""
+    if path.is_dir():
+        return "it is a directory"
+    if not path.parent.is_dir():
+        return f"no directory {path.parent}"
+    return None if os.access(path if path.exists() else path.parent, os.W_OK) else "permission denied"
 
 
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
@@ -336,8 +351,12 @@ def cli_rotate(ctx, cfg, problems) -> None:
     if x.ndim == 0:
         _fail([f"input: {cfg['input_path']}: rotate needs a channel axis, got a 0-d tensor"])
     cfgh = hadamard.HadamardConfig(dim=x.shape[-1], group_size=cfg["group_size"])
-    out = hadamard.apply_ght(x, cfgh)
-    _write(cfg["output_path"], out.astype(x.dtype), t.kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = hadamard.apply_ght(x, cfgh)  # in the file's float kind
+    if not np.isfinite(out).all():
+        why = "the rotation overflows " + t.kind if np.isfinite(x).all() else "rotate needs finite values"
+        _fail([f"input: {cfg['input_path']}: {why}"])
+    _write(cfg["output_path"], out, t.kind)
     _report(ctx, cfg, {"shape": list(x.shape), "group_size": cfg["group_size"],
                        "blocks": cfgh.num_blocks})
 

@@ -124,29 +124,23 @@ class GaltProblem:
 
 
 def _weight_hat(problem: GaltProblem, lam: np.ndarray) -> np.ndarray:
-    """Fake-quantized fused weight: columns scaled by 1/lambda, rotated."""
-    w_rot = apply_ght(problem.weight / lam, problem.hadamard)
-    return _fake_quantize(w_rot, problem.quant_format, problem.granularity)
+    """The fused weight at ``lam``, fake-quantized."""
+    w_fused = fuse_lambda_weight(problem.weight, lam, problem.hadamard)
+    return _fake_quantize(w_fused, problem.quant_format, problem.granularity)
 
 
-def _forward(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray,
-             w_hat: np.ndarray | None = None):
-    """Quantized forward pass of one step against its full-precision output
-    ``y`` (``x @ w.T``); returns the pieces the STE backward needs.
-    ``w_hat`` (``_weight_hat(problem, lam)``) is built here when not given."""
-    x = problem.calib.per_step[step]
-    w = problem.weight
-    a_rot = apply_ght(x * lam, problem.hadamard)
+def _forward(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray, w_hat: np.ndarray):
+    """One step's quantized forward pass against its full-precision output ``y`` (``x @ w.T``), with
+    ``w_hat = _weight_hat(problem, lam)``: the loss, residual and quantized activation."""
+    a_rot = apply_ght(problem.calib.per_step[step] * lam, problem.hadamard)
     a_hat = _fake_quantize(a_rot, problem.quant_format, problem.granularity)
-    if w_hat is None:
-        w_hat = _weight_hat(problem, lam)
     resid = a_hat @ w_hat.T - y
-    loss = float(np.mean(resid**2))
-    return loss, resid, a_hat, w_hat, x, w
+    return float(np.mean(resid**2)), resid, a_hat
 
 
-def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarray):
-    """Per-step MSE and its straight-through gradient w.r.t. lambda (``y`` as in ``_forward``).
+def _grad(problem: GaltProblem, step: int, lam: np.ndarray, w_hat: np.ndarray,
+          resid: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+    """Straight-through gradient of one step's MSE w.r.t. lambda, from its ``_forward``.
 
     The quantizers are identity in the backward pass, so the gradient
     flows through the bilinear product and both rotations (the blocks are
@@ -159,12 +153,10 @@ def _loss_and_grad(problem: GaltProblem, step: int, lam: np.ndarray, y: np.ndarr
     so it rotates the T rows of A instead of the out rows of R.T A, at the
     same matmul cost.
     """
-    loss, resid, a_hat, w_hat, x, w = _forward(problem, step, lam, y)
     coef = 2.0 / resid.size
     g_a = apply_ght(coef * (resid @ w_hat), problem.hadamard)
-    g_w = ((coef * (resid @ w)) * apply_ght(a_hat, problem.hadamard)).sum(axis=0)
-    grad = (x * g_a).sum(axis=0) - g_w / (lam * lam)
-    return loss, grad
+    g_w = ((coef * (resid @ problem.weight)) * apply_ght(a_hat, problem.hadamard)).sum(axis=0)
+    return (problem.calib.per_step[step] * g_a).sum(axis=0) - g_w / (lam * lam)
 
 
 # AdamW's fixed hyperparameters (its decoupled weight decay is zero), and the
@@ -209,7 +201,8 @@ def optimize_galt(
     each update.  Returns the lambda snapshot with the best epoch loss and
     the loss history, whose first entry is the update-free baseline at the
     initial lambda, all ones (so the result never regresses past it).  ``lr``
-    must be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once.
+    must be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once,
+    and one fused weight per update (the baseline's serves the first).
     """
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
@@ -218,14 +211,18 @@ def optimize_galt(
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     ys = [x @ problem.weight.T for x in problem.calib.per_step]
     w_hat = _weight_hat(problem, lam)
-    history = [sum(_forward(problem, j, lam, ys[j], w_hat)[0] for j in range(num_steps))]
+    fwd = _forward(problem, 0, lam, ys[0], w_hat)  # the first update's too, at the same lambda
+    history = [sum((_forward(problem, j, lam, ys[j], w_hat)[0] for j in range(1, num_steps)), fwd[0])]
     best_lam = lam.copy()
-    for _ in range(epochs):
+    for epoch in range(epochs):
         epoch_loss = 0.0
         for j in range(num_steps):
-            loss, grad = _loss_and_grad(problem, j, lam, ys[j])
-            lam = adamw_step(state, lam, grad)
-            epoch_loss += loss
+            if epoch or j:
+                w_hat = _weight_hat(problem, lam)
+                fwd = _forward(problem, j, lam, ys[j], w_hat)
+            lam = adamw_step(state, lam, _grad(problem, j, lam, w_hat, *fwd[1:]))
+            epoch_loss += fwd[0]
+            del fwd  # before the next step's forward allocates its own
         if epoch_loss < min(history):
             best_lam = lam.copy()
         history.append(epoch_loss)

@@ -247,7 +247,7 @@ def _sparse_product(vals: np.ndarray, codes: np.ndarray, w_t: np.ndarray) -> np.
     """One CSR product: ``vals`` of the nonzero codes times the weight values."""
     from scipy.sparse import csr_matrix  # 16 ms or more to import: `import fpq` must not pay it
     rows, cols = codes.shape
-    flat = np.flatnonzero(codes)
+    flat = np.flatnonzero(codes != 0)  # a third of the time of flatnonzero on uint8 codes
     return csr_matrix((vals.take(codes.flat[flat]), flat % cols,
                        np.searchsorted(flat, np.arange(rows + 1) * cols)), shape=codes.shape) @ w_t
 

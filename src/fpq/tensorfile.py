@@ -143,8 +143,11 @@ def read_tensor(path) -> TensorData:
         )
 
     payload = blob[shape_end:]
-    if kind == "code4":
-        data = _unpack_code4(payload, shape)
-    else:  # a native-order copy, which the caller owns and may write
-        data = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    try:
+        if kind == "code4":
+            data = _unpack_code4(payload, shape)
+        else:  # a native-order copy, which the caller owns and may write
+            data = np.frombuffer(payload, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    except ValueError as exc:  # a shape numpy cannot hold: too many axes, or an empty one too long
+        raise TensorFileError(f"unsupported shape: {exc}", 8) from None
     return TensorData(data, kind)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -100,6 +101,47 @@ class TestErrors:
         assert result.exit_code == 2
         problems = json.loads(result.stderr)["problems"]
         assert len(problems) == 1 and problems[0].startswith("output: ")
+
+
+class TestUnwritableReport:
+    """A report path that cannot be appended to is one problem, found before
+    any output file is written."""
+
+    @pytest.mark.parametrize("command", ["quantize", "rotate", "galt"])
+    def test_is_a_json_error_before_any_output(self, tmp_path, activation, command) -> None:
+        out = {"quantize": [activation.with_suffix(".codes.fpqt"), activation.with_suffix(".scales.fpqt")],
+               "rotate": [tmp_path / "rot.fpqt"], "galt": [tmp_path / "lam.fpqt"]}[command]
+        args = {"quantize": ["--input", str(activation)],
+                "rotate": ["--input", str(activation), "--group", "32", "--output", str(out[0])],
+                "galt": ["--synth", "--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
+                         "--out-lambda", str(out[0])]}[command]
+        report = tmp_path / "missing" / "r.jsonl"
+        problems = _problems(CliRunner().invoke(main, [command, *args, "--report", str(report)]))
+        assert problems == [f"report: cannot append to {report}: no directory {report.parent}"]
+        assert not any(p.exists() for p in out)
+
+    def test_directory_is_a_json_error(self, tmp_path, activation) -> None:
+        problems = _problems(CliRunner().invoke(main, ["quantize", "--input", str(activation),
+                                                       "--report", str(tmp_path)]))
+        assert problems == [f"report: cannot append to {tmp_path}: it is a directory"]
+        assert not activation.with_suffix(".codes.fpqt").exists()
+
+
+class TestRotateNonFinite:
+    """A rotation that is not finite in the file's float kind is one problem
+    naming the input, and no output is written."""
+
+    @pytest.mark.parametrize("x, want", [
+        (np.full((2, 128), 3.0e38, dtype=np.float32), "the rotation overflows f32"),
+        (np.full((2, 128), 1e308), "the rotation overflows f64"),
+        (np.where(np.eye(2, 128) > 0, np.nan, 1.0), "rotate needs finite values"),
+    ], ids=["f32_overflow", "f64_overflow", "nan"])
+    def test_is_a_json_error(self, tmp_path, x, want) -> None:
+        path, out = tmp_path / "x.fpqt", tmp_path / "rot.fpqt"
+        write_tensor(path, x)
+        problems = _problems(CliRunner().invoke(main, ["rotate", "--input", str(path), "--output", str(out)]))
+        assert problems == [f"input: {path}: {want}"]
+        assert not out.exists()
 
 
 class TestSearchErrors:
@@ -701,6 +743,13 @@ class TestInputKinds:
         problems = _problems(CliRunner().invoke(main, [*args, "--report", str(report)]))
         assert set(problems) == {f"input: {codes_file}: expected a float tensor, got code4"}
         assert not report.exists()
+
+    def test_shape_numpy_cannot_hold_names_the_input(self, tmp_path) -> None:
+        path = tmp_path / "deep.fpqt"
+        path.write_bytes(b"FPQT" + struct.pack("<HBB70Q", 1, 1, 70, *[1] * 70) + bytes(8))
+        (problem,) = _problems(CliRunner().invoke(main, ["quantize", "--input", str(path)]))
+        assert problem.startswith(f"input: {path}: unsupported shape: ")
+        assert problem.endswith("(at byte offset 8)")
 
     def test_rotate_scalar_is_a_json_error(self, tmp_path) -> None:
         path = tmp_path / "scalar.fpqt"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from fpq.galt import (
     OptimizerState,
     OutlierSpec,
     _forward,
-    _loss_and_grad,
+    _grad,
     _weight_hat,
     adamw_step,
     fuse_lambda,
@@ -47,6 +49,14 @@ def _ones(problem: GaltProblem) -> np.ndarray:
 def _y(problem: GaltProblem, step: int) -> np.ndarray:
     """The full-precision output ``x @ w.T`` of one step."""
     return problem.calib.per_step[step] @ problem.weight.T
+
+
+def _step(problem: GaltProblem, step: int, lam: np.ndarray):
+    """One step's loss and straight-through gradient at ``lam``, with its
+    full-precision output and fused weight built afresh."""
+    w_hat = _weight_hat(problem, lam)
+    loss, resid, a_hat = _forward(problem, step, lam, _y(problem, step), w_hat)
+    return loss, _grad(problem, step, lam, w_hat, resid, a_hat)
 
 
 def _grad_oracle(problem: GaltProblem, step: int, lam: np.ndarray):
@@ -86,18 +96,17 @@ def _optimize_oracle(problem: GaltProblem, epochs: int, lr: float = 0.01):
 
 
 def _optimize_recomputing(problem: GaltProblem, epochs: int, lr: float = 0.01):
-    """``optimize_galt`` with each step's ``x @ w.T`` computed again on every
-    forward pass instead of once."""
+    """``optimize_galt`` with each step's ``x @ w.T``, fused weight and
+    forward pass computed again on every pass instead of reused."""
     lam = _ones(problem)
     state = OptimizerState.fresh(problem.calib.dim, lr=lr)
     steps = range(problem.calib.num_steps)
-    w_hat = _weight_hat(problem, lam)
-    history = [sum(_forward(problem, j, lam, _y(problem, j), w_hat)[0] for j in steps)]
+    history = [sum(_step(problem, j, lam)[0] for j in steps)]
     best_lam = lam.copy()
     for _ in range(epochs):
         epoch_loss = 0.0
         for j in steps:
-            loss, grad = _loss_and_grad(problem, j, lam, _y(problem, j))
+            loss, grad = _step(problem, j, lam)
             lam = adamw_step(state, lam, grad)
             epoch_loss += loss
         if epoch_loss < min(history):
@@ -165,9 +174,9 @@ class TestSynthCalibration:
 class TestLossAndGrad:
     def test_lossless_format_gives_zero_loss(self) -> None:
         prob = _problem()
-        fp4_loss = _forward(prob, 9, _ones(prob), _y(prob, 9))[0]
+        fp4_loss = _step(prob, 9, _ones(prob))[0]
         fine = GaltProblem(prob.calib, prob.weight, prob.hadamard, FINE, GS)
-        assert _forward(fine, 9, _ones(fine), _y(fine, 9))[0] < 1e-4 * fp4_loss
+        assert _step(fine, 9, _ones(fine))[0] < 1e-4 * fp4_loss
 
     def test_lambda_one_equals_rotation_only_error(self) -> None:
         prob = _problem()
@@ -175,7 +184,7 @@ class TestLossAndGrad:
         a = dequantize(quantize(apply_ght(x, prob.hadamard), E2M1, GS))
         w = dequantize(quantize(apply_ght(prob.weight, prob.hadamard), E2M1, GS))
         direct = float(np.mean((a @ w.T - x @ prob.weight.T) ** 2))
-        assert _forward(prob, 5, _ones(prob), _y(prob, 5))[0] == pytest.approx(direct, rel=1e-10)
+        assert _step(prob, 5, _ones(prob))[0] == pytest.approx(direct, rel=1e-10)
 
     def test_global_lambda_scale_cancels_unquantized(self) -> None:
         prob = _problem(dim=128, out=32)
@@ -201,7 +210,7 @@ class TestLossAndGrad:
         # A lambda reaches the pipeline through fuse_lambda_weight, which
         # checks its positivity and shape.
         prob = _problem(dim=128, out=32)
-        assert _loss_and_grad(prob, 0, _ones(prob), _y(prob, 0))[1].shape == (128,)
+        assert _step(prob, 0, _ones(prob))[1].shape == (128,)
         with pytest.raises(ValueError, match="positive"):
             fuse_lambda_weight(prob.weight, np.zeros(128), prob.hadamard)
         with pytest.raises(ValueError, match="shape"):
@@ -211,9 +220,9 @@ class TestLossAndGrad:
 
     def test_lossless_gradient_vanishes(self) -> None:
         prob = _problem(dim=128, out=64)
-        fp4_scale = np.abs(_loss_and_grad(prob, 4, _ones(prob), _y(prob, 4))[1]).max()
+        fp4_scale = np.abs(_step(prob, 4, _ones(prob))[1]).max()
         fine = GaltProblem(prob.calib, prob.weight, prob.hadamard, FINE, GS)
-        assert np.abs(_loss_and_grad(fine, 4, _ones(fine), _y(fine, 4))[1]).max() < 1e-3 * fp4_scale
+        assert np.abs(_step(fine, 4, _ones(fine))[1]).max() < 1e-3 * fp4_scale
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -236,7 +245,7 @@ class TestLossAndGrad:
         prob = GaltProblem(calib, rng.standard_normal((out, dim)), cfg, fmt, g)
         for step in (0, 1):
             _, want = _grad_oracle(prob, step, lam)
-            got = _loss_and_grad(prob, step, lam, _y(prob, step))[1]
+            got = _step(prob, step, lam)[1]
             assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
     def test_gradient_matches_surrogate_finite_differences(self) -> None:
@@ -260,7 +269,7 @@ class TestLossAndGrad:
             wq = apply_ght(w / lam, cfg) + rw
             return float(np.mean((aq @ wq.T - ref) ** 2))
 
-        grad = _loss_and_grad(prob, step, lam0, ref)[1]
+        grad = _step(prob, step, lam0)[1]
         h = 1e-3
         rng = np.random.default_rng(10)
         for c in rng.choice(256, 30, replace=False):
@@ -321,7 +330,7 @@ class TestOptimize:
         prob = _problem(dim=128, out=64)
         lam, history = optimize_galt(prob, epochs=0)
         np.testing.assert_array_equal(lam, np.ones(128))
-        baseline = sum(_forward(prob, j, _ones(prob), _y(prob, j))[0] for j in range(prob.calib.num_steps))
+        baseline = sum(_step(prob, j, _ones(prob))[0] for j in range(prob.calib.num_steps))
         assert history == [baseline]
 
     @pytest.mark.parametrize("epochs", [2, 10])
@@ -346,6 +355,19 @@ class TestOptimize:
         want_lam, want_history = _optimize_recomputing(prob, epochs=3)
         assert history == want_history
         assert lam.tobytes() == want_lam.tobytes()
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_builds_one_weight_per_update(self, epochs: int, monkeypatch) -> None:
+        # The first update takes the baseline's weight and step-0 forward,
+        # both at lambda = 1, so a fit fuses and quantizes its weight once
+        # per update; with no update the baseline still needs one.
+        galt = sys.modules["fpq.galt"]
+        real, calls = galt._weight_hat, []
+        monkeypatch.setattr(galt, "_weight_hat", lambda p, lam: calls.append(lam.copy()) or real(p, lam))
+        prob = _problem(dim=128, out=32)
+        optimize_galt(prob, epochs=epochs)
+        assert len(calls) == max(epochs * prob.calib.num_steps, 1)
+        assert np.array_equal(calls[0], _ones(prob))
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.01])
     def test_rejects_bad_learning_rate(self, lr: float) -> None:

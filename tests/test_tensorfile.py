@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import stat
 import struct
@@ -184,6 +185,19 @@ class TestMalformed:
         p.write_bytes(MAGIC + struct.pack("<HBB", 1, 0, 4) + b"\x01")
         with pytest.raises(TensorFileError, match="truncated shape"):
             read_tensor(p)
+
+    @pytest.mark.parametrize("kind", ["f32", "code4"])
+    @pytest.mark.parametrize("shape", [
+        (0, 2**63),  # empty, so the payload length matches, but one axis too long
+        (1,) * 70,  # more axes than numpy holds
+    ], ids=["long_empty_axis", "70_axes"])
+    def test_shape_numpy_cannot_hold(self, tmp_path, kind: str, shape) -> None:
+        p = tmp_path / "big.fpqt"
+        payload = bytes(math.prod(shape) * (4 if kind == "f32" else 1))  # one f32, or one code4 byte
+        p.write_bytes(MAGIC + struct.pack(f"<HBB{len(shape)}Q", 1, KINDS.index(kind), len(shape), *shape) + payload)
+        with pytest.raises(TensorFileError, match="unsupported shape") as e:
+            read_tensor(p)
+        assert e.value.offset == 8
 
     def test_no_temp_residue(self, tmp_path) -> None:
         target = tmp_path / "out.fpqt"
