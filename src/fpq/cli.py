@@ -11,10 +11,10 @@ run appends one JSON record per result to the report stream (file via
 --report, stdout otherwise) echoing the fully resolved config, so a run
 can be replayed exactly.  Validation problems are collected and reported
 together as machine-readable JSON on stderr with exit code 2, and so are
-usage errors, unwritable output files and a report path that cannot be
-appended to (checked before any output is written).  One error frame
-around each command turns a ValueError from its operation into the one
-problem "<command>: <message>".
+usage errors, output paths that cannot be written and a report path that
+cannot be appended to (all checked before any input is read, so a failing
+command writes nothing).  One error frame around each command turns a
+ValueError from its operation into the one problem "<command>: <message>".
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def _resolve_config(ctx: click.Context):
         for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems)
     report_path = ctx.params["report_path"]
-    if report_path and (why := _unappendable(Path(report_path))):
+    if report_path and (why := _unwritable(Path(report_path), append=True)):
         problems.append(f"report: cannot append to {report_path}: {why}")
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
@@ -90,14 +90,20 @@ def _resolve_config(ctx: click.Context):
     return resolved, problems
 
 
-def _unappendable(path: Path) -> str | None:
-    """Why the report stream cannot be appended to ``path``, checked without
-    creating it, so a failing command leaves no report behind; None if it can."""
+def _unwritable(path: Path, append: bool = False) -> str | None:
+    """Why ``path`` cannot be written (``append``: appended to), checked without creating it,
+    or None.  An output is a temp file renamed over it, so only its directory counts."""
     if path.is_dir():
         return "it is a directory"
     if not path.parent.is_dir():
         return f"no directory {path.parent}"
-    return None if os.access(path if path.exists() else path.parent, os.W_OK) else "permission denied"
+    target = path if append and path.exists() else path.parent
+    return None if os.access(target, os.W_OK) else "permission denied"
+
+
+def _check_outputs(paths, problems: list[str]) -> None:
+    """Add one problem for each output path that cannot be written."""
+    problems += [f"output: {p}: {why}" for p in paths if (why := _unwritable(Path(p)))]
 
 
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
@@ -142,8 +148,9 @@ def _parse_schedule(raw, problems: list[str]):
     return counts
 
 
-def _read(path, problems: list[str]):
-    """The float tensor in ``path``; on failure None, with the problem added."""
+def _read(path, problems: list[str], finite: str | None = None):
+    """The float tensor in ``path``; on failure None, with the problem added,
+    also for a value that is not finite where ``finite`` names the tensor."""
     try:
         t = tensorfile.read_tensor(path)
     except (OSError, tensorfile.TensorFileError) as exc:
@@ -152,14 +159,16 @@ def _read(path, problems: list[str]):
     if t.kind not in ("f32", "f64"):
         problems.append(f"input: {path}: expected a float tensor, got {t.kind}")
         return None
+    if finite and not np.isfinite(t.data).all():
+        problems.append(f"input: {path}: {finite} is not finite")
     return t
 
 
 def _write(path, array, kind: str) -> None:
     try:
         tensorfile.write_tensor(path, array, kind=kind)
-    except (OSError, ValueError) as exc:
-        _fail([f"output: {path}: {exc}"])
+    except (OSError, ValueError) as exc:  # an OSError's message names write_tensor's temp file
+        _fail([f"output: {path}: {getattr(exc, 'strerror', None) or exc}"])
 
 
 def _emit(report_path, record: dict) -> None:
@@ -252,16 +261,17 @@ def _command(name: str):
 @click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format [E2M1]")
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
-              help="per_group size [128]")
-@click.option("--pad-partial", "pad_partial", is_flag=True, default=False,
-              help="zero-pad a partial final group")
+              help="per_group size; must divide the last axis [128]")
 @click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
 @click.option("--out-codes", "out_codes", default=None, type=click.Path())
 @click.option("--out-scales", "out_scales", default=None, type=click.Path())
 def cli_quantize(ctx, cfg, problems) -> None:
     """Quantize one tensor file; write codes + scales and an MSE record."""
     fmt = formats.get_format(cfg["format_name"])
-    gran = Granularity(cfg["granularity"], cfg["group_size"], cfg["pad_partial"])
+    gran = Granularity(cfg["granularity"], cfg["group_size"])
+    out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
+    out_scales = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
+    _check_outputs([out_codes, out_scales], problems)
     t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
@@ -270,8 +280,6 @@ def cli_quantize(ctx, cfg, problems) -> None:
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     q = quantize(x, fmt, gran)
 
-    out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
-    out_scales = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
     _write(out_codes, q.codes, _codes_kind(fmt))
     _write(out_scales, q.scales, "f64")
     cfg.update(out_codes=out_codes, out_scales=out_scales, layer=layer)
@@ -285,12 +293,15 @@ def cli_quantize(ctx, cfg, problems) -> None:
 @click.option("--search", "search", is_flag=True, default=False, help="search grids on the input first")
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
-              help="per_group size [128]")
+              help="per_group size; must divide the last axis [128]")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
 def cli_dfq(ctx, cfg, problems) -> None:
     """Dual-format quantization of one tensor file (two code planes)."""
     gran = Granularity(cfg["granularity"], cfg["group_size"])
+    prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
+    paths = {f"{s}_{p}": f"{prefix}.{s}_{p}.fpqt" for s in ("neg", "pos") for p in ("codes", "scales")}
+    _check_outputs(paths.values(), problems)
     t = _read(cfg["input_path"], problems)
     neg_fmt = formats.get_format(cfg["neg_format"])
     pos_fmt = formats.get_format(cfg["pos_format"])
@@ -304,13 +315,9 @@ def cli_dfq(ctx, cfg, problems) -> None:
     layer = cfg["layer"] or Path(cfg["input_path"]).stem
     r = dfq_quantize(x, neg_fmt, pos_fmt, gran)
 
-    prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
-    paths = {}
     for side, (codes, fmt, scales) in zip(("neg", "pos"), r.planes):
-        codes_path, scales_path = f"{prefix}.{side}_codes.fpqt", f"{prefix}.{side}_scales.fpqt"
-        _write(codes_path, codes, _codes_kind(fmt))
-        _write(scales_path, scales, "f64")
-        paths.update({f"{side}_codes": codes_path, f"{side}_scales": scales_path})
+        _write(paths[f"{side}_codes"], codes, _codes_kind(fmt))
+        _write(paths[f"{side}_scales"], scales, "f64")
     cfg.update(out_prefix=prefix, layer=layer)
     _report(ctx, cfg, {
         "layer": layer,
@@ -344,6 +351,7 @@ def cli_search(ctx, cfg, problems) -> None:
               help="rotation block size [128]")
 def cli_rotate(ctx, cfg, problems) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
+    _check_outputs([cfg["output_path"]], problems)
     t = _read(cfg["input_path"], problems)
     if problems:
         _fail(problems)
@@ -403,8 +411,11 @@ def cli_galt(ctx, cfg, problems) -> None:
             del cfg[key]
     if cfg["weight_path"]:
         del cfg["out_features"]
-    steps = [_read(p, problems) for p in cfg["calib_paths"]]
-    weight = _read(cfg["weight_path"], problems) if cfg["weight_path"] else None
+    layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
+    out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
+    _check_outputs([out_lambda], problems)
+    steps = [_read(p, problems, f"calibration step {i}") for i, p in enumerate(cfg["calib_paths"])]
+    weight = _read(cfg["weight_path"], problems, "the weight") if cfg["weight_path"] else None
     problems += [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"
                  for p, t in zip(cfg["calib_paths"], steps) if t is not None and t.data.ndim != 2]
     if problems:
@@ -431,8 +442,6 @@ def cli_galt(ctx, cfg, problems) -> None:
     except FloatingPointError:
         _fail([f"{source} overflows float64 in the GALT fit"])
 
-    layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
-    out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
     _write(out_lambda, best_lam, "f64")
     # The schedule and dim that ran: calibration files set their own.
     cfg.update(out_lambda=out_lambda, layer=layer,

@@ -7,11 +7,11 @@ grids and scales for the non-positive and positive parts), and the
 separable 3x3 FP4 format search (each element rounded once per grid;
 earliest pair wins ties) minimizing reconstruction MSE over a calibration set.
 
-``Granularity`` owns the unit layout: how a tensor reduces to per-unit
-values, the 2-D rows view the kernel slices, the per-unit scales of each
-slice of those rows, and how many columns one unit spans.  Every quantizer,
-``quantize`` and the INT baseline included, hands the rounding kernel
-(``formats._lookup``) that view and those slice scales, so none builds a
+``Granularity`` owns the unit layout: a unit is a row of ``rows(x)``, the
+2-D view the kernel slices (per_tensor: one element a row, all one unit).
+Every quantizer, ``quantize`` and the INT baseline included, reduces its
+units along those rows and hands the rounding kernel (``formats._lookup``)
+that view with each slice's unit scales as one column, so none builds a
 full-size scale, quotient or key array; ``dequantize`` decodes and scales
 the same slices straight into its output.  The unit max, min or absmax is
 the finiteness check: a non-finite element makes it non-finite.  A
@@ -65,19 +65,17 @@ _KINDS = ("per_tensor", "per_channel", "per_token", "per_group")
 
 @dataclass(frozen=True)
 class Granularity:
-    """How a tensor is split into quantization units.
+    """Quantization units: the rows of ``rows(x)``, or all of x at per_tensor.
 
     per_tensor: one scale for everything.
     per_channel: one scale per row of a 2-D weight matrix.
     per_token: one scale per row of a 2-D activation matrix.
     per_group: one scale per contiguous ``group_size`` slice of the last
-    axis; a partial final group is an error unless ``pad_partial`` opts
-    into zero padding (padding zeros never affect the unit absmax).
+    axis, which the group size must divide.
     """
 
     kind: str
     group_size: int = 128
-    pad_partial: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -98,44 +96,36 @@ class Granularity:
         return cls("per_token")
 
     @classmethod
-    def per_group(cls, group_size: int = 128, pad_partial: bool = False) -> "Granularity":
-        return cls("per_group", group_size, pad_partial)
-
-    def reduce(self, x: np.ndarray, fn) -> np.ndarray:
-        """Per-unit ``fn`` reduction (``np.max``, ``np.min``) of ``x``; a
-        partial final group is zero-padded when ``pad_partial`` allows it."""
-        if self.kind == "per_tensor":
-            return fn(x)
-        if self.kind in ("per_channel", "per_token"):
-            if x.ndim != 2:
-                raise ValueError(f"{self.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
-            return fn(x, axis=1)
-        if x.ndim == 0:
-            raise ValueError("per_group granularity needs a tensor with at least one axis, got 0-D")
-        n = x.shape[-1]
-        gs = self.group_size
-        if n % gs:
-            if not self.pad_partial:
-                raise ValueError(f"last axis ({n}) is not divisible by group size {gs}")
-            pad = gs - n % gs
-            widths = [(0, 0)] * (x.ndim - 1) + [(0, pad)]
-            x = np.pad(x, widths)
-        grouped = x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs)
-        return fn(grouped, axis=-1)
+    def per_group(cls, group_size: int = 128) -> "Granularity":
+        return cls("per_group", group_size)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as the 2-D view the kernel slices by rows (per_tensor: one element a row)."""
-        return x.reshape(-1, 1) if self.kind == "per_tensor" else x.reshape(-1, x.shape[-1])
+        """``x`` as the 2-D view whose rows are its units: ``(-1, 1)`` at per_tensor,
+        ``x`` at per_channel and per_token, ``(-1, group_size)`` at per_group."""
+        if self.kind == "per_tensor":
+            return x.reshape(-1, 1)
+        if self.kind != "per_group":
+            if x.ndim != 2:
+                raise ValueError(f"{self.kind} granularity needs a 2-D tensor, got {x.ndim}-D")
+            return x
+        if x.ndim == 0:
+            raise ValueError("per_group granularity needs a tensor with at least one axis, got 0-D")
+        if x.shape[-1] % self.group_size:
+            raise ValueError(f"last axis ({x.shape[-1]}) is not divisible by group size {self.group_size}")
+        return x.reshape(-1, self.group_size)
 
-    def row_scales(self, scales: np.ndarray, shape: tuple[int, ...]):
-        """Function of a row slice of ``rows`` of a tensor of ``shape``
-        giving the per-unit ``scales`` expanded over those rows only."""
+    def reduce(self, x: np.ndarray, fn) -> np.ndarray:
+        """Per-unit ``fn`` reduction (``np.max``, ``np.min``) of ``x`` along the rows
+        of ``rows(x)``; per_group keeps the shape ``x.shape[:-1] + (groups,)``."""
+        units = fn(self.rows(x), axis=None if self.kind == "per_tensor" else 1)
+        return units.reshape(*x.shape[:-1], -1) if self.kind == "per_group" else units
+
+    def row_scales(self, scales: np.ndarray):
+        """Function of a row slice of ``rows`` giving the per-unit ``scales``
+        of those rows as a column."""
         if self.kind == "per_tensor":
             return lambda rows: scales
-        if self.kind == "per_group":
-            per_row, n = scales.reshape(-1, scales.shape[-1]), shape[-1]
-            return lambda rows: np.repeat(per_row[rows], self.group_size, axis=-1)[:, :n]
-        return lambda rows: scales[rows, None]
+        return lambda rows: scales.reshape(-1, 1)[rows]
 
     def width(self, n_cols: int) -> int:
         """Columns one unit spans in a row of ``n_cols``: the group size for
@@ -233,7 +223,7 @@ def quantize(x, fmt: FpFormat, g: Granularity = Granularity.per_tensor()) -> Qua
     """Absmax-scale each unit and round to the nearest grid value."""
     arr = _validate_input(x, "quantize")
     scales = _absmax_scales(arr, max_value(fmt), g, "quantize")
-    codes = nearest_codes(fmt, g.rows(arr), g.row_scales(scales, arr.shape)).reshape(arr.shape)
+    codes = nearest_codes(fmt, g.rows(arr), g.row_scales(scales)).reshape(arr.shape)
     return QuantizedTensor(codes, scales, fmt, g, arr.shape)
 
 
@@ -242,14 +232,14 @@ def _fake_quantize(x, fmt: FpFormat, g: Granularity) -> np.ndarray:
     scaled slice rounds straight to grid values, multiplied back by its scales."""
     arr = _validate_input(x, "quantize")
     scales = _absmax_scales(arr, max_value(fmt), g, "quantize")
-    return _round(fmt, g.rows(arr), g.row_scales(scales, arr.shape)).reshape(arr.shape)
+    return _round(fmt, g.rows(arr), g.row_scales(scales)).reshape(arr.shape)
 
 
 def dequantize(q: QuantizedTensor | DfqResult) -> np.ndarray:
     """Reconstruct real values: the sum over the planes, in order, of decoded
     codes times their unit scale, one slice of rows at a time."""
     g = q.granularity
-    planes = [(g.rows(codes), fmt, g.row_scales(scales, q.shape)) for codes, fmt, scales in q.planes]
+    planes = [(g.rows(codes), fmt, g.row_scales(scales)) for codes, fmt, scales in q.planes]
     out = np.empty(planes[0][0].shape)
     for rows, vals in _slices(out.shape, np.float64):
         for i, (codes, fmt, scale) in enumerate(planes):
@@ -278,7 +268,7 @@ def rtn_int_quantize(x, bits: int, g: Granularity = Granularity.per_tensor()) ->
     fmt = IntFormat(f"INT{bits}", bits)
     scales = _absmax_scales(arr, float(fmt.qmax), g, "rtn_int_quantize")
     table = np.arange(-fmt.qmax, fmt.qmax + 1, dtype=np.int8)
-    codes = _lookup(table, partial(_int_key, fmt.qmax), g.rows(arr), g.row_scales(scales, arr.shape))
+    codes = _lookup(table, partial(_int_key, fmt.qmax), g.rows(arr), g.row_scales(scales))
     return QuantizedTensor(codes.reshape(arr.shape), scales, fmt, g, arr.shape)
 
 
@@ -298,7 +288,7 @@ def _dfq_scales(split, neg_fmt: FpFormat, pos_fmt: FpFormat, g: Granularity):
     s_neg = _unit_scales(neg_absmax, max_value(neg_fmt))
     s_pos = _unit_scales(pos_absmax, max_value(pos_fmt))
     m2 = g.rows(mask)
-    sn, sp = (g.row_scales(u, mask.shape) for u in (s_neg, s_pos))
+    sn, sp = (g.row_scales(u) for u in (s_neg, s_pos))
     return s_neg, s_pos, lambda rows: np.where(m2[rows], sn(rows), sp(rows))
 
 

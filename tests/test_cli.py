@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fpq import hwemu
+from fpq import cli, galt, hwemu
 from fpq.cli import main
 from fpq.formats import E2M1, E2M3, E3M0, E3M2, nearest_codes
 from fpq.quantize import Granularity, dfq_quantize, quantize
@@ -127,6 +128,80 @@ class TestUnwritableReport:
         assert not activation.with_suffix(".codes.fpqt").exists()
 
 
+class TestUnwritableOutputs:
+    """Every output path that cannot be written is one problem, all found
+    before any input is read or any work done, and nothing is written."""
+
+    def test_quantize_writes_nothing(self, tmp_path, activation) -> None:
+        bad = tmp_path / "missing" / "s.fpqt"
+        before = sorted(tmp_path.iterdir())
+        problems = _problems(CliRunner().invoke(main, ["quantize", "--input", str(activation),
+                                                       "--out-scales", str(bad)]))
+        assert problems == [f"output: {bad}: no directory {bad.parent}"]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_every_bad_path_is_reported(self, tmp_path, activation) -> None:
+        prefix = tmp_path / "missing" / "p"
+        before = sorted(tmp_path.iterdir())
+        problems = _problems(CliRunner().invoke(main, ["dfq", "--input", str(activation),
+                                                       "--out-prefix", str(prefix)]))
+        assert problems == [f"output: {prefix}.{side}_{part}.fpqt: no directory {prefix.parent}"
+                            for side in ("neg", "pos") for part in ("codes", "scales")]
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_directory_and_unreadable_input_together(self, tmp_path) -> None:
+        missing = tmp_path / "absent.fpqt"
+        problems = _problems(CliRunner().invoke(main, ["rotate", "--input", str(missing),
+                                                       "--output", str(tmp_path)]))
+        assert problems[0] == f"output: {tmp_path}: it is a directory"
+        assert len(problems) == 2 and problems[1].startswith(f"input: {missing}: ")
+
+    def test_galt_fit_never_runs(self, tmp_path, monkeypatch) -> None:
+        calls = []
+        monkeypatch.setattr(galt, "optimize_galt", lambda *a, **k: calls.append(a))
+        bad = tmp_path / "missing" / "l.fpqt"
+        problems = _problems(CliRunner().invoke(main, [
+            "galt", "--synth", "--dim", "128", "--out-features", "256", "--epochs", "20",
+            "--out-lambda", str(bad)]))
+        assert problems == [f"output: {bad}: no directory {bad.parent}"]
+        assert calls == []
+
+    def test_write_failure_names_only_the_target(self, tmp_path, capsys) -> None:
+        # A path that passed the check but whose directory went away since.
+        bad = tmp_path / "gone" / "l.fpqt"
+        with pytest.raises(SystemExit) as exc:
+            cli._write(bad, np.zeros(2), "f64")
+        assert exc.value.code == 2
+        problems = json.loads(capsys.readouterr().err)["problems"]
+        assert problems == [f"output: {bad}: No such file or directory"]
+        assert not re.search(r"tmp[0-9a-f]*\.tmp", problems[0])
+
+
+class TestGaltNonFiniteInput:
+    """A calibration step or weight file that is not finite is an input
+    problem naming the file, found as the files are read."""
+
+    def test_names_the_file_and_step(self, tmp_path) -> None:
+        paths = {name: tmp_path / f"{name}.fpqt" for name in ("nan", "ok", "w", "inf_w")}
+        rng = np.random.default_rng(3)
+        write_tensor(paths["nan"], np.where(np.eye(1, 64) > 0, np.nan, 1.0))
+        write_tensor(paths["ok"], rng.standard_normal((4, 64)))
+        write_tensor(paths["w"], rng.standard_normal((8, 64)))
+        write_tensor(paths["inf_w"], np.where(np.eye(8, 64) > 0, -np.inf, 1.0))
+        out = tmp_path / "lam.fpqt"
+
+        def run(calib, weight):
+            return _problems(CliRunner().invoke(main, [
+                "galt", *(a for c in calib for a in ("--calib", str(paths[c]))), "--weight", str(paths[weight]),
+                "--group", "64", "--epochs", "1", "--out-lambda", str(out)]))
+
+        assert run(["nan", "ok"], "w") == [f"input: {paths['nan']}: calibration step 0 is not finite"]
+        assert run(["ok"], "inf_w") == [f"input: {paths['inf_w']}: the weight is not finite"]
+        assert run(["ok", "nan"], "inf_w") == [f"input: {paths['nan']}: calibration step 1 is not finite",
+                                               f"input: {paths['inf_w']}: the weight is not finite"]
+        assert not out.exists()
+
+
 class TestRotateNonFinite:
     """A rotation that is not finite in the file's float kind is one problem
     naming the input, and no output is written."""
@@ -165,7 +240,6 @@ class TestSearchErrors:
         (problem,) = json.loads(result.stderr)["problems"]
         want = "requires finite input" if kind == "nan" else "not divisible by group size 128"
         assert problem.startswith(f"{command[0]}: ") and want in problem
-        assert "pad_partial" not in problem  # an option neither command has
         assert not (tmp_path / "r.jsonl").exists()
 
 
@@ -690,7 +764,7 @@ class TestOptionTable:
     # The options of each command in --help order, with their defaults.
     HELP = {
         "quantize": [("--input", None), ("--format", "E2M1"), ("--granularity", "per_tensor"),
-                     ("--group", 128), ("--pad-partial", False), ("--layer", None),
+                     ("--group", 128), ("--layer", None),
                      ("--out-codes", None), ("--out-scales", None)],
         "dfq": [("--input", None), ("--neg-format", "E1M2"), ("--pos-format", "E2M1"),
                 ("--search", False), ("--granularity", "per_tensor"), ("--group", 128),

@@ -46,6 +46,7 @@ from fpq.quantize import (
     DFQ_CANDIDATE_FORMATS,
     DfqResult,
     Granularity,
+    QuantizedTensor,
     compute_scale,
     dequantize,
     dfq_quantize,
@@ -666,15 +667,16 @@ def _scales_2d(scales: np.ndarray, rows: int, n_groups: int, g: Granularity) -> 
     return s.reshape(rows, n_groups)
 
 
-# (granularity, columns) of every layout the layout check sees: the last
-# does not divide its width, and the 96-column ones mismatch the rest.
+# (granularity, columns) of every layout the layout check sees: the
+# 96-column ones mismatch the rest, and per_group_pad has a partial last
+# group, which no quantizer makes, so ``_layout_quantized`` builds it by hand.
 LAYOUTS = {
     "per_tensor": (PT, 128),
     "per_token": (Granularity.per_token(), 128),
     "per_channel": (Granularity.per_channel(), 128),
     "per_group32": (Granularity.per_group(32), 128),
     "per_group_full": (Granularity.per_group(128), 128),
-    "per_group_pad": (Granularity.per_group(48, pad_partial=True), 128),
+    "per_group_pad": (Granularity.per_group(48), 128),
     "per_tensor_96": (PT, 96),
     "per_group32_96": (Granularity.per_group(32), 96),
 }
@@ -714,6 +716,18 @@ def _gemm_case(name: str):
     if name.startswith("dfq"):
         return dfq_quantize(gelu_activations(32, (9, 256)), E1M2, E2M1, gx), quantize(w, E2M1, gw)
     return quantize(x, E2M1, gx), quantize(w, E2M1, gw)
+
+
+def _layout_quantized(name: str, rows: int, rng) -> QuantizedTensor:
+    """E2M1 codes of ``rows`` Gaussian rows in the ``LAYOUTS`` entry ``name``;
+    per_group_pad's codes and (rows, 3) scales, one scale for each group of
+    48 and one for the 32 columns left, are hand-built."""
+    g, cols = LAYOUTS[name]
+    x = rng.standard_normal((rows, cols))
+    if name != "per_group_pad":
+        return quantize(x, E2M1, g)
+    codes = quantize(x, E2M1, PT).codes
+    return QuantizedTensor(codes, rng.uniform(0.5, 2.0, (rows, 3)), E2M1, g, codes.shape)
 
 
 class TestEmuGemm:
@@ -843,8 +857,7 @@ class TestEmuGemm:
     def test_accepts_exactly_when_the_groups_agree(self, act: str, wt: str) -> None:
         (gx, nx), (gw, nw) = LAYOUTS[act], LAYOUTS[wt]
         rng = np.random.default_rng(17)
-        xq = quantize(rng.standard_normal((3, nx)), E2M1, gx)
-        wq = quantize(rng.standard_normal((4, nw)), E2M1, gw)
+        xq, wq = _layout_quantized(act, 3, rng), _layout_quantized(wt, 4, rng)
         try:
             groups = _column_groups(nx, gx)
             agree = groups == _column_groups(nw, gw)

@@ -59,21 +59,18 @@ def _unit_reduce(x: np.ndarray, g: Granularity, fn) -> np.ndarray:
         return fn(x)
     if g.kind in ("per_channel", "per_token"):
         return fn(x, axis=1)
-    n, gs = x.shape[-1], g.group_size
-    if n % gs:
-        assert g.pad_partial
-        x = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, gs - n % gs)])
+    gs = g.group_size
     return fn(x.reshape(*x.shape[:-1], x.shape[-1] // gs, gs), axis=-1)
 
 
-def _per_element_scales(scales: np.ndarray, shape: tuple[int, ...], g: Granularity):
-    """Per-unit scales expanded to broadcast against a tensor of ``shape``:
+def _per_element_scales(scales: np.ndarray, g: Granularity):
+    """Per-unit scales expanded to broadcast against the tensor they scale:
     the full-size form of ``Granularity.row_scales``, as an oracle."""
     if g.kind == "per_tensor":
         return scales
     if g.kind in ("per_channel", "per_token"):
         return scales[:, None]
-    return np.repeat(scales, g.group_size, axis=-1)[..., : shape[-1]]
+    return np.repeat(scales, g.group_size, axis=-1)
 
 
 class TestComputeScale:
@@ -174,7 +171,7 @@ class TestQuantize:
     ], ids=["quantize", "fake", "dfq", "search"])
     def test_per_group_needs_an_axis(self, op) -> None:
         with pytest.raises(ValueError, match="^per_group granularity needs a tensor with at least one axis"):
-            op(np.float64(2.0), Granularity.per_group(4, pad_partial=True))
+            op(np.float64(2.0), Granularity.per_group(4))
 
     def test_per_group_scales_shape(self) -> None:
         x = np.random.default_rng(1).standard_normal((3, 256))
@@ -184,14 +181,6 @@ class TestQuantize:
     def test_per_group_indivisible_rejected(self) -> None:
         with pytest.raises(ValueError, match="not divisible"):
             quantize(np.ones((2, 100)), E2M1, Granularity.per_group(64))
-
-    def test_per_group_padding_mode(self) -> None:
-        x = np.random.default_rng(2).standard_normal((2, 100))
-        q = quantize(x, E2M1, Granularity.per_group(64, pad_partial=True))
-        assert q.scales.shape == (2, 2)
-        # Padding zeros never reach the unit absmax.
-        np.testing.assert_allclose(q.scales[:, 1], np.abs(x[:, 64:]).max(axis=1) / 6.0)
-        assert dequantize(q).shape == x.shape
 
     @pytest.mark.parametrize(
         "gran",
@@ -216,6 +205,63 @@ class TestQuantize:
         q = quantize(x, E2M1, PT)
         lattice = float(q.scales) * grid_values(E2M1)
         assert all(any(math.isclose(v, p, abs_tol=1e-12) for p in lattice) for v in dequantize(q))
+
+
+def _bits(a) -> tuple:
+    """Shape and bytes of ``a``: equal only for bit-identical arrays."""
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestPerGroupAnyRank:
+    """A per_group unit is a row of the (-1, group) view for any rank: 1-D
+    and 3-D inputs quantize like their (-1, n) matrix, bit for bit, with
+    scales of shape ``x.shape[:-1] + (n // g,)``."""
+
+    @pytest.mark.parametrize("gs", [4, 8])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_matches_the_matrix(self, gs: int, data) -> None:
+        g = Granularity.per_group(gs)
+        fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
+        lead = data.draw(st.sampled_from([(), (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))]))
+        n = data.draw(st.integers(1, 4)) * gs
+        values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+        x = data.draw(arrays(np.float64, (*lead, n), elements=values))
+        m = x.reshape(-1, n)
+        q, qm = quantize(x, fmt, g), quantize(m, fmt, g)
+        assert q.scales.shape == (*lead, n // gs)
+        assert _bits(q.codes) == _bits(qm.codes.reshape(x.shape))
+        assert _bits(q.scales) == _bits(qm.scales.reshape(q.scales.shape))
+        assert _bits(dequantize(q)) == _bits(dequantize(qm).reshape(x.shape))
+        assert _bits(_fake_quantize(x, fmt, g)) == _bits(_fake_quantize(m, fmt, g).reshape(x.shape))
+        r, rm = dfq_quantize(x, neg_fmt, fmt, g), dfq_quantize(m, neg_fmt, fmt, g)
+        for (codes, _, scales), (codes_m, _, scales_m) in zip(r.planes, rm.planes):
+            assert scales.shape == (*lead, n // gs)
+            assert _bits(codes) == _bits(codes_m.reshape(x.shape))
+            assert _bits(scales) == _bits(scales_m.reshape(scales.shape))
+        assert _bits(dequantize(r)) == _bits(dequantize(rm).reshape(x.shape))
+
+    def test_slice_scales_are_one_column(self) -> None:
+        # No per-element expansion: a slice of rows of the (-1, group) view
+        # takes its unit scales as a column, which broadcasts over the group.
+        g = Granularity.per_group(4)
+        x = np.arange(2 * 3 * 8, dtype=np.float64).reshape(2, 3, 8)
+        scales = _unit_scales(g.reduce(np.abs(x), np.max), 6.0)
+        assert g.rows(x).shape == (12, 4) and scales.shape == (2, 3, 2)
+        assert _bits(g.row_scales(scales)(slice(5, 9))) == _bits(scales.reshape(-1, 1)[5:9])
+
+    @pytest.mark.parametrize("shape", [(12,), (2, 3, 12)], ids=["1d", "3d"])
+    @pytest.mark.parametrize("op", [
+        lambda x, g: quantize(x, E2M1, g), lambda x, g: _fake_quantize(x, E2M1, g),
+        lambda x, g: dfq_quantize(x, E1M2, E2M1, g), lambda x, g: rtn_int_quantize(x, 4, g),
+    ], ids=["quantize", "fake", "dfq", "rtn_int"])
+    def test_errors_keep_their_messages(self, shape, op) -> None:
+        with pytest.raises(ValueError, match=r"^last axis \(12\) is not divisible by group size 8$"):
+            op(np.ones(shape), Granularity.per_group(8))
+        with pytest.raises(ValueError, match="^per_group granularity needs a tensor with at least one "
+                                             "axis, got 0-D$"):
+            op(np.float64(1.0), Granularity.per_group(8))
 
 
 class TestRtnBaseline:
@@ -397,8 +443,15 @@ _GRANULARITIES = [
     Granularity.per_channel(),
     Granularity.per_token(),
     Granularity.per_group(4),
-    Granularity.per_group(8, pad_partial=True),
+    Granularity.per_group(8),
 ]
+
+
+def _draw_cols(data, g: Granularity) -> int:
+    """Columns of a drawn 2-D input at ``g``: 1 to 4 whole groups at per_group."""
+    if g.kind == "per_group":
+        return data.draw(st.integers(1, 4)) * g.group_size
+    return data.draw(st.integers(1, 12))
 
 
 class TestFakeQuantize:
@@ -410,9 +463,7 @@ class TestFakeQuantize:
     @given(data=st.data())
     def test_bit_identical_to_round_trip(self, g: Granularity, data) -> None:
         fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
-        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
-        if g.pad_partial:
-            cols += data.draw(st.integers(0, 7))
+        cols = _draw_cols(data, g)
         values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
         x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), cols), elements=values))
         q = quantize(x, fmt, g)
@@ -421,7 +472,7 @@ class TestFakeQuantize:
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
         def expand(scales):
-            return _per_element_scales(scales, x.shape, g)
+            return _per_element_scales(scales, g)
 
         iq = rtn_int_quantize(x, data.draw(st.sampled_from([4, 6, 8])), g)
         r = dfq_quantize(x, neg_fmt, fmt, g)
@@ -455,7 +506,7 @@ def _dfq_oracle(x, neg_fmt, pos_fmt, g: Granularity):
     planes = []
     for fmt, part in ((neg_fmt, np.where(arr <= 0, arr, 0.0)), (pos_fmt, np.where(arr > 0, arr, 0.0))):
         scales = _unit_scales(_unit_reduce(np.abs(part), g, np.max), max_value(fmt))
-        planes.append((nearest_codes(fmt, part / _per_element_scales(scales, arr.shape, g)), scales))
+        planes.append((nearest_codes(fmt, part / _per_element_scales(scales, g)), scales))
     (neg_codes, s_neg), (pos_codes, s_pos) = planes
     return neg_codes, pos_codes, s_neg, s_pos
 
@@ -468,9 +519,7 @@ class TestDfqOneRounding:
     @settings(max_examples=25)
     @given(data=st.data())
     def test_matches_two_plane_oracle(self, g: Granularity, data) -> None:
-        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
-        if g.pad_partial:
-            cols += data.draw(st.integers(0, 7))
+        cols = _draw_cols(data, g)
         tiny = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
         x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 5)), cols),
                              elements=st.one_of(tiny, st.floats(-1e6, 1e6))))
@@ -580,9 +629,7 @@ class TestSeparableSearch:
         values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
         tensors = []
         for _ in range(data.draw(st.integers(1, 3))):
-            cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
-            if g.pad_partial:
-                cols += data.draw(st.integers(0, 7))
+            cols = _draw_cols(data, g)
             shape = (data.draw(st.integers(1, 5)), cols)
             tensors.append(data.draw(arrays(np.float64, shape, elements=values)))
         want_pick, want_totals = _search_oracle(tensors, g)
@@ -661,9 +708,7 @@ class TestMultiBlock:
     @given(data=st.data())
     def test_small_slices(self, g: Granularity, data) -> None:
         fmt, neg_fmt = (data.draw(st.sampled_from(_SHIPPED)) for _ in range(2))
-        cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
-        if g.pad_partial:
-            cols += data.draw(st.integers(0, 7))
+        cols = _draw_cols(data, g)
         values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
         x = data.draw(arrays(np.float64, (data.draw(st.integers(2, 9)), cols), elements=values))
         with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
@@ -678,10 +723,10 @@ class TestMultiBlock:
         assert totals.view(np.uint64).tolist() == want_totals.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("g", [*_GRANULARITIES[:3], Granularity.per_group(128),
-                                   Granularity.per_group(96, pad_partial=True)],
+                                   Granularity.per_group(96)],
                              ids=lambda g: f"{g.kind}{g.group_size}")
     def test_real_slices(self, g: Granularity) -> None:
-        x = gelu_activations(31, (150, 1000)) if g.pad_partial else gelu_activations(31, (150, 1024))
+        x = gelu_activations(31, (150, 960)) if g.group_size == 96 else gelu_activations(31, (150, 1024))
         want = dequantize(quantize(x, E2M1, g))
         assert _fake_quantize(x, E2M1, g).view(np.uint64).tolist() == want.view(np.uint64).tolist()
         r = dfq_quantize(x, E1M2, E2M1, g)
@@ -699,7 +744,7 @@ def _dequantize_oracle(q) -> np.ndarray:
     out = None
     for codes, fmt, scales in q.planes:
         vals = codes.astype(np.float64) if isinstance(fmt, IntFormat) else decode_bits(fmt, codes)
-        part = vals * _per_element_scales(scales, q.shape, q.granularity)
+        part = vals * _per_element_scales(scales, q.granularity)
         out = part if out is None else out + part
     return out
 
@@ -718,9 +763,7 @@ class TestSlicedDequantize:
         if g is None:
             g, x = PT, np.float64(data.draw(values))
         else:
-            cols = data.draw(st.integers(1, 4)) * 4 if g.kind == "per_group" else data.draw(st.integers(1, 12))
-            if g.pad_partial:
-                cols += data.draw(st.integers(0, 7))
+            cols = _draw_cols(data, g)
             x = data.draw(arrays(np.float64, (data.draw(st.integers(1, 9)), cols), elements=values))
         q, r = quantize(x, fmt, g), dfq_quantize(x, neg_fmt, fmt, g)
 
@@ -754,7 +797,7 @@ def _full_size_quantize(x, fmt, g: Granularity):
     expanded unit scales, rounded by ``nearest_codes`` without a scale."""
     arr = np.asarray(x, dtype=np.float64)
     scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), max_value(fmt))
-    return nearest_codes(fmt, arr / _per_element_scales(scales, arr.shape, g)), scales
+    return nearest_codes(fmt, arr / _per_element_scales(scales, g)), scales
 
 
 def _full_size_rtn_int(x, bits: int, g: Granularity):
@@ -762,7 +805,7 @@ def _full_size_rtn_int(x, bits: int, g: Granularity):
     half to even, clipped to +-qmax and cast to int8."""
     arr, qmax = np.asarray(x, dtype=np.float64), (1 << (bits - 1)) - 1
     scales = _unit_scales(_unit_reduce(np.abs(arr), g, np.max), float(qmax))
-    codes = np.clip(np.round(arr / _per_element_scales(scales, arr.shape, g)), -qmax, qmax).astype(np.int8)
+    codes = np.clip(np.round(arr / _per_element_scales(scales, g)), -qmax, qmax).astype(np.int8)
     return codes, scales
 
 
@@ -783,7 +826,7 @@ class TestOneScalePath:
         elif g.kind in ("per_channel", "per_token"):
             shape = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12)))
         else:
-            cols = data.draw(st.integers(1, 4)) * g.group_size + (data.draw(st.integers(0, 7)) if g.pad_partial else 0)
+            cols = data.draw(st.integers(1, 4)) * g.group_size
             shape = (*data.draw(st.lists(st.integers(1, 4), max_size=2)), cols)
         x = data.draw(arrays(np.float64, shape, elements=values))
         with mock.patch.object(formats, "_BLOCK", data.draw(st.sampled_from([1, 5, 16, 40]))):
@@ -880,11 +923,10 @@ _CHECKED = {
 
 
 def _bad_in_last_unit(g: Granularity):
-    """``_fake_quantize`` at ``g`` of a 2 x 12 tensor whose only non-finite
-    element is its last, which per_group(8, pad_partial) puts in the
-    zero-padded tail group."""
+    """``_fake_quantize`` at ``g`` of a 2 x 16 tensor whose only non-finite
+    element is its last, in the last unit."""
     def run(x):
-        t = np.ones((2, 12))
+        t = np.ones((2, 16))
         t[-1, -1] = x[1]
         return _fake_quantize(t, E2M1, g)
     return run
