@@ -11,10 +11,13 @@ run appends one JSON record per result to the report stream (file via
 --report, stdout otherwise) echoing the fully resolved config, so a run
 can be replayed exactly.  Validation problems are collected and reported
 together as machine-readable JSON on stderr with exit code 2, and so are
-usage errors, output paths that cannot be written and a report path that
-cannot be appended to (all checked before any input is read, so a failing
-command writes nothing).  One error frame around each command turns a
-ValueError from its operation into the one problem "<command>: <message>".
+usage errors, a report path that cannot be appended to and output paths
+that cannot be written or that name the report or an earlier output (no
+two writes share a file).  A file command checks all its writes and reads
+all its inputs before it fails, so a failing command writes nothing; every
+input must be finite, and a problem with one names its file.  One error
+frame around each command turns a ValueError from its operation into the
+one problem "<command>: <message>".
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ def _unwritable(path: Path, append: bool = False) -> str | None:
     return None if os.access(target, os.W_OK) else "permission denied"
 
 
-def _check_outputs(paths, problems: list[str]) -> None:
-    """Add one problem for each output path that cannot be written."""
-    problems += [f"output: {p}: {why}" for p in paths if (why := _unwritable(Path(p)))]
-
-
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
     """Store the config value ``raw`` converted by the type of the command's
     ``key`` option."""
@@ -148,9 +146,9 @@ def _parse_schedule(raw, problems: list[str]):
     return counts
 
 
-def _read(path, problems: list[str], finite: str | None = None):
+def _read(path, what: str, problems: list[str]):
     """The float tensor in ``path``; on failure None, with the problem added,
-    also for a value that is not finite where ``finite`` names the tensor."""
+    also for a value that is not finite, where ``what`` names the tensor."""
     try:
         t = tensorfile.read_tensor(path)
     except (OSError, tensorfile.TensorFileError) as exc:
@@ -159,9 +157,27 @@ def _read(path, problems: list[str], finite: str | None = None):
     if t.kind not in ("f32", "f64"):
         problems.append(f"input: {path}: expected a float tensor, got {t.kind}")
         return None
-    if finite and not np.isfinite(t.data).all():
-        problems.append(f"input: {path}: {finite} is not finite")
+    if not np.isfinite(t.data).all():
+        problems.append(f"input: {path}: {what} is not finite")
     return t
+
+
+def _load(ctx: click.Context, outputs, inputs, problems: list[str]) -> list:
+    """The tensors of the ``(path, what)`` ``inputs``, read by ``_read``, after
+    every output path is checked: it must be writable and neither the report
+    nor an earlier output (compared as absolute paths).  With any problem,
+    these or earlier ones, the command fails here with all of them."""
+    report = ctx.params["report_path"]
+    seen = {os.path.abspath(report): "the report"} if report else {}
+    for p in outputs:
+        key = os.path.abspath(p)
+        if why := _unwritable(Path(p)) or (f"same file as {seen[key]}" if key in seen else None):
+            problems.append(f"output: {p}: {why}")
+        seen.setdefault(key, p)
+    tensors = [_read(path, what, problems) for path, what in inputs]
+    if problems:
+        _fail(problems)
+    return tensors
 
 
 def _write(path, array, kind: str) -> None:
@@ -188,16 +204,6 @@ def _report(ctx: click.Context, cfg: dict, metrics: dict) -> None:
         "metrics": metrics,
         "wall_time_s": round(time.perf_counter() - ctx.meta["fpq.started"], 6),
     })
-
-
-def _record_mse(x, q) -> float | None:
-    """MSE of ``dequantize(q)`` against ``x``, or None where strict JSON cannot hold it."""
-    mse = quant_mse(x, dequantize(q))
-    return mse if np.isfinite(mse) else None
-
-
-def _codes_kind(fmt: formats.FpFormat) -> str:
-    return "code4" if fmt.width <= 4 else "code8"
 
 
 def _usage(exc: click.UsageError) -> None:
@@ -256,6 +262,24 @@ def _command(name: str):
     return register
 
 
+def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], outputs, run) -> None:
+    """The body of ``quantize`` and ``dfq``: read the input, take the result and
+    the command's own metrics from ``run(x, granularity)``, write each plane's
+    codes and scales to the next two ``outputs`` and record the run with the
+    MSE of the result, null where strict JSON cannot hold it."""
+    gran = Granularity(cfg["granularity"], cfg["group_size"])
+    (t,) = _load(ctx, outputs, [(cfg["input_path"], "the input")], problems)
+    r, metrics = run(t.data, gran)
+    paths = iter(outputs)
+    for codes, fmt, scales in r.planes:
+        _write(next(paths), codes, "code4" if fmt.width <= 4 else "code8")
+        _write(next(paths), scales, "f64")
+    cfg["layer"] = cfg["layer"] or Path(cfg["input_path"]).stem
+    mse = quant_mse(t.data, dequantize(r))
+    _report(ctx, cfg, {"layer": cfg["layer"], "granularity": gran.kind,
+                       "mse": mse if np.isfinite(mse) else None, **metrics})
+
+
 @_command("quantize")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format [E2M1]")
@@ -268,22 +292,10 @@ def _command(name: str):
 def cli_quantize(ctx, cfg, problems) -> None:
     """Quantize one tensor file; write codes + scales and an MSE record."""
     fmt = formats.get_format(cfg["format_name"])
-    gran = Granularity(cfg["granularity"], cfg["group_size"])
-    out_codes = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
-    out_scales = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
-    _check_outputs([out_codes, out_scales], problems)
-    t = _read(cfg["input_path"], problems)
-    if problems:
-        _fail(problems)
-
-    x = t.data
-    layer = cfg["layer"] or Path(cfg["input_path"]).stem
-    q = quantize(x, fmt, gran)
-
-    _write(out_codes, q.codes, _codes_kind(fmt))
-    _write(out_scales, q.scales, "f64")
-    cfg.update(out_codes=out_codes, out_scales=out_scales, layer=layer)
-    _report(ctx, cfg, {"layer": layer, "format": fmt.name, "granularity": gran.kind, "mse": _record_mse(x, q)})
+    cfg["out_codes"] = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
+    cfg["out_scales"] = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
+    _quantize_file(ctx, cfg, problems, [cfg["out_codes"], cfg["out_scales"]],
+                   lambda x, gran: (quantize(x, fmt, gran), {"format": fmt.name}))
 
 
 @_command("dfq")
@@ -298,35 +310,16 @@ def cli_quantize(ctx, cfg, problems) -> None:
 @click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
 def cli_dfq(ctx, cfg, problems) -> None:
     """Dual-format quantization of one tensor file (two code planes)."""
-    gran = Granularity(cfg["granularity"], cfg["group_size"])
-    prefix = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
+    prefix = cfg["out_prefix"] = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
     paths = {f"{s}_{p}": f"{prefix}.{s}_{p}.fpqt" for s in ("neg", "pos") for p in ("codes", "scales")}
-    _check_outputs(paths.values(), problems)
-    t = _read(cfg["input_path"], problems)
-    neg_fmt = formats.get_format(cfg["neg_format"])
-    pos_fmt = formats.get_format(cfg["pos_format"])
-    if problems:
-        _fail(problems)
 
-    x = t.data
-    if cfg["search"]:
-        neg_fmt, pos_fmt = dfq_search_format([x], gran)
-        cfg["neg_format"], cfg["pos_format"] = neg_fmt.name, pos_fmt.name
-    layer = cfg["layer"] or Path(cfg["input_path"]).stem
-    r = dfq_quantize(x, neg_fmt, pos_fmt, gran)
+    def run(x, gran):
+        if cfg["search"]:
+            cfg["neg_format"], cfg["pos_format"] = (f.name for f in dfq_search_format([x], gran))
+        r = dfq_quantize(x, formats.get_format(cfg["neg_format"]), formats.get_format(cfg["pos_format"]), gran)
+        return r, {"neg_format": cfg["neg_format"], "pos_format": cfg["pos_format"], "outputs": paths}
 
-    for side, (codes, fmt, scales) in zip(("neg", "pos"), r.planes):
-        _write(paths[f"{side}_codes"], codes, _codes_kind(fmt))
-        _write(paths[f"{side}_scales"], scales, "f64")
-    cfg.update(out_prefix=prefix, layer=layer)
-    _report(ctx, cfg, {
-        "layer": layer,
-        "neg_format": neg_fmt.name,
-        "pos_format": pos_fmt.name,
-        "granularity": gran.kind,
-        "mse": _record_mse(x, r),
-        "outputs": paths,
-    })
+    _quantize_file(ctx, cfg, problems, list(paths.values()), run)
 
 
 @_command("search")
@@ -336,9 +329,8 @@ def cli_dfq(ctx, cfg, problems) -> None:
 def cli_search(ctx, cfg, problems) -> None:
     """Search the best dual-format grid pair over calibration tensors."""
     gran = Granularity(cfg["granularity"], cfg["group_size"])
-    tensors = [_read(p, problems) for p in cfg["input_paths"]]
-    if problems:
-        _fail(problems)
+    tensors = _load(ctx, [], [(p, f"calibration tensor {i}") for i, p in enumerate(cfg["input_paths"])],
+                    problems)
     neg_fmt, pos_fmt = dfq_search_format([t.data for t in tensors], gran)
     _report(ctx, cfg, {"neg_format": neg_fmt.name, "pos_format": pos_fmt.name,
                        "num_tensors": len(tensors)})
@@ -351,10 +343,7 @@ def cli_search(ctx, cfg, problems) -> None:
               help="rotation block size [128]")
 def cli_rotate(ctx, cfg, problems) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
-    _check_outputs([cfg["output_path"]], problems)
-    t = _read(cfg["input_path"], problems)
-    if problems:
-        _fail(problems)
+    (t,) = _load(ctx, [cfg["output_path"]], [(cfg["input_path"], "the input")], problems)
     x = t.data
     if x.ndim == 0:
         _fail([f"input: {cfg['input_path']}: rotate needs a channel axis, got a 0-d tensor"])
@@ -362,8 +351,7 @@ def cli_rotate(ctx, cfg, problems) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         out = hadamard.apply_ght(x, cfgh)  # in the file's float kind
     if not np.isfinite(out).all():
-        why = "the rotation overflows " + t.kind if np.isfinite(x).all() else "rotate needs finite values"
-        _fail([f"input: {cfg['input_path']}: {why}"])
+        _fail([f"input: {cfg['input_path']}: the rotation overflows {t.kind}"])
     _write(cfg["output_path"], out, t.kind)
     _report(ctx, cfg, {"shape": list(x.shape), "group_size": cfg["group_size"],
                        "blocks": cfgh.num_blocks})
@@ -413,13 +401,13 @@ def cli_galt(ctx, cfg, problems) -> None:
         del cfg["out_features"]
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
-    _check_outputs([out_lambda], problems)
-    steps = [_read(p, problems, f"calibration step {i}") for i, p in enumerate(cfg["calib_paths"])]
-    weight = _read(cfg["weight_path"], problems, "the weight") if cfg["weight_path"] else None
-    problems += [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"
-                 for p, t in zip(cfg["calib_paths"], steps) if t is not None and t.data.ndim != 2]
-    if problems:
-        _fail(problems)
+    inputs = [(p, f"calibration step {i}") for i, p in enumerate(cfg["calib_paths"])]
+    inputs += [(cfg["weight_path"], "the weight")] if cfg["weight_path"] else []
+    # --calib needs --weight, so the weight is the last input, or nothing is read.
+    *steps, weight = _load(ctx, [out_lambda], inputs, problems) or [None]
+    if bad := [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"
+               for p, t in zip(cfg["calib_paths"], steps) if t.data.ndim != 2]:
+        _fail(bad)
 
     # Overflow raises in the synthetic build and the fit, never reaching lambda.
     source = f"outlier_magnitude: {cfg['outlier_magnitude']:g}" if cfg["synth"] else "galt: input"

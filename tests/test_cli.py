@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fpq import cli, galt, hwemu
+from fpq import cli, galt, hwemu, synth
 from fpq.cli import main
 from fpq.formats import E2M1, E2M3, E3M0, E3M2, nearest_codes
-from fpq.quantize import Granularity, dfq_quantize, quantize
+from fpq.quantize import Granularity, dfq_quantize, dfq_search_format, quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
 
@@ -48,6 +48,28 @@ class TestDfq:
             assert written.kind == "f64" and written.data.tobytes() == scales.tobytes()
         (record,) = _records(report)
         assert record["metrics"]["neg_format"] == "E2M3"
+
+    def test_search_writes_the_searched_pair(self, tmp_path) -> None:
+        path, prefix, report = tmp_path / "gelu.fpqt", tmp_path / "out", tmp_path / "r.jsonl"
+        x = synth.gelu_activations(3, (4, 32))
+        write_tensor(path, x)
+        g = Granularity.per_token()
+        pair = dfq_search_format([x], g)
+        # The flags name neither grid of the pick, so the search must replace both.
+        assert [f.name for f in pair] == ["E1M2", "E3M0"]
+        result = CliRunner().invoke(main, [
+            "dfq", "--input", str(path), "--search", "--neg-format", "E3M0", "--pos-format", "E1M2",
+            "--granularity", "per_token", "--out-prefix", str(prefix), "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        (record,) = _records(report)
+        for key, fmt in zip(("neg_format", "pos_format"), pair):
+            assert record["config"][key] == record["metrics"][key] == fmt.name
+        want = dfq_quantize(x, *pair, g)
+        for side, codes, scales in (("neg", want.neg_codes, want.s_neg), ("pos", want.pos_codes, want.s_pos)):
+            for part, array in (("codes", codes), ("scales", scales)):
+                written = read_tensor(f"{prefix}.{side}_{part}.fpqt").data
+                assert written.dtype == array.dtype and written.tobytes() == array.tobytes()
 
 
 class TestQuantize:
@@ -209,7 +231,7 @@ class TestRotateNonFinite:
     @pytest.mark.parametrize("x, want", [
         (np.full((2, 128), 3.0e38, dtype=np.float32), "the rotation overflows f32"),
         (np.full((2, 128), 1e308), "the rotation overflows f64"),
-        (np.where(np.eye(2, 128) > 0, np.nan, 1.0), "rotate needs finite values"),
+        (np.where(np.eye(2, 128) > 0, np.nan, 1.0), "the input is not finite"),
     ], ids=["f32_overflow", "f64_overflow", "nan"])
     def test_is_a_json_error(self, tmp_path, x, want) -> None:
         path, out = tmp_path / "x.fpqt", tmp_path / "rot.fpqt"
@@ -238,9 +260,82 @@ class TestSearchErrors:
         result = CliRunner().invoke(main, [*command, *args, "--report", str(tmp_path / "r.jsonl")])
         assert result.exit_code == 2, result.output
         (problem,) = json.loads(result.stderr)["problems"]
-        want = "requires finite input" if kind == "nan" else "not divisible by group size 128"
-        assert problem.startswith(f"{command[0]}: ") and want in problem
+        if kind == "nan":
+            what = "calibration tensor 0" if command == ["search"] else "the input"
+            assert problem == f"input: {args[1]}: {what} is not finite"
+        else:
+            assert problem.startswith(f"{command[0]}: ") and "not divisible by group size 128" in problem
         assert not (tmp_path / "r.jsonl").exists()
+
+
+class TestNonFiniteInput:
+    """A NaN or inf in any input file is one problem naming that file and
+    the tensor it holds, found as the files are read: no output is written
+    and no record appended."""
+
+    # command args: "{bad}" is the non-finite file, "{ok}" a finite input,
+    # "{w}" a finite weight; the last item is the tensor the problem names.
+    CASES = {
+        "quantize": (["quantize", "--input", "{bad}"], "the input"),
+        "dfq": (["dfq", "--input", "{bad}"], "the input"),
+        "dfq_search": (["dfq", "--search", "--input", "{bad}"], "the input"),
+        "search": (["search", "--input", "{ok}", "--input", "{bad}"], "calibration tensor 1"),
+        "rotate": (["rotate", "--input", "{bad}", "--output", "{tmp}/rot.fpqt", "--group", "32"], "the input"),
+        "galt_calib": (["galt", "--calib", "{ok}", "--calib", "{bad}", "--weight", "{w}", "--group", "32",
+                        "--epochs", "1", "--out-lambda", "{tmp}/lam.fpqt"], "calibration step 1"),
+        "galt_weight": (["galt", "--calib", "{ok}", "--weight", "{bad}", "--group", "32",
+                         "--epochs", "1", "--out-lambda", "{tmp}/lam.fpqt"], "the weight"),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_names_the_file(self, tmp_path, case, value) -> None:
+        rng = np.random.default_rng(6)
+        paths = {"ok": tmp_path / "ok.fpqt", "bad": tmp_path / "bad.fpqt", "w": tmp_path / "w.fpqt"}
+        write_tensor(paths["ok"], rng.standard_normal((4, 32)))
+        write_tensor(paths["w"], rng.standard_normal((8, 32)))
+        bad = rng.standard_normal((8 if case == "galt_weight" else 4, 32))
+        bad[1, 5] = value
+        write_tensor(paths["bad"], bad)
+        command, what = self.CASES[case]
+        args = [a.format(tmp=tmp_path, **paths) for a in command]
+        before, report = sorted(tmp_path.iterdir()), tmp_path / "r.jsonl"
+        problems = _problems(CliRunner().invoke(main, [*args, "--report", str(report)]))
+        assert problems == [f"input: {paths['bad']}: {what} is not finite"]
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestOneFileWrittenTwice:
+    """Two writes of one command that resolve to the same file are one
+    problem, found before any input is read: nothing is written and no
+    record appended."""
+
+    def _run(self, tmp_path, args, report) -> list[str]:
+        before = sorted(tmp_path.iterdir())
+        problems = _problems(CliRunner().invoke(main, [*args, "--report", str(report)]))
+        assert sorted(tmp_path.iterdir()) == before
+        return problems
+
+    def test_quantize_outputs_that_differ_only_in_spelling(self, tmp_path, activation, monkeypatch) -> None:
+        monkeypatch.chdir(tmp_path)
+        args = ["quantize", "--input", str(activation), "--out-codes", "a.fpqt", "--out-scales", "./a.fpqt"]
+        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == ["output: ./a.fpqt: same file as a.fpqt"]
+
+    def test_quantize_scales_on_the_default_codes_path(self, tmp_path, activation) -> None:
+        codes = activation.with_suffix(".codes.fpqt")
+        args = ["quantize", "--input", str(activation), "--out-scales", str(codes)]
+        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == [f"output: {codes}: same file as {codes}"]
+
+    def test_rotate_output_on_the_report(self, tmp_path, activation) -> None:
+        out = tmp_path / "r.fpqt"
+        args = ["rotate", "--input", str(activation), "--group", "32", "--output", str(out)]
+        assert self._run(tmp_path, args, out) == [f"output: {out}: same file as the report"]
+
+    def test_galt_lambda_on_the_report(self, tmp_path) -> None:
+        out = tmp_path / "l.fpqt"
+        args = ["galt", "--synth", "--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
+                "--out-lambda", str(out)]
+        assert self._run(tmp_path, args, out) == [f"output: {out}: same file as the report"]
 
 
 class TestEnvironment:
