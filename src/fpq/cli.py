@@ -85,7 +85,8 @@ def _resolve_config(ctx: click.Context):
         for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems)
     report_path = ctx.params["report_path"]
-    if report_path and (why := _unwritable(Path(report_path), append=True)):
+    why, ctx.meta["fpq.report"] = _unwritable(Path(report_path), append=True) if report_path else (None, None)
+    if why:
         problems.append(f"report: cannot append to {report_path}: {why}")
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
@@ -93,15 +94,18 @@ def _resolve_config(ctx: click.Context):
     return resolved, problems
 
 
-def _unwritable(path: Path, append: bool = False) -> str | None:
-    """Why ``path`` cannot be written (``append``: appended to), checked without creating it,
-    or None.  An output is a temp file renamed over it, so only its directory counts."""
+def _unwritable(path: Path, append: bool = False) -> tuple[str | None, tuple | None]:
+    """Why ``path`` cannot be written (``append``: appended to), checked without creating it, or
+    None; and its key, its directory's (st_dev, st_ino) and its name, one for every spelling of
+    the file (None with a problem).  An output is a temp file renamed over it: its directory counts."""
     if path.is_dir():
-        return "it is a directory"
-    if not path.parent.is_dir():
-        return f"no directory {path.parent}"
+        return "it is a directory", None
+    try:  # the trailing separator makes a parent that is not a directory fail too
+        parent = os.stat(os.path.join(path.parent, ""))
+    except (OSError, ValueError):
+        return f"no directory {path.parent}", None
     target = path if append and path.exists() else path.parent
-    return None if os.access(target, os.W_OK) else "permission denied"
+    return None if os.access(target, os.W_OK) else "permission denied", (parent.st_dev, parent.st_ino, path.name)
 
 
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
@@ -165,13 +169,12 @@ def _read(path, what: str, problems: list[str]):
 def _load(ctx: click.Context, outputs, inputs, problems: list[str]) -> list:
     """The tensors of the ``(path, what)`` ``inputs``, read by ``_read``, after
     every output path is checked: it must be writable and neither the report
-    nor an earlier output (compared as absolute paths).  With any problem,
+    nor an earlier output (compared by ``_unwritable``'s key).  With any problem,
     these or earlier ones, the command fails here with all of them."""
-    report = ctx.params["report_path"]
-    seen = {os.path.abspath(report): "the report"} if report else {}
+    seen = {ctx.meta["fpq.report"]: "the report"}
     for p in outputs:
-        key = os.path.abspath(p)
-        if why := _unwritable(Path(p)) or (f"same file as {seen[key]}" if key in seen else None):
+        why, key = _unwritable(Path(p))
+        if why := why or (f"same file as {seen[key]}" if key in seen else None):
             problems.append(f"output: {p}: {why}")
         seen.setdefault(key, p)
     tensors = [_read(path, what, problems) for path, what in inputs]

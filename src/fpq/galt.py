@@ -28,7 +28,6 @@ __all__ = [
     "OutlierSpec",
     "GaltProblem",
     "LayerNormAffine",
-    "OptimizerState",
     "DESK_SCHEDULE",
     "synth_calibration",
     "adamw_step",
@@ -165,30 +164,16 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 _MIN_LAMBDA = 1e-4
 
 
-@dataclass
-class OptimizerState:
-    """AdamW moments for the smoothing vector."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-    lr: float = 0.01
-
-    @classmethod
-    def fresh(cls, dim: int, lr: float = 0.01) -> "OptimizerState":
-        return cls(np.zeros(dim), np.zeros(dim), lr=lr)
-
-
-def adamw_step(state: OptimizerState, lam: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One AdamW update of lambda; clamps to the positivity floor."""
-    state.step_count += 1
-    t = state.step_count
-    state.first_moment = _BETA1 * state.first_moment + (1 - _BETA1) * grad
-    state.second_moment = _BETA2 * state.second_moment + (1 - _BETA2) * grad**2
-    m_hat = state.first_moment / (1 - _BETA1**t)
-    v_hat = state.second_moment / (1 - _BETA2**t)
-    new = lam - state.lr * m_hat / (np.sqrt(v_hat) + _EPSILON)
-    return np.maximum(new, _MIN_LAMBDA)
+def adamw_step(lam: np.ndarray, grad: np.ndarray, moments: tuple, step: int, lr: float = 0.01):
+    """AdamW update ``step`` (counted from 1) of lambda from the (first, second)
+    ``moments`` of the updates before it, ``(0.0, 0.0)`` at the first: the new
+    lambda, clamped to the positivity floor, and the new moments."""
+    first = _BETA1 * moments[0] + (1 - _BETA1) * grad
+    second = _BETA2 * moments[1] + (1 - _BETA2) * grad**2
+    m_hat = first / (1 - _BETA1**step)
+    v_hat = second / (1 - _BETA2**step)
+    new = lam - lr * m_hat / (np.sqrt(v_hat) + _EPSILON)
+    return np.maximum(new, _MIN_LAMBDA), (first, second)
 
 
 def optimize_galt(
@@ -196,19 +181,20 @@ def optimize_galt(
 ) -> tuple[np.ndarray, list[float]]:
     """Fit the smoothing vector over the calibration schedule.
 
-    Each epoch walks the steps in ascending order doing one update per
-    step; the epoch loss is the sum of the per-step losses seen before
-    each update.  Returns the lambda snapshot with the best epoch loss and
-    the loss history, whose first entry is the update-free baseline at the
-    initial lambda, all ones (so the result never regresses past it).  ``lr``
-    must be finite and positive.  Each step's lambda-free ``x @ w.T`` is computed once,
-    and one fused weight per update (the baseline's serves the first).
+    Each epoch walks the steps in ascending order doing one update per step; the epoch
+    loss is the sum of the per-step losses seen before each update.  Returns the lambda
+    after the last update of the epoch with the lowest loss (the earliest on a tie), or
+    the initial all-ones lambda when no epoch beats the update-free baseline at it, and
+    the loss history, the baseline first.  So ``min(history) <= history[0]``; the returned
+    lambda's own calibration loss is never evaluated.  ``lr`` must be finite and positive.
+    Each step's lambda-free ``x @ w.T`` is computed once, and one fused weight per update
+    (the baseline's serves the first).
     """
     if not 0 < lr < np.inf:
         raise ValueError(f"lr must be finite and positive, got {lr}")
     num_steps = problem.calib.num_steps
     lam = np.ones(problem.calib.dim)
-    state = OptimizerState.fresh(problem.calib.dim, lr=lr)
+    moments = (0.0, 0.0)
     ys = [x @ problem.weight.T for x in problem.calib.per_step]
     w_hat = _weight_hat(problem, lam)
     fwd = _forward(problem, 0, lam, ys[0], w_hat)  # the first update's too, at the same lambda
@@ -220,7 +206,8 @@ def optimize_galt(
             if epoch or j:
                 w_hat = _weight_hat(problem, lam)
                 fwd = _forward(problem, j, lam, ys[j], w_hat)
-            lam = adamw_step(state, lam, _grad(problem, j, lam, w_hat, *fwd[1:]))
+            grad = _grad(problem, j, lam, w_hat, *fwd[1:])
+            lam, moments = adamw_step(lam, grad, moments, epoch * num_steps + j + 1, lr)
             epoch_loss += fwd[0]
             del fwd  # before the next step's forward allocates its own
         if epoch_loss < min(history):

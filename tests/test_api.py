@@ -17,6 +17,8 @@ import pytest
 import fpq
 
 MODULES = ("formats", "galt", "hadamard", "hwemu", "quantize", "synth", "tensorfile")
+# The modules whose public names the package re-exports: synth would load scipy.
+REEXPORTED = tuple(m for m in MODULES if m != "synth")
 SRC = Path(fpq.__file__).parent
 BENCH = SRC.parents[1] / "bench"
 
@@ -28,7 +30,6 @@ API_ONLY = (
     ("formats.E4M3", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
     ("galt.LayerNormAffine", "the AdaLN affine that fuse_lambda folds lambda into"),
-    ("galt.OptimizerState", "AdamW moments, for stepping lambda by hand with adamw_step"),
     ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
     ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),
     ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),
@@ -45,15 +46,6 @@ API_ONLY = (
 )
 
 
-def _reexports() -> list[tuple[str, str]]:
-    """(submodule, name) for every public name ``fpq/__init__.py`` imports
-    from a submodule."""
-    tree = ast.parse(Path(fpq.__file__).read_text())
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for alias in node.names if not alias.name.startswith("_")]
-
-
 @pytest.mark.parametrize("module", MODULES)
 def test_every_name_in_all_exists(module) -> None:
     mod = importlib.import_module(f"fpq.{module}")
@@ -67,11 +59,17 @@ def test_every_module_with_all_is_listed() -> None:
 
 
 def test_reexports_are_in_their_modules_all() -> None:
-    pairs = _reexports()
-    assert {module for module, _ in pairs} <= set(MODULES) and len(pairs) > 40
-    stale = [f"{module}.{name}" for module, name in pairs
-             if name not in importlib.import_module(f"fpq.{module}").__all__]
-    assert stale == []
+    # Every public name of a re-exported module is the same object on fpq, from
+    # one star import per module, in this order: quantize comes after the
+    # modules that load it, so fpq.quantize is the function, not the module.
+    modules = {m: importlib.import_module(f"fpq.{m}") for m in REEXPORTED}
+    wrong = [f"{m}.{name}" for m, mod in modules.items() for name in mod.__all__
+             if getattr(fpq, name, None) is not getattr(mod, name)]
+    assert wrong == []
+    tree = ast.parse(Path(fpq.__file__).read_text())
+    imports = [(node.module, [alias.name for alias in node.names])
+               for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports == [(m, ["*"]) for m in REEXPORTED]
 
 
 def _references(path: Path) -> set[tuple[str, str]]:
@@ -124,7 +122,9 @@ def test_only_formats_reads_the_slice_size() -> None:
 def test_import_leaves_scipy_sparse_unloaded() -> None:
     # Only emu_gemm's CSR product of a rare code plane needs scipy.sparse,
     # and it costs 16 ms or more to import: the package and the CLI must not pay it.
-    code = "import sys, fpq, fpq.cli; print('scipy.sparse' in sys.modules)"
+    # Nor any other scipy module: synth's erf is loaded only with synth.
+    code = ("import sys, fpq, fpq.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy' or m == 'fpq.synth'))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr

@@ -337,6 +337,25 @@ class TestOneFileWrittenTwice:
                 "--out-lambda", str(out)]
         assert self._run(tmp_path, args, out) == [f"output: {out}: same file as the report"]
 
+    @pytest.fixture
+    def linked(self, tmp_path):
+        """An empty directory d1 and a symlink d2 to it."""
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").symlink_to(tmp_path / "d1")
+        return tmp_path / "d1", tmp_path / "d2"
+
+    def test_quantize_outputs_through_a_symlinked_directory(self, tmp_path, activation, linked) -> None:
+        codes, scales = linked[0] / "a.fpqt", linked[1] / "a.fpqt"
+        args = ["quantize", "--input", str(activation), "--out-codes", str(codes), "--out-scales", str(scales)]
+        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == [f"output: {scales}: same file as {codes}"]
+        assert list(linked[0].iterdir()) == []
+
+    def test_rotate_output_on_the_report_through_a_symlinked_directory(self, tmp_path, activation, linked) -> None:
+        out, report = linked[1] / "r.fpqt", linked[0] / "r.fpqt"
+        args = ["rotate", "--input", str(activation), "--group", "32", "--output", str(out)]
+        assert self._run(tmp_path, args, report) == [f"output: {out}: same file as the report"]
+        assert list(linked[0].iterdir()) == []
+
 
 class TestEnvironment:
     def test_fpq_threads_is_not_read(self, tmp_path) -> None:
