@@ -11,13 +11,13 @@ run appends one JSON record per result to the report stream (file via
 --report, stdout otherwise) echoing the fully resolved config, so a run
 can be replayed exactly.  Validation problems are collected and reported
 together as machine-readable JSON on stderr with exit code 2, and so are
-usage errors, a report path that cannot be appended to and output paths
-that cannot be written or that name the report or an earlier output (no
-two writes share a file).  A file command checks all its writes and reads
-all its inputs before it fails, so a failing command writes nothing; every
-input must be finite, and a problem with one names its file.  One error
-frame around each command turns a ValueError from its operation into the
-one problem "<command>: <message>".
+usage errors, a report that cannot be appended to or that is an input or
+the config, and output paths that cannot be written or that name the report
+or an earlier output (no two writes share a file).  A file command checks
+all its writes and reads all its inputs before it fails, so a failing
+command writes nothing; every input must be finite, and a problem with one
+names its file.  One error frame around each command turns a ValueError
+from its operation into the one problem "<command>: <message>".
 """
 
 from __future__ import annotations
@@ -84,10 +84,13 @@ def _resolve_config(ctx: click.Context):
             problems.append(f"config: unknown key {key!r}")
         for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems)
+    # An append follows symlinks: the report is keyed by its resolved entry and by its file.
     report_path = ctx.params["report_path"]
-    why, ctx.meta["fpq.report"] = _unwritable(Path(report_path), append=True) if report_path else (None, None)
+    real = os.path.realpath(report_path) if report_path else None
+    why, report = _unwritable(Path(real), append=True) if real else (None, None)
     if why:
         problems.append(f"report: cannot append to {report_path}: {why}")
+    ctx.meta["fpq.report"] = report, real and _file_id(real)
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
@@ -106,6 +109,15 @@ def _unwritable(path: Path, append: bool = False) -> tuple[str | None, tuple | N
         return f"no directory {path.parent}", None
     target = path if append and path.exists() else path.parent
     return None if os.access(target, os.W_OK) else "permission denied", (parent.st_dev, parent.st_ino, path.name)
+
+
+def _file_id(path) -> tuple | None:
+    """The (st_dev, st_ino) of the file ``path`` reaches, or None where there is none."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return st.st_dev, st.st_ino
 
 
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
@@ -169,14 +181,19 @@ def _read(path, what: str, problems: list[str]):
 def _load(ctx: click.Context, outputs, inputs, problems: list[str]) -> list:
     """The tensors of the ``(path, what)`` ``inputs``, read by ``_read``, after
     every output path is checked: it must be writable and neither the report
-    nor an earlier output (compared by ``_unwritable``'s key).  With any problem,
-    these or earlier ones, the command fails here with all of them."""
-    seen = {ctx.meta["fpq.report"]: "the report"}
+    nor an earlier output (compared by ``_unwritable``'s key), and neither an
+    input nor the config may be the report's file.  With any problem, these or
+    earlier ones, the command fails here with all of them."""
+    report, report_id = ctx.meta["fpq.report"]
+    seen = {report: "the report"}
     for p in outputs:
         why, key = _unwritable(Path(p))
         if why := why or (f"same file as {seen[key]}" if key in seen else None):
             problems.append(f"output: {p}: {why}")
         seen.setdefault(key, p)
+    reads = [ctx.params["config_path"], *(p for p, _ in inputs)]
+    problems += [f"report: {ctx.params['report_path']}: same file as {p}"
+                 for p in reads if report_id and p and _file_id(p) == report_id]
     tensors = [_read(path, what, problems) for path, what in inputs]
     if problems:
         _fail(problems)
@@ -235,7 +252,7 @@ class _Group(click.Group):
             _usage(exc)
 
 
-@click.group(cls=_Group)
+@click.group(cls=_Group, context_settings={"show_default": True})
 def main() -> None:
     """Low-bit floating-point quantization toolkit."""
 
@@ -285,10 +302,10 @@ def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], outputs, 
 
 @_command("quantize")
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format [E2M1]")
-@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
+@click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format")
+@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
-              help="per_group size; must divide the last axis [128]")
+              help="per_group size; must divide the last axis")
 @click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
 @click.option("--out-codes", "out_codes", default=None, type=click.Path())
 @click.option("--out-scales", "out_scales", default=None, type=click.Path())
@@ -303,12 +320,12 @@ def cli_quantize(ctx, cfg, problems) -> None:
 
 @_command("dfq")
 @click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--neg-format", "neg_format", default="E1M2", type=_FORMAT, help="negative-branch grid [E1M2]")
-@click.option("--pos-format", "pos_format", default="E2M1", type=_FORMAT, help="positive-branch grid [E2M1]")
+@click.option("--neg-format", "neg_format", default="E1M2", type=_FORMAT, help="negative-branch grid")
+@click.option("--pos-format", "pos_format", default="E2M1", type=_FORMAT, help="positive-branch grid")
 @click.option("--search", "search", is_flag=True, default=False, help="search grids on the input first")
-@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout [per_tensor]")
+@click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
-              help="per_group size; must divide the last axis [128]")
+              help="per_group size; must divide the last axis")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
 def cli_dfq(ctx, cfg, problems) -> None:
@@ -342,8 +359,7 @@ def cli_search(ctx, cfg, problems) -> None:
 @_command("rotate")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
-              help="rotation block size [128]")
+@click.option("--group", "group_size", default=128, type=click.IntRange(min=1), help="rotation block size")
 def cli_rotate(ctx, cfg, problems) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
     (t,) = _load(ctx, [cfg["output_path"]], [(cfg["input_path"], "the input")], problems)
@@ -366,19 +382,19 @@ def cli_rotate(ctx, cfg, problems) -> None:
               help="per-step activation files, coarse to fine")
 @click.option("--synth", "synth", is_flag=True, default=False,
               help="use the seeded synthetic calibration instead of files")
-@click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="channel count for --synth [256]")
+@click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="channel count for --synth")
 @click.option("--out-features", "out_features", default=256, type=click.IntRange(min=1),
-              help="synthetic weight rows [256]")
+              help="synthetic weight rows")
 @click.option("--schedule", "schedule", default=",".join(map(str, galt.DESK_SCHEDULE)),
               help="per-step token counts")
-@click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed [0]")
+@click.option("--seed", "seed", default=0, type=click.IntRange(min=0), help="synthetic data seed")
 @click.option("--outlier-channels", "outlier_channels", default=4, type=click.IntRange(min=0))
 @click.option("--outlier-magnitude", "outlier_magnitude", default=50.0)
 @click.option("--format", "format_name", default="E2M1", type=_FORMAT)
 @click.option("--granularity", default="per_group", type=_GRANULARITY)
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1))
-@click.option("--epochs", "epochs", default=50, type=click.IntRange(min=0), help="optimization epochs [50]")
-@click.option("--lr", "lr", default=0.01, help="learning rate [0.01]")
+@click.option("--epochs", "epochs", default=50, type=click.IntRange(min=0), help="optimization epochs")
+@click.option("--lr", "lr", default=0.01, help="learning rate")
 @click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
 def cli_galt(ctx, cfg, problems) -> None:
@@ -417,9 +433,8 @@ def cli_galt(ctx, cfg, problems) -> None:
     try:
         with np.errstate(over="raise", invalid="raise"):
             if cfg["synth"]:
-                outliers = galt.OutlierSpec(count=cfg["outlier_channels"], magnitude=cfg["outlier_magnitude"])
-                calib = galt.synth_calibration(seed=cfg["seed"], schedule=schedule, dim=cfg["dim"],
-                                               outliers=outliers)
+                calib = galt.synth_calibration(cfg["seed"], schedule, cfg["dim"], cfg["outlier_channels"],
+                                               cfg["outlier_magnitude"])
             else:
                 calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
             if weight is None:
@@ -449,15 +464,13 @@ def cli_galt(ctx, cfg, problems) -> None:
 
 
 @_command("emu-check")
-@click.option("--samples", "samples", default=1_000_000, type=click.IntRange(min=1),
-              help="parity sample count [1000000]")
+@click.option("--samples", "samples", default=1_000_000, type=click.IntRange(min=1), help="parity sample count")
 @click.option("--seed", "seed", default=0, type=click.IntRange(min=0))
 def cli_emu_check(ctx, cfg, problems) -> None:
     """Exhaustive multiplier and quantizer-parity suites for the LUT path,
     on every DFQ candidate grid and grid pair and the FP6 grids, and the
     emulated GEMM against the multiplier-table walk."""
-    if problems:
-        _fail(problems)
+    _load(ctx, [], [], problems)
     luts = hwemu.build_tables()
     metrics = hwemu.verify_mul_tables(luts)
     metrics.update(hwemu.verify_quantizer_parity(cfg["samples"], cfg["seed"], luts))

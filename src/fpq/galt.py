@@ -25,9 +25,7 @@ from .quantize import Granularity, _fake_quantize, quantize  # noqa: F401
 
 __all__ = [
     "CalibrationSet",
-    "OutlierSpec",
     "GaltProblem",
-    "LayerNormAffine",
     "DESK_SCHEDULE",
     "synth_calibration",
     "adamw_step",
@@ -73,31 +71,18 @@ class CalibrationSet:
         return len(self.per_step)
 
 
-@dataclass(frozen=True)
-class OutlierSpec:
-    """Planted outlier channels: per step, ``count`` random channels are
-    amplified by ``magnitude`` times a factor drawn from [0.5, 1.5), at
-    positions that change from step to step."""
-
-    count: int = 4
-    magnitude: float = 50.0
-
-
-def synth_calibration(
-    seed: int,
-    schedule: Sequence[int] = DESK_SCHEDULE,
-    dim: int = 256,
-    outliers: OutlierSpec | None = OutlierSpec(),
-) -> CalibrationSet:
-    """Deterministic Gaussian calibration data with step-varying outliers."""
+def synth_calibration(seed: int, schedule: Sequence[int] = DESK_SCHEDULE, dim: int = 256,
+                      outlier_channels: int = 4, outlier_magnitude: float = 50.0) -> CalibrationSet:
+    """Deterministic Gaussian calibration data with step-varying outliers: per
+    step, ``outlier_channels`` random channels (none at 0) are amplified by
+    ``outlier_magnitude`` times a factor drawn from [0.5, 1.5)."""
     rng = np.random.default_rng(seed)
     per_step = []
     for t in schedule:
         x = rng.standard_normal((t, dim))
-        if outliers is not None and outliers.count > 0:
-            cols = rng.choice(dim, size=outliers.count, replace=False)
-            mags = outliers.magnitude * rng.uniform(0.5, 1.5, size=outliers.count)
-            x[:, cols] *= mags
+        if outlier_channels > 0:
+            cols = rng.choice(dim, size=outlier_channels, replace=False)
+            x[:, cols] *= outlier_magnitude * rng.uniform(0.5, 1.5, size=outlier_channels)
         per_step.append(x)
     return CalibrationSet(per_step)
 
@@ -216,25 +201,17 @@ def optimize_galt(
     return best_lam, history
 
 
-@dataclass
-class LayerNormAffine:
-    """Adaptive scale/shift applied to a row-normalized input."""
+def fuse_lambda(alpha: np.ndarray, beta: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the smoothing vector into the AdaLN affine x * (1 + alpha) + beta.
 
-    alpha: np.ndarray
-    beta: np.ndarray
-
-
-def fuse_lambda(affine: LayerNormAffine, lam: np.ndarray) -> LayerNormAffine:
-    """Fold the smoothing vector into the affine parameters.
-
-    [x * (1 + alpha) + beta] * lam == x * (lam + alpha*lam) + beta*lam,
-    so the fused affine uses alpha_hat = alpha*lam, beta_hat = beta*lam
-    and the modulation becomes x * (lam + alpha_hat) + beta_hat.
+    [x * (1 + alpha) + beta] * lam == x * (1 + alpha_hat) + beta_hat with
+    alpha_hat = lam * (1 + alpha) - 1 and beta_hat = lam * beta, so the
+    fused pair is applied in the same form as the affine it replaces.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if not np.all(lam > 0):
         raise ValueError("lambda must be strictly positive")
-    return LayerNormAffine(affine.alpha * lam, affine.beta * lam)
+    return lam * (1 + alpha) - 1, lam * beta
 
 
 def fuse_lambda_weight(

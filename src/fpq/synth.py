@@ -27,8 +27,9 @@ def gelu(x):
 
 
 def gelu_activations(seed: int, shape: tuple[int, ...]) -> np.ndarray:
-    """GeLU outputs of Gaussian pre-activations: bounded negative hump
-    peaking near -0.17 plus a sparse positive tail."""
+    """GeLU outputs of Gaussian pre-activations: bounded negative hump peaking
+    near -0.17 plus a sparse positive tail.  The draws are i.i.d. and have no
+    per-channel structure."""
     rng = np.random.default_rng(seed)
     return gelu(rng.normal(GELU_PRE_MEAN, GELU_PRE_STD, size=shape))
 

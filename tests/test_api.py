@@ -29,7 +29,6 @@ API_ONLY = (
     ("formats.E3M4", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.E4M3", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
-    ("galt.LayerNormAffine", "the AdaLN affine that fuse_lambda folds lambda into"),
     ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
     ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),
     ("hadamard.hadamard_matrix", "the Sylvester block whose normalized copies apply_ght applies"),

@@ -28,6 +28,11 @@ def _records(report):
     return [json.loads(line) for line in report.read_text().splitlines()]
 
 
+def _contents(root) -> dict:
+    """The bytes of every file under ``root``, read through symlinks."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 class TestDfq:
     def test_wide_negative_format_writes_both_planes(self, tmp_path, activation) -> None:
         prefix = tmp_path / "out"
@@ -744,6 +749,56 @@ def _base_args(command: str, tmp_path, wide: str) -> list[str]:
 COMMANDS = ("quantize", "dfq", "search", "rotate", "galt", "emu-check")
 
 
+class TestReportOnAFileTheCommandUses:
+    """A report that is an input, the config or an output, through any
+    spelling or symlink, is one problem: every file keeps its bytes, nothing
+    is written and no record appended."""
+
+    def _run(self, tmp_path, args) -> list[str]:
+        before = _contents(tmp_path)
+        problems = _problems(CliRunner().invoke(main, args))
+        assert _contents(tmp_path) == before
+        return problems
+
+    def test_quantize_report_on_the_input(self, tmp_path, activation) -> None:
+        args = ["quantize", "--input", str(activation), "--report", str(activation)]
+        assert self._run(tmp_path, args) == [f"report: {activation}: same file as {activation}"]
+
+    def test_search_report_on_an_input(self, tmp_path, activation) -> None:
+        other = tmp_path / "other.fpqt"
+        write_tensor(other, np.ones((4, 32)))
+        args = ["search", "--input", str(activation), "--input", str(other), "--report", str(other)]
+        assert self._run(tmp_path, args) == [f"report: {other}: same file as {other}"]
+
+    def test_galt_report_through_a_symlink_to_the_weight(self, tmp_path) -> None:
+        rng = np.random.default_rng(3)
+        steps = [tmp_path / "c0.fpqt", tmp_path / "c1.fpqt"]
+        for path, tokens in zip(steps, (2, 4)):
+            write_tensor(path, rng.standard_normal((tokens, 16)))
+        weight, link = tmp_path / "w.fpqt", tmp_path / "wlink"
+        write_tensor(weight, rng.standard_normal((8, 16)))
+        link.symlink_to(weight)
+        args = ["galt", "--calib", str(steps[0]), "--calib", str(steps[1]), "--weight", str(weight),
+                "--group", "8", "--epochs", "1", "--out-lambda", str(tmp_path / "l.fpqt"),
+                "--report", str(link)]
+        assert self._run(tmp_path, args) == [f"report: {link}: same file as {weight}"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_report_on_the_config(self, tmp_path, wide, command) -> None:
+        config = _write_config(tmp_path, {})
+        args = [*_base_args(command, tmp_path, wide), "--config", config, "--report", config]
+        assert self._run(tmp_path, args) == [f"report: {config}: same file as {config}"]
+
+    def test_rotate_output_on_a_symlinked_report(self, tmp_path, activation) -> None:
+        (tmp_path / "d1").mkdir()
+        out, link = tmp_path / "d1" / "r.log", tmp_path / "rlink"
+        out.write_text("an earlier report\n")
+        link.symlink_to(out)
+        args = ["rotate", "--input", str(activation), "--group", "32", "--output", str(out),
+                "--report", str(link)]
+        assert self._run(tmp_path, args) == [f"output: {out}: same file as the report"]
+
+
 class TestPrecedence:
     """option default < --config < flag, seen in the record."""
 
@@ -895,14 +950,19 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_lists_the_options_and_defaults(self, command) -> None:
+        # A row shows its option's default (show_default) unless that is None or
+        # False, and no help string repeats it.  Rows wrap onto deeper-indented lines.
         result = CliRunner().invoke(main, [command, "--help"])
         assert result.exit_code == 0, result.output
-        listed = [line.split()[0].rstrip(",") for line in result.stdout.splitlines()
-                  if line.startswith("  --")]
+        options = result.stdout.split("Options:\n")[1]
+        rows = [" ".join(row.split()) for row in re.split(r"\n(?=  --)", options)]
         want = [*self.HELP[command], ("--report", None), ("--config", None)]
-        assert listed == [flag for flag, _ in want] + ["--help"]
+        assert [row.split()[0].rstrip(",") for row in rows] == [flag for flag, _ in want] + ["--help"]
         params = main.commands[command].params
         assert [(p.opts[0], p.to_info_dict()["default"]) for p in params] == want
+        for (flag, default), p, row in zip(want, params, rows):
+            assert ("[default: " in row) == (default is not None and default is not False), row
+            assert f"[{default}]" not in (p.help or ""), p.help
 
 
 @pytest.fixture

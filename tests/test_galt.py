@@ -13,8 +13,6 @@ from fpq.formats import E1M2, E2M1, E3M2, FpFormat
 from fpq.galt import (
     CalibrationSet,
     GaltProblem,
-    LayerNormAffine,
-    OutlierSpec,
     _forward,
     _grad,
     _weight_hat,
@@ -34,7 +32,7 @@ FINE = FpFormat("E5M10", 5, 10, 15)
 
 
 def _problem(seed: int = 7, dim: int = 256, out: int = 256) -> GaltProblem:
-    calib = synth_calibration(seed=seed, dim=dim, outliers=OutlierSpec(count=4, magnitude=50.0))
+    calib = synth_calibration(seed=seed, dim=dim, outlier_channels=4, outlier_magnitude=50.0)
     rng = np.random.default_rng(seed + 100)
     w = rng.standard_normal((out, dim)) * 0.5
     return GaltProblem(calib, w, HadamardConfig(dim=dim, group_size=128), E2M1, GS)
@@ -157,12 +155,12 @@ class TestSynthCalibration:
             np.testing.assert_array_equal(x, y)
 
     def test_no_outliers_plain_gaussian(self) -> None:
-        calib = synth_calibration(seed=4, outliers=None)
+        calib = synth_calibration(seed=4, outlier_channels=0)
         tall = calib.per_step[-1]
         assert np.abs(tall).max() < 8  # no planted channels
 
     def test_outlier_positions_vary_across_steps(self) -> None:
-        calib = synth_calibration(seed=5, outliers=OutlierSpec(count=4, magnitude=100.0))
+        calib = synth_calibration(seed=5, outlier_channels=4, outlier_magnitude=100.0)
         planted = []
         for x in calib.per_step[3:]:
             absmax = np.abs(x).max(axis=0)
@@ -237,8 +235,7 @@ class TestLossAndGrad:
         fmt = data.draw(st.sampled_from([E2M1, E3M2, E1M2]))
         out = data.draw(st.integers(4, 40))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        calib = synth_calibration(seed, schedule=(3, 48), dim=dim,
-                                  outliers=OutlierSpec(count=2, magnitude=20.0))
+        calib = synth_calibration(seed, schedule=(3, 48), dim=dim, outlier_channels=2, outlier_magnitude=20.0)
         rng = np.random.default_rng(seed)
         lam = np.exp(rng.uniform(-1.0, 1.0, dim))
         prob = GaltProblem(calib, rng.standard_normal((out, dim)), cfg, fmt, g)
@@ -314,8 +311,8 @@ class TestAdamW:
     ]
 
     def test_fit_is_pinned_bit_for_bit(self) -> None:
-        calib = synth_calibration(seed=3, schedule=(1, 4, 9), dim=16,
-                                  outliers=OutlierSpec(count=2, magnitude=20.0))
+        calib = synth_calibration(seed=3, schedule=(1, 4, 9), dim=16, outlier_channels=2,
+                                  outlier_magnitude=20.0)
         w = np.random.default_rng(4).standard_normal((8, 16))
         problem = GaltProblem(calib, w, HadamardConfig(dim=16, group_size=8), E2M1, Granularity.per_group(8))
         lam, history = optimize_galt(problem, epochs=4, lr=0.05)
@@ -414,10 +411,10 @@ class TestOptimize:
 
 class TestFusions:
     def test_identity_lambda(self) -> None:
-        affine = LayerNormAffine(np.array([0.5, -0.25]), np.array([1.0, 2.0]))
-        fused = fuse_lambda(affine, np.ones(2))
-        np.testing.assert_array_equal(fused.alpha, affine.alpha)
-        np.testing.assert_array_equal(fused.beta, affine.beta)
+        alpha, beta = np.array([0.5, -0.25]), np.array([1.0, 2.0])
+        fused_alpha, fused_beta = fuse_lambda(alpha, beta, np.ones(2))
+        np.testing.assert_array_equal(fused_alpha, alpha)
+        np.testing.assert_array_equal(fused_beta, beta)
 
     def test_affine_equivalence(self) -> None:
         rng = np.random.default_rng(11)
@@ -426,16 +423,31 @@ class TestFusions:
         beta = rng.standard_normal(c)
         lam = np.exp(rng.uniform(-1, 1, c))
         x = rng.standard_normal((32, c))
-        fused = fuse_lambda(LayerNormAffine(alpha, beta), lam)
+        fused_alpha, fused_beta = fuse_lambda(alpha, beta, lam)
         unfused = (x * (1 + alpha) + beta) * lam
-        refused = x * (lam + fused.alpha) + fused.beta
+        refused = x * (1 + fused_alpha) + fused_beta
         np.testing.assert_allclose(refused, unfused, rtol=1e-7)
 
     def test_zero_affine_is_pure_scaling(self) -> None:
         lam = np.array([2.0, 0.5])
-        fused = fuse_lambda(LayerNormAffine(np.zeros(2), np.zeros(2)), lam)
+        fused_alpha, fused_beta = fuse_lambda(np.zeros(2), np.zeros(2), lam)
         x = np.array([[1.0, 4.0]])
-        np.testing.assert_array_equal(x * (lam + fused.alpha) + fused.beta, x * lam)
+        np.testing.assert_array_equal(x * (1 + fused_alpha) + fused_beta, x * lam)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_deployment_fold_keeps_the_layer_output(self, seed) -> None:
+        # Lambda folded into the AdaLN affine, applied in its own x * (1 + alpha)
+        # + beta form and rotated, against the weight it is folded into.
+        rng = np.random.default_rng(seed)
+        c = 256
+        alpha, beta = rng.standard_normal(c), rng.standard_normal(c)
+        lam = np.exp(rng.uniform(-2, 2, c))
+        x, w = rng.standard_normal((32, c)), rng.standard_normal((48, c))
+        cfg = HadamardConfig(dim=c, group_size=64)
+        fused_alpha, fused_beta = fuse_lambda(alpha, beta, lam)
+        out = apply_ght(x * (1 + fused_alpha) + fused_beta, cfg) @ fuse_lambda_weight(w, lam, cfg).T
+        ref = (x * (1 + alpha) + beta) @ w.T
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_weight_fusion_identity_lambda(self) -> None:
         w = np.random.default_rng(12).standard_normal((16, 128))
