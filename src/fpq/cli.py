@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -84,40 +85,39 @@ def _resolve_config(ctx: click.Context):
             problems.append(f"config: unknown key {key!r}")
         for key in sorted(set(doc) & keys):
             _cast(ctx, key, doc[key], resolved, problems)
-    # An append follows symlinks: the report is keyed by its resolved entry and by its file.
+    # A rename replaces an entry, even a symlink: the report is appended to and keyed by its resolved one.
     report_path = ctx.params["report_path"]
-    real = os.path.realpath(report_path) if report_path else None
-    why, report = _unwritable(Path(real), append=True) if real else (None, None)
-    if why:
-        problems.append(f"report: cannot append to {report_path}: {why}")
-    ctx.meta["fpq.report"] = report, real and _file_id(real)
+    real = Path(os.path.realpath(report_path)) if report_path else None
+    why, key, report_id = _unwritable(real, append=True, shown=Path(report_path)) if real else (None,) * 3
+    problems += [f"report: cannot append to {report_path}: {why}"] if why else []
+    ctx.meta["fpq.report"] = real, key, report_id
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
     return resolved, problems
 
 
-def _unwritable(path: Path, append: bool = False) -> tuple[str | None, tuple | None]:
-    """Why ``path`` cannot be written (``append``: appended to), checked without creating it, or
-    None; and its key, its directory's (st_dev, st_ino) and its name, one for every spelling of
-    the file (None with a problem).  An output is a temp file renamed over it: its directory counts."""
-    if path.is_dir():
-        return "it is a directory", None
+def _unwritable(path: Path, append: bool = False, shown: Path | None = None) -> tuple:
+    """Why ``path`` (named as ``shown``) cannot be written (``append``: appended to), checked without
+    creating it, or None; its key, one per entry: its directory's (st_dev, st_ino) and its name; and its
+    file's (st_dev, st_ino), None without a file.  An output is a temp file renamed over it."""
+    st = _stat(path)
+    if st and stat.S_ISDIR(st.st_mode):
+        return "it is a directory", None, None
     try:  # the trailing separator makes a parent that is not a directory fail too
         parent = os.stat(os.path.join(path.parent, ""))
     except (OSError, ValueError):
-        return f"no directory {path.parent}", None
-    target = path if append and path.exists() else path.parent
-    return None if os.access(target, os.W_OK) else "permission denied", (parent.st_dev, parent.st_ino, path.name)
+        return f"no directory {(shown or path).parent}", None, None
+    why = None if os.access(path if append and st else path.parent, os.W_OK) else "permission denied"
+    return why, (parent.st_dev, parent.st_ino, path.name), st and (st.st_dev, st.st_ino)
 
 
-def _file_id(path) -> tuple | None:
-    """The (st_dev, st_ino) of the file ``path`` reaches, or None where there is none."""
+def _stat(path) -> os.stat_result | None:
+    """The stat of the file ``path`` reaches, or None where there is none."""
     try:
-        st = os.stat(path)
+        return os.stat(path)
     except (OSError, ValueError):
         return None
-    return st.st_dev, st.st_ino
 
 
 def _cast(ctx: click.Context, key: str, raw, resolved: dict, problems: list[str]):
@@ -179,21 +179,20 @@ def _read(path, what: str, problems: list[str]):
 
 
 def _load(ctx: click.Context, outputs, inputs, problems: list[str]) -> list:
-    """The tensors of the ``(path, what)`` ``inputs``, read by ``_read``, after
-    every output path is checked: it must be writable and neither the report
-    nor an earlier output (compared by ``_unwritable``'s key), and neither an
-    input nor the config may be the report's file.  With any problem, these or
-    earlier ones, the command fails here with all of them."""
-    report, report_id = ctx.meta["fpq.report"]
+    """The tensors of the ``(path, what)`` ``inputs``, read by ``_read``, after every output
+    path is checked: it must be writable and neither the report nor an earlier output (by
+    ``_unwritable``'s key), and neither an input nor the config may be the report's file.
+    With any problem, these or earlier ones, the command fails here with all of them."""
+    _, report, report_id = ctx.meta["fpq.report"]
     seen = {report: "the report"}
     for p in outputs:
-        why, key = _unwritable(Path(p))
+        why, key, _ = _unwritable(Path(p))
         if why := why or (f"same file as {seen[key]}" if key in seen else None):
             problems.append(f"output: {p}: {why}")
         seen.setdefault(key, p)
     reads = [ctx.params["config_path"], *(p for p, _ in inputs)]
-    problems += [f"report: {ctx.params['report_path']}: same file as {p}"
-                 for p in reads if report_id and p and _file_id(p) == report_id]
+    problems += [f"report: {ctx.params['report_path']}: same file as {p}" for p in reads
+                 if report_id and p and (st := _stat(p)) and (st.st_dev, st.st_ino) == report_id]
     tensors = [_read(path, what, problems) for path, what in inputs]
     if problems:
         _fail(problems)
@@ -218,7 +217,7 @@ def _emit(report_path, record: dict) -> None:
 
 def _report(ctx: click.Context, cfg: dict, metrics: dict) -> None:
     """Emit the command's record: its resolved config, metrics and wall time."""
-    _emit(ctx.params["report_path"], {
+    _emit(ctx.meta["fpq.report"][0], {
         "command": ctx.info_name,
         "config": dict(sorted(cfg.items())),
         "metrics": metrics,
@@ -433,8 +432,9 @@ def cli_galt(ctx, cfg, problems) -> None:
     try:
         with np.errstate(over="raise", invalid="raise"):
             if cfg["synth"]:
-                calib = galt.synth_calibration(cfg["seed"], schedule, cfg["dim"], cfg["outlier_channels"],
-                                               cfg["outlier_magnitude"])
+                calib = galt.synth_calibration(cfg["seed"], schedule, dim=cfg["dim"],
+                                               outlier_channels=cfg["outlier_channels"],
+                                               outlier_magnitude=cfg["outlier_magnitude"])
             else:
                 calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
             if weight is None:
@@ -453,7 +453,7 @@ def cli_galt(ctx, cfg, problems) -> None:
     cfg.update(out_lambda=out_lambda, layer=layer,
                schedule=list(calib.step_token_counts), dim=calib.dim)
     for epoch, loss in enumerate(history):
-        _emit(ctx.params["report_path"], {"layer": layer, "epoch": epoch, "loss": loss})
+        _emit(ctx.meta["fpq.report"][0], {"layer": layer, "epoch": epoch, "loss": loss})
     _report(ctx, cfg, {
         "layer": layer,
         "baseline_loss": history[0],

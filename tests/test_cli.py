@@ -148,6 +148,14 @@ class TestUnwritableReport:
         assert problems == [f"report: cannot append to {report}: no directory {report.parent}"]
         assert not any(p.exists() for p in out)
 
+    def test_names_the_directory_as_given(self, tmp_path, activation) -> None:
+        # The report is resolved through the symlinked directory, but the problem names it as typed.
+        (tmp_path / "dlink").symlink_to(tmp_path / "missing")
+        report = tmp_path / "dlink" / "r.jsonl"
+        problems = _problems(CliRunner().invoke(main, ["quantize", "--input", str(activation),
+                                                       "--report", str(report)]))
+        assert problems == [f"report: cannot append to {report}: no directory {report.parent}"]
+
     def test_directory_is_a_json_error(self, tmp_path, activation) -> None:
         problems = _problems(CliRunner().invoke(main, ["quantize", "--input", str(activation),
                                                        "--report", str(tmp_path)]))
@@ -797,6 +805,43 @@ class TestReportOnAFileTheCommandUses:
         args = ["rotate", "--input", str(activation), "--group", "32", "--output", str(out),
                 "--report", str(link)]
         assert self._run(tmp_path, args) == [f"output: {out}: same file as the report"]
+
+
+class TestOutputOverASymlinkedReport:
+    """An output renamed over a symlink on the report's path replaces only
+    the link: the record is appended to the file the link reached."""
+
+    def _run(self, tmp_path, args, links: int, output_at: int, output_flag: str) -> list[dict]:
+        """Run ``args`` with the report a chain of ``links`` symlinks to d1/r.log and the output
+        the ``output_at``-th link; the output reads back and the records follow the earlier line."""
+        (tmp_path / "d1").mkdir()
+        chain = [tmp_path / "d1" / "r.log"]
+        chain[0].write_text("an earlier report\n")
+        for i in range(links):
+            chain.insert(0, tmp_path / f"l{i}")
+            chain[0].symlink_to(chain[1])
+        result = CliRunner().invoke(main, [*args, output_flag, str(chain[output_at]), "--report", str(chain[0])])
+        assert result.exit_code == 0, result.output
+        assert not chain[output_at].is_symlink()
+        read_tensor(chain[output_at])
+        first, *records = chain[-1].read_text().splitlines()
+        assert first == "an earlier report"
+        return [json.loads(line) for line in records]
+
+    @pytest.mark.parametrize("links, output_at", [(1, 0), (2, 0), (2, 1)])
+    def test_rotate(self, tmp_path, activation, links, output_at) -> None:
+        args = ["rotate", "--input", str(activation), "--group", "32"]
+        records = self._run(tmp_path, args, links, output_at, "--output")
+        assert [r["command"] for r in records] == ["rotate"]
+
+    def test_galt_out_lambda_with_epoch_records(self, tmp_path) -> None:
+        records = self._run(tmp_path, _base_args("galt", tmp_path, ""), 1, 0, "--out-lambda")
+        assert [r.get("epoch") for r in records] == [0, 1, None]
+        assert records[-1]["command"] == "galt"
+
+    def test_quantize_out_codes(self, tmp_path, activation) -> None:
+        records = self._run(tmp_path, ["quantize", "--input", str(activation)], 1, 0, "--out-codes")
+        assert [r["command"] for r in records] == ["quantize"]
 
 
 class TestPrecedence:
