@@ -7,12 +7,15 @@ configuration from the option defaults, then an optional JSON --config
 file (unknown keys rejected), then explicit command-line flags; config
 values go through the option's click type, so a format or granularity
 name outside its choices is rejected as it is on the command line.  Each
-run appends one JSON record per result to the report stream (file via
---report, stdout otherwise) echoing the fully resolved config, so a run
-can be replayed exactly.  Validation problems are collected and reported
-together as machine-readable JSON on stderr with exit code 2, and so are
-usage errors, a report that cannot be appended to or that is an input or
-the config, and output paths that cannot be written or that name the report
+run appends one JSON record, with the keys command, config, metrics and
+wall_time_s, to the report stream (file via --report, stdout otherwise)
+echoing the fully resolved config, so a run can be replayed exactly; the
+JSON readers (--config, ``fpq report``) reject NaN and Infinity.  Without
+--calib files, ``fpq galt`` fits on seeded synthetic calibration.
+Validation problems are collected and reported together as
+machine-readable JSON on stderr with exit code 2, and so are usage
+errors, a report that cannot be appended to or that is an input or the
+config, and output paths that cannot be written or that name the report
 or an earlier output (no two writes share a file).  A file command checks
 all its writes and reads all its inputs before it fails, so a failing
 command writes nothing; every input must be finite, and a problem with one
@@ -71,11 +74,11 @@ def _resolve_config(ctx: click.Context):
     config_path = ctx.params["config_path"]
     if config_path:
         try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(config_path).read_text(encoding="utf-8"), parse_constant=_not_json)
         except (OSError, UnicodeDecodeError) as exc:
             problems.append(f"config: cannot read {config_path}: {exc}")
             doc = {}
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             problems.append(f"config: invalid JSON in {config_path}: {exc}")
             doc = {}
         if not isinstance(doc, dict):
@@ -95,6 +98,11 @@ def _resolve_config(ctx: click.Context):
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
     return resolved, problems
+
+
+def _not_json(constant: str):
+    """``parse_constant`` for both readers: NaN, Infinity and -Infinity are not JSON."""
+    raise ValueError(f"{constant} is not a JSON value")
 
 
 def _unwritable(path: Path, append: bool = False, shown: Path | None = None) -> tuple:
@@ -206,23 +214,19 @@ def _write(path, array, kind: str) -> None:
         _fail([f"output: {path}: {getattr(exc, 'strerror', None) or exc}"])
 
 
-def _emit(report_path, record: dict) -> None:
-    line = json.dumps(record, sort_keys=True, allow_nan=False)
-    if report_path:
-        with open(report_path, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
-    else:
-        click.echo(line)
-
-
 def _report(ctx: click.Context, cfg: dict, metrics: dict) -> None:
-    """Emit the command's record: its resolved config, metrics and wall time."""
-    _emit(ctx.meta["fpq.report"][0], {
+    """Append the command's one record: its resolved config, metrics and wall time."""
+    line = json.dumps({
         "command": ctx.info_name,
         "config": dict(sorted(cfg.items())),
         "metrics": metrics,
         "wall_time_s": round(time.perf_counter() - ctx.meta["fpq.started"], 6),
-    })
+    }, sort_keys=True, allow_nan=False)
+    if report_path := ctx.meta["fpq.report"][0]:
+        with open(report_path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+    else:
+        click.echo(line)
 
 
 def _usage(exc: click.UsageError) -> None:
@@ -378,10 +382,8 @@ def cli_rotate(ctx, cfg, problems) -> None:
 @_command("galt")
 @click.option("--weight", "weight_path", default=None, type=click.Path())
 @click.option("--calib", "calib_paths", multiple=True, type=click.Path(),
-              help="per-step activation files, coarse to fine")
-@click.option("--synth", "synth", is_flag=True, default=False,
-              help="use the seeded synthetic calibration instead of files")
-@click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="channel count for --synth")
+              help="per-step activation files, coarse to fine [seeded synthetic]")
+@click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="synthetic channel count")
 @click.option("--out-features", "out_features", default=256, type=click.IntRange(min=1),
               help="synthetic weight rows")
 @click.option("--schedule", "schedule", default=",".join(map(str, galt.DESK_SCHEDULE)),
@@ -397,16 +399,15 @@ def cli_rotate(ctx, cfg, problems) -> None:
 @click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
 def cli_galt(ctx, cfg, problems) -> None:
-    """Fit the per-channel smoothing vector; write it and the loss history."""
+    """Fit the per-channel smoothing vector; write it and record the loss history."""
     fmt = formats.get_format(cfg["format_name"])
     gran = Granularity(cfg["granularity"], cfg["group_size"])
-    if cfg["synth"] == bool(cfg["calib_paths"]):
-        problems.append("calib: give either --calib files or --synth, not both")
-    if not cfg["synth"] and not cfg["weight_path"]:
-        problems.append("weight: required unless --synth generates one")
+    synth = not cfg["calib_paths"]
+    if not synth and not cfg["weight_path"]:
+        problems.append("weight: required with --calib files")
     # The synthetic settings are parsed, checked and recorded only where
     # they take effect: calibration files set the data, a weight file its rows.
-    if cfg["synth"]:
+    if synth:
         schedule = _parse_schedule(cfg["schedule"], problems)
         if cfg["outlier_channels"] > cfg["dim"]:
             problems.append(f"outlier_channels: {cfg['outlier_channels']} exceeds dim {cfg['dim']}")
@@ -427,39 +428,45 @@ def cli_galt(ctx, cfg, problems) -> None:
                for p, t in zip(cfg["calib_paths"], steps) if t.data.ndim != 2]:
         _fail(bad)
 
-    # Overflow raises in the synthetic build and the fit, never reaching lambda.
-    source = f"outlier_magnitude: {cfg['outlier_magnitude']:g}" if cfg["synth"] else "galt: input"
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            if cfg["synth"]:
-                calib = galt.synth_calibration(cfg["seed"], schedule, dim=cfg["dim"],
-                                               outlier_channels=cfg["outlier_channels"],
-                                               outlier_magnitude=cfg["outlier_magnitude"])
-            else:
-                calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
-            if weight is None:
-                rng = np.random.default_rng(cfg["seed"] + 1)
-                w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
-            else:
-                w = weight.data
-            hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
-            problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
-            best_lam, history = galt.optimize_galt(problem, epochs=cfg["epochs"], lr=cfg["lr"])
-    except FloatingPointError:
+    def fit(epochs: int, lr: float):
+        """The calibration and its fit's (lambda, history), or None where float64 overflows."""
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                if synth:
+                    calib = galt.synth_calibration(cfg["seed"], schedule, dim=cfg["dim"],
+                                                   outlier_channels=cfg["outlier_channels"],
+                                                   outlier_magnitude=cfg["outlier_magnitude"])
+                else:
+                    calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
+                if weight is None:
+                    rng = np.random.default_rng(cfg["seed"] + 1)
+                    w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
+                else:
+                    w = weight.data
+                hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
+                problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)
+                return calib, galt.optimize_galt(problem, epochs=epochs, lr=lr)
+        except FloatingPointError:
+            return None
+
+    if not (run := fit(cfg["epochs"], cfg["lr"])):
+        # At lr 1e-300 lambda stays 1: an overflow there too is the data's, else the step size's.
+        data = f"outlier_magnitude: {cfg['outlier_magnitude']:g}" if synth else "galt: input"
+        source = f"lr: {cfg['lr']:g}" if fit(1, 1e-300) else data
         _fail([f"{source} overflows float64 in the GALT fit"])
+    calib, (best_lam, history) = run
 
     _write(out_lambda, best_lam, "f64")
     # The schedule and dim that ran: calibration files set their own.
     cfg.update(out_lambda=out_lambda, layer=layer,
                schedule=list(calib.step_token_counts), dim=calib.dim)
-    for epoch, loss in enumerate(history):
-        _emit(ctx.meta["fpq.report"][0], {"layer": layer, "epoch": epoch, "loss": loss})
     _report(ctx, cfg, {
         "layer": layer,
         "baseline_loss": history[0],
         "best_loss": min(history),
         "improvement": history[0] / min(history) if min(history) > 0 else None,
         "epochs": cfg["epochs"],
+        "history": history,
     })
 
 
@@ -498,13 +505,15 @@ def cli_report(input_path: str) -> None:
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+            rec = json.loads(line, parse_constant=_not_json)
+        except ValueError as exc:
             problems.append(f"line {i + 1}: invalid JSON: {exc}")
             continue
         if not isinstance(rec, dict):
             problems.append(f"line {i + 1}: expected a JSON object, got {type(rec).__name__}")
-        elif not isinstance(rec.setdefault("command", "history"), str):
+        elif "command" not in rec:
+            problems.append(f"line {i + 1}: no command")
+        elif not isinstance(rec["command"], str):
             problems.append(f"line {i + 1}: command must be a string, got {json.dumps(rec['command'])}")
         else:
             records.append(rec)

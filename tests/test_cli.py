@@ -141,7 +141,7 @@ class TestUnwritableReport:
                "rotate": [tmp_path / "rot.fpqt"], "galt": [tmp_path / "lam.fpqt"]}[command]
         args = {"quantize": ["--input", str(activation)],
                 "rotate": ["--input", str(activation), "--group", "32", "--output", str(out[0])],
-                "galt": ["--synth", "--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
+                "galt": ["--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
                          "--out-lambda", str(out[0])]}[command]
         report = tmp_path / "missing" / "r.jsonl"
         problems = _problems(CliRunner().invoke(main, [command, *args, "--report", str(report)]))
@@ -196,7 +196,7 @@ class TestUnwritableOutputs:
         monkeypatch.setattr(galt, "optimize_galt", lambda *a, **k: calls.append(a))
         bad = tmp_path / "missing" / "l.fpqt"
         problems = _problems(CliRunner().invoke(main, [
-            "galt", "--synth", "--dim", "128", "--out-features", "256", "--epochs", "20",
+            "galt", "--dim", "128", "--out-features", "256", "--epochs", "20",
             "--out-lambda", str(bad)]))
         assert problems == [f"output: {bad}: no directory {bad.parent}"]
         assert calls == []
@@ -346,7 +346,7 @@ class TestOneFileWrittenTwice:
 
     def test_galt_lambda_on_the_report(self, tmp_path) -> None:
         out = tmp_path / "l.fpqt"
-        args = ["galt", "--synth", "--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
+        args = ["galt", "--dim", "16", "--group", "8", "--schedule", "2,4", "--epochs", "1",
                 "--out-lambda", str(out)]
         assert self._run(tmp_path, args, out) == [f"output: {out}: same file as the report"]
 
@@ -399,24 +399,29 @@ class TestReport:
         result = CliRunner().invoke(main, ["report", "--input", str(report)])
         assert _problems(result) == ["line 2: expected a JSON object, got list"]
 
-    def test_metrics_without_command_go_to_history(self, tmp_path) -> None:
+    def test_record_without_command_is_a_json_error(self, tmp_path) -> None:
         report = tmp_path / "r.jsonl"
-        report.write_text('{"metrics": {"mse": 0.5}}\n{"epoch": 0, "loss": 1.0}\n')
+        report.write_text('{"metrics": {"mse": 0.5}}\n{"command": "dfq"}\n{"epoch": 0, "loss": 1.0}\n')
         result = CliRunner().invoke(main, ["report", "--input", str(report)])
-        assert result.exit_code == 0, result.output
-        lines = result.stdout.splitlines()
-        assert lines[1] == "  history: 2"
-        assert json.loads(lines[2]) == {"command": "history", "metrics": {"mse": 0.5}}
+        assert _problems(result) == ["line 1: no command", "line 3: no command"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_is_a_json_error(self, tmp_path, constant) -> None:
+        # fpq's own writer never emits these; Python's json would read them.
+        report = tmp_path / "r.jsonl"
+        report.write_text(f'{{"command": "rotate"}}\n{{"command": "dfq", "metrics": {{"mse": {constant}}}}}\n')
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert _problems(result) == [f"line 2: invalid JSON: {constant} is not a JSON value"]
 
     def test_summary_text_is_pinned(self, tmp_path) -> None:
         report = tmp_path / "r.jsonl"
         report.write_text('{"command": "rotate", "metrics": {"shape": [2]}}\n\n'
-                          '{"epoch": 0, "loss": 1.5}\n{"command": "dfq", "metrics": {"mse": 0.25}}\n'
+                          '{"command": "dfq", "metrics": {"mse": 0.25}}\n'
                           '{"command": "rotate", "config": {}}\n')
         result = CliRunner().invoke(main, ["report", "--input", str(report)])
         assert result.exit_code == 0, result.output
         assert result.stdout == (
-            f"4 records in {report}\n  dfq: 1\n  history: 1\n  rotate: 2\n"
+            f"3 records in {report}\n  dfq: 1\n  rotate: 2\n"
             '{"command": "rotate", "metrics": {"shape": [2]}}\n'
             '{"command": "dfq", "metrics": {"mse": 0.25}}\n'
         )
@@ -467,15 +472,15 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("command, doc, key", [
         (["rotate", "--output", "rot.fpqt"], {"group_size": "abc"}, "group_size"),
-        (["galt", "--synth"], {"epochs": "x"}, "epochs"),
-        (["galt", "--synth"], {"lr": "x"}, "lr"),
+        (["galt"], {"epochs": "x"}, "epochs"),
+        (["galt"], {"lr": "x"}, "lr"),
         (["emu-check"], {"seed": "x"}, "seed"),
         (["emu-check"], {"seed": -1}, "seed"),
         # click.Path would take a number as a file descriptor.
         (["quantize"], {"out_codes": 7}, "out_codes"),
         (["quantize"], {"out_codes": ["a"]}, "out_codes"),
         (["dfq"], {"out_prefix": 7}, "out_prefix"),
-        (["galt", "--synth"], {"out_lambda": 7}, "out_lambda"),
+        (["galt"], {"out_lambda": 7}, "out_lambda"),
     ])
     def test_bad_config_value_is_a_json_error(self, tmp_path, activation, command, doc, key) -> None:
         config = tmp_path / "config.json"
@@ -494,16 +499,23 @@ class TestConfigTypes:
         (problem,) = _problems(result)
         assert problem.startswith(f"config: cannot read {config}: 'utf-8' codec can't decode")
 
+    def test_non_json_constant_in_config_is_a_json_error(self, tmp_path) -> None:
+        # Python's json would read NaN, and the layer would be labelled "nan".
+        config = tmp_path / "config.json"
+        config.write_text('{"layer": NaN}')
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--config", str(config)])
+        assert _problems(result) == [f"config: invalid JSON in {config}: NaN is not a JSON value"]
+
     def test_negative_seed_flag_is_a_usage_error(self) -> None:
         # A usage error, reported as the same JSON problem a config value gets.
         result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--seed", "-1"])
         assert _problems(result) == ["flag: --seed: -1 is not in the range x>=0."]
 
     @pytest.mark.parametrize("command, doc, want", [
-        (["galt", "--synth"], {"epochs": 2.9}, "config: epochs: expected an integer, got 2.9"),
-        (["galt", "--synth"], {"lr": True}, "config: lr: expected a number, got true"),
+        (["galt"], {"epochs": 2.9}, "config: epochs: expected an integer, got 2.9"),
+        (["galt"], {"lr": True}, "config: lr: expected a number, got true"),
         (["emu-check"], {"samples": True}, "config: samples: expected an integer, got true"),
-        (["galt", "--synth"], {"epochs": [1]}, "config: epochs: expected an integer, got [1]"),
+        (["galt"], {"epochs": [1]}, "config: epochs: expected an integer, got [1]"),
         (["rotate", "--output", "rot.fpqt"], {"group_size": {"a": 1}},
          'config: group_size: expected an integer, got {"a": 1}'),
     ], ids=["fraction_for_int", "bool_for_float", "bool_for_int", "list_for_int", "object_for_int"])
@@ -522,7 +534,7 @@ class TestConfigTypes:
         config.write_text(json.dumps({"epochs": 1.0, "lr": 1}))
         report = tmp_path / "r.jsonl"
         result = CliRunner().invoke(main, [
-            "galt", "--synth", "--dim", "8", "--group", "8", "--out-features", "4", "--schedule", "1,4",
+            "galt", "--dim", "8", "--group", "8", "--out-features", "4", "--schedule", "1,4",
             "--config", str(config), "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(report),
         ])
         assert result.exit_code == 0, result.output
@@ -535,7 +547,7 @@ class TestConfigTypes:
         config.write_text(json.dumps({"schedule": [1, 4], "epochs": "1", "dim": 8, "group_size": 8}))
         report = tmp_path / "r.jsonl"
         result = CliRunner().invoke(main, [
-            "galt", "--synth", "--out-features", "4", "--config", str(config),
+            "galt", "--out-features", "4", "--config", str(config),
             "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(report),
         ])
         assert result.exit_code == 0, result.output
@@ -546,11 +558,11 @@ class TestConfigTypes:
 
 
 class TestGaltInputs:
-    """Bad numbers for ``galt --synth`` end in exit 2, never a traceback."""
+    """Bad numbers for ``galt`` on synthetic calibration end in exit 2, never a traceback."""
 
     def _invoke(self, tmp_path, flags):
         return CliRunner().invoke(main, [
-            "galt", "--synth", "--dim", "16", "--group", "16", "--out-features", "8",
+            "galt", "--dim", "16", "--group", "16", "--out-features", "8",
             "--epochs", "1", *flags, "--out-lambda", str(tmp_path / "lam.fpqt"),
             "--report", str(tmp_path / "r.jsonl"),
         ])
@@ -563,6 +575,12 @@ class TestGaltInputs:
         (["--outlier-magnitude", "1e308"], "outlier_magnitude: 1e+308 overflows float64 in the GALT fit"),
         (["--outlier-magnitude", "1e154"], "outlier_magnitude: 1e+154 overflows float64 in the GALT fit"),
         (["--outlier-magnitude", "1e100"], "outlier_magnitude: 1e+100 overflows float64 in the GALT fit"),
+        # The gradient's square overflows at the first update, whatever the step size.
+        (["--outlier-magnitude", "1e100", "--lr", "1e-30"],
+         "outlier_magnitude: 1e+100 overflows float64 in the GALT fit"),
+        # The baseline at lambda = 1 is finite; the first update throws lambda near
+        # 1e200 and the next gradient's square overflows, which the data did not cause.
+        (["--lr", "1e200"], "lr: 1e+200 overflows float64 in the GALT fit"),
     ])
     def test_bad_value_is_a_json_error(self, tmp_path, flags, want) -> None:
         assert _problems(self._invoke(tmp_path, flags)) == [want]
@@ -586,17 +604,25 @@ class TestGaltInputs:
         assert _problems(result) == ["galt: input overflows float64 in the GALT fit"]
         assert not (tmp_path / "r.jsonl").exists()
 
-    @pytest.mark.parametrize("sources", ["both", "neither"])
-    def test_one_calibration_source_is_required(self, tmp_path, sources) -> None:
-        calib, weight = tmp_path / "c.fpqt", tmp_path / "w.fpqt"
+    def test_calib_without_weight_is_the_one_problem(self, tmp_path) -> None:
+        calib = tmp_path / "c.fpqt"
         write_tensor(calib, np.ones((4, 16)))
-        write_tensor(weight, np.ones((8, 16)))
-        flags = ["--synth", "--calib", str(calib)] if sources == "both" else []
         result = CliRunner().invoke(main, [
-            "galt", *flags, "--weight", str(weight), "--dim", "16", "--group", "16", "--epochs", "1",
+            "galt", "--calib", str(calib), "--group", "16", "--epochs", "1",
             "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(tmp_path / "r.jsonl"),
         ])
-        assert _problems(result) == ["calib: give either --calib files or --synth, not both"]
+        assert _problems(result) == ["weight: required with --calib files"]
+        assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "lam.fpqt").exists()
+
+    def test_overflowing_step_size_with_files_names_lr(self, tmp_path) -> None:
+        calib, weight = tmp_path / "c.fpqt", tmp_path / "w.fpqt"
+        write_tensor(calib, np.random.default_rng(0).standard_normal((4, 16)))
+        write_tensor(weight, np.ones((8, 16)))
+        result = CliRunner().invoke(main, [
+            "galt", "--calib", str(calib), "--weight", str(weight), "--group", "16", "--epochs", "3",
+            "--lr", "1e200", "--out-lambda", str(tmp_path / "lam.fpqt"), "--report", str(tmp_path / "r.jsonl"),
+        ])
+        assert _problems(result) == ["lr: 1e+200 overflows float64 in the GALT fit"]
         assert not (tmp_path / "r.jsonl").exists() and not (tmp_path / "lam.fpqt").exists()
 
     def test_mismatched_calibration_steps_are_a_json_error(self, tmp_path) -> None:
@@ -636,9 +662,9 @@ class TestGaltInputs:
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
-        records = [json.loads(line, parse_constant=reject) for line in report.read_text().splitlines()]
-        assert len(records) == 4 and records[-1]["metrics"]["best_loss"] == 0.0
-        assert records[-1]["metrics"]["improvement"] is None
+        (record,) = [json.loads(line, parse_constant=reject) for line in report.read_text().splitlines()]
+        assert record["command"] == "galt" and record["metrics"]["history"] == [0.0, 0.0, 0.0]
+        assert record["metrics"]["best_loss"] == 0.0 and record["metrics"]["improvement"] is None
 
     @pytest.mark.parametrize("flags", [
         ["--dim", "0"], ["--out-features", "0"], ["--epochs", "-3"], ["--outlier-channels", "-1"],
@@ -748,13 +774,31 @@ def _base_args(command: str, tmp_path, wide: str) -> list[str]:
         "dfq": ["dfq", "--input", wide],
         "search": ["search", "--input", wide],
         "rotate": ["rotate", "--input", wide, "--output", str(tmp_path / "rot.fpqt")],
-        "galt": ["galt", "--synth", "--dim", "16", "--group", "16", "--out-features", "8",
+        "galt": ["galt", "--dim", "16", "--group", "16", "--out-features", "8",
                  "--schedule", "1,4", "--epochs", "1", "--out-lambda", str(tmp_path / "lam.fpqt")],
         "emu-check": ["emu-check", "--samples", "2000"],
     }[command]
 
 
 COMMANDS = ("quantize", "dfq", "search", "rotate", "galt", "emu-check")
+
+
+class TestOneRecordShape:
+    """Every command appends one record, and every record has one set of keys."""
+
+    def test_every_command_writes_one_record_of_one_shape(self, tmp_path, wide) -> None:
+        report = tmp_path / "r.jsonl"
+        for command in COMMANDS:
+            result = CliRunner().invoke(main, [*_base_args(command, tmp_path, wide), "--report", str(report)])
+            assert result.exit_code == 0, result.output
+        records = _records(report)
+        assert [r["command"] for r in records] == list(COMMANDS)
+        assert all(set(r) == {"command", "config", "metrics", "wall_time_s"} for r in records)
+        result = CliRunner().invoke(main, ["report", "--input", str(report)])
+        assert result.exit_code == 0, result.output
+        # The count rows: one per command, and no "history" bucket.
+        counts = [line for line in result.stdout.splitlines() if line.startswith("  ")]
+        assert counts == [f"  {command}: 1" for command in sorted(COMMANDS)]
 
 
 class TestReportOnAFileTheCommandUses:
@@ -834,10 +878,10 @@ class TestOutputOverASymlinkedReport:
         records = self._run(tmp_path, args, links, output_at, "--output")
         assert [r["command"] for r in records] == ["rotate"]
 
-    def test_galt_out_lambda_with_epoch_records(self, tmp_path) -> None:
+    def test_galt_out_lambda(self, tmp_path) -> None:
         records = self._run(tmp_path, _base_args("galt", tmp_path, ""), 1, 0, "--out-lambda")
-        assert [r.get("epoch") for r in records] == [0, 1, None]
-        assert records[-1]["command"] == "galt"
+        assert [r["command"] for r in records] == ["galt"]
+        assert len(records[0]["metrics"]["history"]) == 2
 
     def test_quantize_out_codes(self, tmp_path, activation) -> None:
         records = self._run(tmp_path, ["quantize", "--input", str(activation)], 1, 0, "--out-codes")
@@ -985,7 +1029,7 @@ class TestOptionTable:
                 ("--layer", None), ("--out-prefix", None)],
         "search": [("--input", None), ("--granularity", "per_tensor"), ("--group", 128)],
         "rotate": [("--input", None), ("--output", None), ("--group", 128)],
-        "galt": [("--weight", None), ("--calib", None), ("--synth", False), ("--dim", 256),
+        "galt": [("--weight", None), ("--calib", None), ("--dim", 256),
                  ("--out-features", 256), ("--schedule", "1,4,9,16,25,36,64,100,169,256"),
                  ("--seed", 0), ("--outlier-channels", 4), ("--outlier-magnitude", 50.0),
                  ("--format", "E2M1"), ("--granularity", "per_group"), ("--group", 128),
@@ -1026,7 +1070,7 @@ class TestInputKinds:
         ["search", "--input", "{codes}"],
         ["rotate", "--input", "{codes}", "--output", "{tmp}/rot.fpqt"],
         ["galt", "--calib", "{codes}", "--weight", "{codes}", "--group", "8"],
-        ["galt", "--synth", "--dim", "8", "--group", "8", "--weight", "{codes}"],
+        ["galt", "--dim", "8", "--group", "8", "--weight", "{codes}"],
     ])
     def test_code_file_is_a_json_error(self, tmp_path, codes_file, command) -> None:
         args = [a.format(codes=codes_file, tmp=tmp_path) for a in command]
@@ -1145,7 +1189,7 @@ class TestGaltCalibRecord:
     ])
     def test_record_keys_are_the_settings_that_took_effect(self, tmp_path, source, dropped) -> None:
         files = self._files(tmp_path)
-        synth = ["--synth", "--dim", "4", "--schedule", "1,3", "--out-features", "6"]
+        synth = ["--dim", "4", "--schedule", "1,3", "--out-features", "6"]
         flags = {"calib": files, "synth_weight": synth + files[4:], "synth": synth + files[6:]}[source]
         record = self._run(tmp_path, *flags)
         names = {p.name for p in main.commands["galt"].params} - {"report_path", "config_path"}
@@ -1155,6 +1199,6 @@ class TestGaltCalibRecord:
         flags = self._files(tmp_path)
         record = self._run(tmp_path, *flags, "--schedule", "x,y", "--outlier-magnitude", "nan")
         assert record["config"]["schedule"] == [1, 3]
-        result = CliRunner().invoke(main, ["galt", "--synth", "--schedule", "x,y", "--epochs", "1",
+        result = CliRunner().invoke(main, ["galt", "--schedule", "x,y", "--epochs", "1",
                                            "--out-lambda", str(tmp_path / "lam.fpqt")])
         assert _problems(result) == ["schedule: expected comma-separated integers, got 'x,y'"]
