@@ -9,9 +9,9 @@ values go through the option's click type, so a format or granularity
 name outside its choices is rejected as it is on the command line.  Each
 run appends one JSON record, with the keys command, config, metrics and
 wall_time_s, to the report stream (file via --report, stdout otherwise)
-echoing the fully resolved config, so a run can be replayed exactly; the
-JSON readers (--config, ``fpq report``) reject NaN and Infinity.  Without
---calib files, ``fpq galt`` fits on seeded synthetic calibration.
+echoing the fully resolved config, which replays the run alone as --config;
+the JSON readers (--config, ``fpq report``) reject NaN and Infinity.  With
+neither --calib nor --weight, ``fpq galt`` fits on seeded synthetic data.
 Validation problems are collected and reported together as
 machine-readable JSON on stderr with exit code 2, and so are usage
 errors, a report that cannot be appended to or that is an input or the
@@ -97,7 +97,15 @@ def _resolve_config(ctx: click.Context):
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
+    if missing := next((p for p in ctx.command.params if p.required and resolved[p.name] in (None, ())), None):
+        _fail([*problems, f"usage: Missing option {missing.opts[0]!r}."])  # click's own words
     return resolved, problems
+
+
+class _Required(click.Option):
+    """A [required] option that a --config file may give: ``_resolve_config`` checks it after the merge."""
+    def value_is_missing(self, value) -> bool:
+        return False
 
 
 def _not_json(constant: str):
@@ -304,7 +312,7 @@ def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], outputs, 
 
 
 @_command("quantize")
-@click.option("--input", "input_path", required=True, type=click.Path())
+@click.option("--input", "input_path", cls=_Required, required=True, type=click.Path())
 @click.option("--format", "format_name", default="E2M1", type=_FORMAT, help="grid format")
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
@@ -322,10 +330,9 @@ def cli_quantize(ctx, cfg, problems) -> None:
 
 
 @_command("dfq")
-@click.option("--input", "input_path", required=True, type=click.Path())
+@click.option("--input", "input_path", cls=_Required, required=True, type=click.Path())
 @click.option("--neg-format", "neg_format", default="E1M2", type=_FORMAT, help="negative-branch grid")
 @click.option("--pos-format", "pos_format", default="E2M1", type=_FORMAT, help="positive-branch grid")
-@click.option("--search", "search", is_flag=True, default=False, help="search grids on the input first")
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size; must divide the last axis")
@@ -337,8 +344,6 @@ def cli_dfq(ctx, cfg, problems) -> None:
     paths = {f"{s}_{p}": f"{prefix}.{s}_{p}.fpqt" for s in ("neg", "pos") for p in ("codes", "scales")}
 
     def run(x, gran):
-        if cfg["search"]:
-            cfg["neg_format"], cfg["pos_format"] = (f.name for f in dfq_search_format([x], gran))
         r = dfq_quantize(x, formats.get_format(cfg["neg_format"]), formats.get_format(cfg["pos_format"]), gran)
         return r, {"neg_format": cfg["neg_format"], "pos_format": cfg["pos_format"], "outputs": paths}
 
@@ -346,7 +351,7 @@ def cli_dfq(ctx, cfg, problems) -> None:
 
 
 @_command("search")
-@click.option("--input", "input_paths", required=True, multiple=True, type=click.Path())
+@click.option("--input", "input_paths", cls=_Required, required=True, multiple=True, type=click.Path())
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY)
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1))
 def cli_search(ctx, cfg, problems) -> None:
@@ -360,8 +365,8 @@ def cli_search(ctx, cfg, problems) -> None:
 
 
 @_command("rotate")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--output", "output_path", required=True, type=click.Path())
+@click.option("--input", "input_path", cls=_Required, required=True, type=click.Path())
+@click.option("--output", "output_path", cls=_Required, required=True, type=click.Path())
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1), help="rotation block size")
 def cli_rotate(ctx, cfg, problems) -> None:
     """Group-wise Hadamard rotation of a tensor file (orthonormal blocks)."""
@@ -380,9 +385,10 @@ def cli_rotate(ctx, cfg, problems) -> None:
 
 
 @_command("galt")
-@click.option("--weight", "weight_path", default=None, type=click.Path())
+@click.option("--weight", "weight_path", default=None, type=click.Path(),
+              help="weight file (out, channels), with --calib [seeded synthetic]")
 @click.option("--calib", "calib_paths", multiple=True, type=click.Path(),
-              help="per-step activation files, coarse to fine [seeded synthetic]")
+              help="per-step activation files, coarse to fine, with --weight [seeded synthetic]")
 @click.option("--dim", "dim", default=256, type=click.IntRange(min=1), help="synthetic channel count")
 @click.option("--out-features", "out_features", default=256, type=click.IntRange(min=1),
               help="synthetic weight rows")
@@ -402,11 +408,12 @@ def cli_galt(ctx, cfg, problems) -> None:
     """Fit the per-channel smoothing vector; write it and record the loss history."""
     fmt = formats.get_format(cfg["format_name"])
     gran = Granularity(cfg["granularity"], cfg["group_size"])
-    synth = not cfg["calib_paths"]
-    if not synth and not cfg["weight_path"]:
-        problems.append("weight: required with --calib files")
+    synth = not (cfg["calib_paths"] or cfg["weight_path"])
+    if not synth and not (cfg["calib_paths"] and cfg["weight_path"]):
+        problems.append("weight: required with --calib files" if cfg["calib_paths"]
+                        else "calib: required with --weight")
     # The synthetic settings are parsed, checked and recorded only where
-    # they take effect: calibration files set the data, a weight file its rows.
+    # they take effect: files set the data and the weight.
     if synth:
         schedule = _parse_schedule(cfg["schedule"], problems)
         if cfg["outlier_channels"] > cfg["dim"]:
@@ -414,15 +421,13 @@ def cli_galt(ctx, cfg, problems) -> None:
         if not np.isfinite(cfg["outlier_magnitude"]):
             problems.append(f"outlier_magnitude: must be finite, got {cfg['outlier_magnitude']}")
     else:
-        for key in ("seed", "outlier_channels", "outlier_magnitude"):
+        for key in ("seed", "out_features", "outlier_channels", "outlier_magnitude"):
             del cfg[key]
-    if cfg["weight_path"]:
-        del cfg["out_features"]
     layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
     inputs = [(p, f"calibration step {i}") for i, p in enumerate(cfg["calib_paths"])]
     inputs += [(cfg["weight_path"], "the weight")] if cfg["weight_path"] else []
-    # --calib needs --weight, so the weight is the last input, or nothing is read.
+    # Files come as --calib and --weight together, so the weight is the last input, or nothing is read.
     *steps, weight = _load(ctx, [out_lambda], inputs, problems) or [None]
     if bad := [f"input: {p}: a calibration step must be 2-D (tokens, channels), got shape {t.data.shape}"
                for p, t in zip(cfg["calib_paths"], steps) if t.data.ndim != 2]:
@@ -436,12 +441,10 @@ def cli_galt(ctx, cfg, problems) -> None:
                     calib = galt.synth_calibration(cfg["seed"], schedule, dim=cfg["dim"],
                                                    outlier_channels=cfg["outlier_channels"],
                                                    outlier_magnitude=cfg["outlier_magnitude"])
-                else:
-                    calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
-                if weight is None:
                     rng = np.random.default_rng(cfg["seed"] + 1)
                     w = rng.standard_normal((cfg["out_features"], cfg["dim"])) * 0.5
                 else:
+                    calib = galt.CalibrationSet([np.asarray(t.data, dtype=np.float64) for t in steps])
                     w = weight.data
                 hcfg = hadamard.HadamardConfig(dim=calib.dim, group_size=cfg["group_size"])
                 problem = galt.GaltProblem(calib, w, hcfg, fmt, gran)

@@ -44,8 +44,6 @@ __all__ = [
     "E3M0",
     "E2M3",
     "E3M2",
-    "E3M4",
-    "E4M3",
     "get_format",
     "grid_values",
     "max_value",
@@ -79,7 +77,7 @@ class FpFormat:
         return 1 << self.width
 
 
-# Biases: E2M3, E3M2, and E4M3 follow the OCP MX definitions; E2M1 bias=1
+# Biases: E2M3 and E3M2 follow the OCP MX definitions; E2M1 bias=1
 # reproduces the reference FP4 grid, and E1M2 bias=0 / E3M0 bias=3 are the
 # unique biases whose decoded grids match it as well.
 E1M2 = FpFormat("E1M2", 1, 2, 0)
@@ -87,12 +85,8 @@ E2M1 = FpFormat("E2M1", 2, 1, 1)
 E3M0 = FpFormat("E3M0", 3, 0, 3)
 E2M3 = FpFormat("E2M3", 2, 3, 1)
 E3M2 = FpFormat("E3M2", 3, 2, 3)
-E3M4 = FpFormat("E3M4", 3, 4, 3)
-E4M3 = FpFormat("E4M3", 4, 3, 7)
 
-FORMATS: dict[str, FpFormat] = {
-    f.name: f for f in (E1M2, E2M1, E3M0, E2M3, E3M2, E3M4, E4M3)
-}
+FORMATS: dict[str, FpFormat] = {f.name: f for f in (E1M2, E2M1, E3M0, E2M3, E3M2)}
 
 
 def get_format(name: str) -> FpFormat:

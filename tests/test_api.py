@@ -26,8 +26,6 @@ BENCH = SRC.parents[1] / "bench"
 # each with why it stays public.  A name that gains a caller leaves this
 # tuple; a new public name without one must be added with its reason.
 API_ONLY = (
-    ("formats.E3M4", "8-bit grid, one of the FORMATS a --format option names"),
-    ("formats.E4M3", "8-bit grid, one of the FORMATS a --format option names"),
     ("formats.grid_values", "the decodable values of a grid, for inspecting a format"),
     ("galt.adamw_step", "one AdamW update of lambda, the step optimize_galt repeats"),
     ("galt.fuse_lambda", "folds lambda into the AdaLN affine, the deployment half of GALT"),

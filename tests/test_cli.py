@@ -12,8 +12,8 @@ from click.testing import CliRunner
 
 from fpq import cli, galt, hwemu, synth
 from fpq.cli import main
-from fpq.formats import E2M1, E2M3, E3M0, E3M2, nearest_codes
-from fpq.quantize import Granularity, dfq_quantize, dfq_search_format, quantize
+from fpq.formats import E2M1, E2M3, E3M0, E3M2, get_format, nearest_codes
+from fpq.quantize import DFQ_CANDIDATE_FORMATS, Granularity, dfq_quantize, dfq_search_format, quantize
 from fpq.tensorfile import read_tensor, write_tensor
 
 
@@ -54,20 +54,31 @@ class TestDfq:
         (record,) = _records(report)
         assert record["metrics"]["neg_format"] == "E2M3"
 
-    def test_search_writes_the_searched_pair(self, tmp_path) -> None:
-        path, prefix, report = tmp_path / "gelu.fpqt", tmp_path / "out", tmp_path / "r.jsonl"
-        x = synth.gelu_activations(3, (4, 32))
-        write_tensor(path, x)
+    def test_offline_search_pair_quantizes_another_tensor(self, tmp_path) -> None:
+        # The paper's flow: search the pair on calibration files, then apply it at inference.
+        prefix, report = tmp_path / "out", tmp_path / "r.jsonl"
+        calib = [synth.gelu_activations(seed, (4, 32)) for seed in (3, 4)]
+        x = synth.gelu_activations(5, (4, 32))
+        paths = [tmp_path / f"{name}.fpqt" for name in ("c0", "c1", "x")]
+        for path, t in zip(paths, [*calib, x]):
+            write_tensor(path, t)
         g = Granularity.per_token()
-        pair = dfq_search_format([x], g)
-        # The flags name neither grid of the pick, so the search must replace both.
-        assert [f.name for f in pair] == ["E1M2", "E3M0"]
+        pair = dfq_search_format(calib, g)
+        # The positive grid is not dfq's default, and a search on x would pick another pair.
+        assert [f.name for f in pair] == ["E1M2", "E3M0"] and dfq_search_format([x], g) != pair
         result = CliRunner().invoke(main, [
-            "dfq", "--input", str(path), "--search", "--neg-format", "E3M0", "--pos-format", "E1M2",
-            "--granularity", "per_token", "--out-prefix", str(prefix), "--report", str(report),
+            "search", "--input", str(paths[0]), "--input", str(paths[1]), "--granularity", "per_token",
+            "--report", str(report),
         ])
         assert result.exit_code == 0, result.output
-        (record,) = _records(report)
+        metrics = _records(report)[0]["metrics"]
+        config = _write_config(tmp_path, {key: metrics[key] for key in ("neg_format", "pos_format")})
+        result = CliRunner().invoke(main, [
+            "dfq", "--input", str(paths[2]), "--config", config, "--granularity", "per_token",
+            "--out-prefix", str(prefix), "--report", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        record = _records(report)[1]
         for key, fmt in zip(("neg_format", "pos_format"), pair):
             assert record["config"][key] == record["metrics"][key] == fmt.name
         want = dfq_quantize(x, *pair, g)
@@ -75,6 +86,11 @@ class TestDfq:
             for part, array in (("codes", codes), ("scales", scales)):
                 written = read_tensor(f"{prefix}.{side}_{part}.fpqt").data
                 assert written.dtype == array.dtype and written.tobytes() == array.tobytes()
+
+    def test_search_key_in_a_config_is_unknown(self, tmp_path, activation) -> None:
+        result = CliRunner().invoke(main, ["dfq", "--input", str(activation),
+                                           "--config", _write_config(tmp_path, {"search": True})])
+        assert _problems(result) == ["config: unknown key 'search'"]
 
 
 class TestQuantize:
@@ -267,15 +283,14 @@ class TestSearchErrors:
         write_tensor(path, x)
         return ["--input", str(path), *flags], request.param
 
-    @pytest.mark.parametrize("command", [["search"], ["dfq", "--search"]])
+    @pytest.mark.parametrize("command", [["search"]])
     def test_search_value_error_is_a_json_error(self, tmp_path, bad_input, command) -> None:
         args, kind = bad_input
         result = CliRunner().invoke(main, [*command, *args, "--report", str(tmp_path / "r.jsonl")])
         assert result.exit_code == 2, result.output
         (problem,) = json.loads(result.stderr)["problems"]
         if kind == "nan":
-            what = "calibration tensor 0" if command == ["search"] else "the input"
-            assert problem == f"input: {args[1]}: {what} is not finite"
+            assert problem == f"input: {args[1]}: calibration tensor 0 is not finite"
         else:
             assert problem.startswith(f"{command[0]}: ") and "not divisible by group size 128" in problem
         assert not (tmp_path / "r.jsonl").exists()
@@ -291,7 +306,6 @@ class TestNonFiniteInput:
     CASES = {
         "quantize": (["quantize", "--input", "{bad}"], "the input"),
         "dfq": (["dfq", "--input", "{bad}"], "the input"),
-        "dfq_search": (["dfq", "--search", "--input", "{bad}"], "the input"),
         "search": (["search", "--input", "{ok}", "--input", "{bad}"], "calibration tensor 1"),
         "rotate": (["rotate", "--input", "{bad}", "--output", "{tmp}/rot.fpqt", "--group", "32"], "the input"),
         "galt_calib": (["galt", "--calib", "{ok}", "--calib", "{bad}", "--weight", "{w}", "--group", "32",
@@ -690,6 +704,13 @@ class TestEmuCheck:
         assert metrics["scale_mismatches"] == [] and metrics["samples"] == 20000
         assert (metrics["addr_frac_bits"]["E2M1"], metrics["addr_frac_bits"]["E3M0/E2M1"]) == (2, 3)
 
+    def test_checks_every_grid_a_format_option_offers(self) -> None:
+        offered = {get_format(name) for name in cli._FORMAT.choices}
+        assert offered == {*DFQ_CANDIDATE_FORMATS, *hwemu._FP6_GRIDS}
+        result = CliRunner().invoke(main, ["emu-check", "--samples", "2000"])
+        assert result.exit_code == 0, result.output
+        assert {f.name for f in offered} <= set(json.loads(result.stdout)["metrics"]["mismatches"])
+
     def test_flipped_quantizer_entry_fails(self, monkeypatch) -> None:
         build = hwemu.build_tables
 
@@ -799,6 +820,33 @@ class TestOneRecordShape:
         # The count rows: one per command, and no "history" bucket.
         counts = [line for line in result.stdout.splitlines() if line.startswith("  ")]
         assert counts == [f"  {command}: 1" for command in sorted(COMMANDS)]
+
+
+class TestRecordReplays:
+    """A record's config alone, as --config, replays the run, its required options too."""
+
+    @pytest.mark.parametrize("command", ["quantize", "dfq", "search", "rotate"])
+    def test_config_alone_replays_the_run(self, tmp_path, wide, command) -> None:
+        report = tmp_path / "r.jsonl"
+        before = _contents(tmp_path)
+        result = CliRunner().invoke(main, [*_base_args(command, tmp_path, wide), "--report", str(report)])
+        assert result.exit_code == 0, result.output
+        outputs = {p: b for p, b in _contents(tmp_path).items() if p not in before and p != report}
+        assert bool(outputs) == (command != "search")
+        for path in outputs:
+            path.unlink()
+        (record,) = _records(report)
+        config = _write_config(tmp_path, record["config"])
+        result = CliRunner().invoke(main, [command, "--config", config, "--report", str(report)])
+        assert result.exit_code == 0, result.output
+        replay = _records(report)[1]
+        assert (replay["config"], replay["metrics"]) == (record["config"], record["metrics"])
+        assert {p: p.read_bytes() for p in outputs} == outputs
+
+    def test_missing_option_joins_the_config_problems(self, tmp_path) -> None:
+        result = CliRunner().invoke(main, ["search", "--config", _write_config(tmp_path, {"input_paths": 7})])
+        assert _problems(result) == ["config: input_paths: expected a path string, got 7",
+                                     "usage: Missing option '--input'."]
 
 
 class TestReportOnAFileTheCommandUses:
@@ -1025,7 +1073,7 @@ class TestOptionTable:
                      ("--group", 128), ("--layer", None),
                      ("--out-codes", None), ("--out-scales", None)],
         "dfq": [("--input", None), ("--neg-format", "E1M2"), ("--pos-format", "E2M1"),
-                ("--search", False), ("--granularity", "per_tensor"), ("--group", 128),
+                ("--granularity", "per_tensor"), ("--group", 128),
                 ("--layer", None), ("--out-prefix", None)],
         "search": [("--input", None), ("--granularity", "per_tensor"), ("--group", 128)],
         "rotate": [("--input", None), ("--output", None), ("--group", 128)],
@@ -1070,7 +1118,6 @@ class TestInputKinds:
         ["search", "--input", "{codes}"],
         ["rotate", "--input", "{codes}", "--output", "{tmp}/rot.fpqt"],
         ["galt", "--calib", "{codes}", "--weight", "{codes}", "--group", "8"],
-        ["galt", "--dim", "8", "--group", "8", "--weight", "{codes}"],
     ])
     def test_code_file_is_a_json_error(self, tmp_path, codes_file, command) -> None:
         args = [a.format(codes=codes_file, tmp=tmp_path) for a in command]
@@ -1184,16 +1231,22 @@ class TestGaltCalibRecord:
 
     @pytest.mark.parametrize("source, dropped", [
         ("calib", {"seed", "out_features", "outlier_channels", "outlier_magnitude"}),
-        ("synth_weight", {"out_features"}),
         ("synth", set()),
     ])
     def test_record_keys_are_the_settings_that_took_effect(self, tmp_path, source, dropped) -> None:
         files = self._files(tmp_path)
         synth = ["--dim", "4", "--schedule", "1,3", "--out-features", "6"]
-        flags = {"calib": files, "synth_weight": synth + files[4:], "synth": synth + files[6:]}[source]
+        flags = {"calib": files, "synth": synth + files[6:]}[source]
         record = self._run(tmp_path, *flags)
         names = {p.name for p in main.commands["galt"].params} - {"report_path", "config_path"}
         assert set(record["config"]) == names - dropped
+
+    def test_weight_without_calib_is_the_one_problem(self, tmp_path) -> None:
+        # A weight file is never fitted against synthetic calibration.
+        report = tmp_path / "r.jsonl"
+        args = ["galt", "--dim", "4", "--out-features", "6", *self._files(tmp_path)[4:], "--report", str(report)]
+        assert _problems(CliRunner().invoke(main, args)) == ["calib: required with --weight"]
+        assert not report.exists() and not (tmp_path / "lam.fpqt").exists()
 
     def test_calib_run_ignores_a_malformed_schedule(self, tmp_path) -> None:
         flags = self._files(tmp_path)

@@ -18,8 +18,6 @@ from fpq.formats import (
     E2M3,
     E3M0,
     E3M2,
-    E3M4,
-    E4M3,
     FORMATS,
     FpFormat,
     _bucket_codes,
@@ -43,7 +41,11 @@ TABLE_FP4 = {
     "E3M0": [-16, -8, -4, -2, -1, -0.5, -0.25, 0, 0.25, 0.5, 1, 2, 4, 8, 16],
 }
 
-ALL_FORMATS = sorted(FORMATS.values(), key=lambda f: f.name)
+# Two 8-bit grids beside the shipped ones: the widest mantissa (k = 4) and
+# exponent (bias 7) the codec is checked at, and product codes of FP4 grids.
+E3M4 = FpFormat("E3M4", 3, 4, 3)
+E4M3 = FpFormat("E4M3", 4, 3, 7)
+ALL_FORMATS = sorted([*FORMATS.values(), E3M4, E4M3], key=lambda f: f.name)
 
 
 def _nearest_by_scan(fmt: FpFormat, x: float) -> float:
@@ -92,8 +94,10 @@ class TestGrids:
             get_format("E9M9")
 
     def test_registry_names(self) -> None:
-        for name in ("E1M2", "E2M1", "E3M0", "E2M3", "E3M2", "E4M3"):
+        for name in ("E1M2", "E2M1", "E3M0", "E2M3", "E3M2"):
             assert get_format(name).name == name
+        with pytest.raises(ValueError, match="unknown format 'E4M3'"):
+            get_format("E4M3")
 
 
 def _codes_of(fmt: FpFormat, values) -> list[int]:

@@ -22,7 +22,7 @@ from fpq.formats import (
     E2M3,
     E3M0,
     E3M2,
-    E4M3,
+    FpFormat,
     _rounding_tables,
     decode_bits,
     grid_values,
@@ -472,7 +472,7 @@ class TestMulTables:
         assert mul.dtype == (np.int32 if (act, wt) == (E3M2, E3M2) else np.int16)
 
     def test_e4m3_would_reject_mixed_products(self) -> None:
-        assert 3.5 * 6.0 not in grid_values(E4M3)
+        assert 3.5 * 6.0 not in grid_values(FpFormat("E4M3", 4, 3, 7))
         mul = _build_mul_lut(E1M2, E2M1)
         a, b = int(nearest_codes(E1M2, 3.5)), int(nearest_codes(E2M1, 6.0))
         assert mul[(a << 4) | b] == 21 * 4
