@@ -14,8 +14,9 @@ the JSON readers (--config, ``fpq report``) reject NaN and Infinity.  With
 neither --calib nor --weight, ``fpq galt`` fits on seeded synthetic data.
 Validation problems are collected and reported together as
 machine-readable JSON on stderr with exit code 2, and so are usage
-errors, a report that cannot be appended to or that is an input or the
-config, and output paths that cannot be written or that name the report
+errors, an empty path value ("<key>: empty path", before any read), a
+report that cannot be appended to or that is an input or the config,
+and output paths that cannot be written or that name the report
 or an earlier output (no two writes share a file).  A file command checks
 all its writes and reads all its inputs before it fails, so a failing
 command writes nothing; every input must be finite, and a problem with one
@@ -97,9 +98,18 @@ def _resolve_config(ctx: click.Context):
     for key in keys:
         if ctx.get_parameter_source(key) == ParameterSource.COMMANDLINE:
             resolved[key] = ctx.params[key]
+    stop = _empty_paths(ctx.command.params, {**ctx.params, **resolved})
     if missing := next((p for p in ctx.command.params if p.required and resolved[p.name] in (None, ())), None):
-        _fail([*problems, f"usage: Missing option {missing.opts[0]!r}."])  # click's own words
+        stop.append(f"usage: Missing option {missing.opts[0]!r}.")  # click's own words
+    if stop:
+        _fail([*problems, *stop])
     return resolved, problems
+
+
+def _empty_paths(params, values: dict) -> list[str]:
+    """The problem ``<key>: empty path`` for each click.Path option whose value is or holds ''."""
+    return [f"{p.name}: empty path" for p in params if isinstance(p.type, click.Path)
+            and "" in (values[p.name] if p.multiple else [values[p.name]])]
 
 
 class _Required(click.Option):
@@ -492,9 +502,12 @@ def cli_emu_check(ctx, cfg, problems) -> None:
 
 @main.command("report")
 @click.option("--input", "input_path", required=True, type=click.Path())
-def cli_report(input_path: str) -> None:
+@click.pass_context
+def cli_report(ctx: click.Context, input_path: str) -> None:
     """Summarize a line-delimited report file."""
-    problems: list[str] = []
+    problems = _empty_paths(ctx.command.params, ctx.params)
+    if problems:
+        _fail(problems)
     records = []
     try:
         data = Path(input_path).read_bytes()

@@ -6,6 +6,7 @@ import json
 import re
 import struct
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -847,6 +848,55 @@ class TestRecordReplays:
         result = CliRunner().invoke(main, ["search", "--config", _write_config(tmp_path, {"input_paths": 7})])
         assert _problems(result) == ["config: input_paths: expected a path string, got 7",
                                      "usage: Missing option '--input'."]
+
+
+PATH_OPTIONS = [(command, p) for command in (*COMMANDS, "report") for p in main.commands[command].params
+                if isinstance(p.type, click.Path)]
+
+
+class TestEmptyPath:
+    """An empty path value of any option, as a flag or in a config, is the one
+    problem ``<key>: empty path``: nothing is read or written and no record is appended."""
+
+    def _run(self, tmp_path, monkeypatch, args) -> list[str]:
+        monkeypatch.chdir(tmp_path)  # where a default output path derived from '' would land
+        before = _contents(tmp_path)
+        problems = _problems(CliRunner().invoke(main, args))
+        assert _contents(tmp_path) == before
+        return problems
+
+    def _args(self, command: str, tmp_path, wide: str) -> list[str]:
+        if command != "report":
+            return [*_base_args(command, tmp_path, wide), "--report", str(tmp_path / "r.jsonl")]
+        (tmp_path / "old.jsonl").write_text('{"command": "rotate"}\n')
+        return ["report", "--input", str(tmp_path / "old.jsonl")]
+
+    @pytest.mark.parametrize("command, param", PATH_OPTIONS, ids=[f"{c}-{p.name}" for c, p in PATH_OPTIONS])
+    def test_flag(self, tmp_path, monkeypatch, wide, command, param) -> None:
+        args, flag = self._args(command, tmp_path, wide), param.opts[0]
+        args = [*args, flag, ""] if flag not in args else [
+            "" if i and args[i - 1] == flag else a for i, a in enumerate(args)]
+        assert self._run(tmp_path, monkeypatch, args) == [f"{param.name}: empty path"]
+
+    @pytest.mark.parametrize("command, param", [(c, p) for c, p in PATH_OPTIONS
+                                                if c != "report" and p.name not in ("report_path", "config_path")],
+                             ids=lambda v: getattr(v, "name", v))
+    def test_config_value(self, tmp_path, monkeypatch, wide, command, param) -> None:
+        config = _write_config(tmp_path, {param.name: [""] if param.multiple else ""})
+        args = self._args(command, tmp_path, wide)
+        if param.opts[0] in args:  # a flag would win over the config
+            i = args.index(param.opts[0])
+            del args[i:i + 2]
+        args += ["--config", config]
+        assert self._run(tmp_path, monkeypatch, args) == [f"{param.name}: empty path"]
+
+    def test_every_empty_option_is_named(self, tmp_path, monkeypatch) -> None:
+        args = ["galt", "--calib", "", "--weight", "", "--report", str(tmp_path / "r.jsonl")]
+        assert self._run(tmp_path, monkeypatch, args) == ["weight_path: empty path", "calib_paths: empty path"]
+
+    def test_joins_a_missing_option(self, tmp_path, monkeypatch) -> None:
+        assert self._run(tmp_path, monkeypatch, ["rotate", "--output", ""]) == [
+            "output_path: empty path", "usage: Missing option '--input'."]
 
 
 class TestReportOnAFileTheCommandUses:
