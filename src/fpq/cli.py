@@ -12,6 +12,10 @@ wall_time_s, to the report stream (file via --report, stdout otherwise)
 echoing the fully resolved config, which replays the run alone as --config;
 the JSON readers (--config, ``fpq report``) reject NaN and Infinity.  With
 neither --calib nor --weight, ``fpq galt`` fits on seeded synthetic data.
+``quantize`` and ``dfq`` write each code plane to ``<prefix>.<plane>codes.fpqt``
+and ``.<plane>scales.fpqt`` (plane "", or "neg_" and "pos_" for DFQ; the prefix
+defaults to the input path minus its suffix), and a record's layer label is
+its input's stem (``galt``: the weight's, or "synthetic").
 Validation problems are collected and reported together as
 machine-readable JSON on stderr with exit code 2, and so are usage
 errors, an empty path value ("<key>: empty path", before any read), a
@@ -303,22 +307,27 @@ def _command(name: str):
     return register
 
 
-def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], outputs, run) -> None:
+def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], planes, run) -> None:
     """The body of ``quantize`` and ``dfq``: read the input, take the result and
-    the command's own metrics from ``run(x, granularity)``, write each plane's
-    codes and scales to the next two ``outputs`` and record the run with the
-    MSE of the result, null where strict JSON cannot hold it."""
+    the command's own metrics from ``run(x, granularity)``, write its ``planes``
+    by the prefix rule and record the run with the paths written and the MSE
+    of the result, null where strict JSON cannot hold it."""
     gran = Granularity(cfg["granularity"], cfg["group_size"])
-    (t,) = _load(ctx, outputs, [(cfg["input_path"], "the input")], problems)
+    prefix = cfg["out_prefix"] = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
+    outputs = {f"{plane}{part}": f"{prefix}.{plane}{part}.fpqt" for plane in planes for part in ("codes", "scales")}
+    (t,) = _load(ctx, outputs.values(), [(cfg["input_path"], "the input")], problems)
     r, metrics = run(t.data, gran)
-    paths = iter(outputs)
-    for codes, fmt, scales in r.planes:
-        _write(next(paths), codes, "code4" if fmt.width <= 4 else "code8")
-        _write(next(paths), scales, "f64")
-    cfg["layer"] = cfg["layer"] or Path(cfg["input_path"]).stem
+    for plane, (codes, fmt, scales) in zip(planes, r.planes, strict=True):
+        _write(outputs[f"{plane}codes"], codes, "code4" if fmt.width <= 4 else "code8")
+        _write(outputs[f"{plane}scales"], scales, "f64")
     mse = quant_mse(t.data, dequantize(r))
-    _report(ctx, cfg, {"layer": cfg["layer"], "granularity": gran.kind,
-                       "mse": mse if np.isfinite(mse) else None, **metrics})
+    _report(ctx, cfg, {"layer": Path(cfg["input_path"]).stem, "granularity": gran.kind,
+                       "mse": mse if np.isfinite(mse) else None, "outputs": outputs, **metrics})
+
+
+_OUT_PREFIX = click.option("--out-prefix", "out_prefix", default=None, type=click.Path(),
+                           help="write each plane to <prefix>.<plane>codes.fpqt and <prefix>.<plane>scales.fpqt,"
+                                " plane '' or neg_/pos_ [the input path minus its suffix]")
 
 
 @_command("quantize")
@@ -327,16 +336,11 @@ def _quantize_file(ctx: click.Context, cfg: dict, problems: list[str], outputs, 
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size; must divide the last axis")
-@click.option("--layer", "layer", default=None, help="layer label in the report [input stem]")
-@click.option("--out-codes", "out_codes", default=None, type=click.Path())
-@click.option("--out-scales", "out_scales", default=None, type=click.Path())
+@_OUT_PREFIX
 def cli_quantize(ctx, cfg, problems) -> None:
     """Quantize one tensor file; write codes + scales and an MSE record."""
     fmt = formats.get_format(cfg["format_name"])
-    cfg["out_codes"] = cfg["out_codes"] or str(Path(cfg["input_path"]).with_suffix(".codes.fpqt"))
-    cfg["out_scales"] = cfg["out_scales"] or str(Path(cfg["input_path"]).with_suffix(".scales.fpqt"))
-    _quantize_file(ctx, cfg, problems, [cfg["out_codes"], cfg["out_scales"]],
-                   lambda x, gran: (quantize(x, fmt, gran), {"format": fmt.name}))
+    _quantize_file(ctx, cfg, problems, [""], lambda x, gran: (quantize(x, fmt, gran), {"format": fmt.name}))
 
 
 @_command("dfq")
@@ -346,18 +350,15 @@ def cli_quantize(ctx, cfg, problems) -> None:
 @click.option("--granularity", default="per_tensor", type=_GRANULARITY, help="unit layout")
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1),
               help="per_group size; must divide the last axis")
-@click.option("--layer", "layer", default=None)
-@click.option("--out-prefix", "out_prefix", default=None, type=click.Path())
+@_OUT_PREFIX
 def cli_dfq(ctx, cfg, problems) -> None:
     """Dual-format quantization of one tensor file (two code planes)."""
-    prefix = cfg["out_prefix"] = cfg["out_prefix"] or str(Path(cfg["input_path"]).with_suffix(""))
-    paths = {f"{s}_{p}": f"{prefix}.{s}_{p}.fpqt" for s in ("neg", "pos") for p in ("codes", "scales")}
 
     def run(x, gran):
         r = dfq_quantize(x, formats.get_format(cfg["neg_format"]), formats.get_format(cfg["pos_format"]), gran)
-        return r, {"neg_format": cfg["neg_format"], "pos_format": cfg["pos_format"], "outputs": paths}
+        return r, {"neg_format": cfg["neg_format"], "pos_format": cfg["pos_format"]}
 
-    _quantize_file(ctx, cfg, problems, list(paths.values()), run)
+    _quantize_file(ctx, cfg, problems, ["neg_", "pos_"], run)
 
 
 @_command("search")
@@ -412,7 +413,6 @@ def cli_rotate(ctx, cfg, problems) -> None:
 @click.option("--group", "group_size", default=128, type=click.IntRange(min=1))
 @click.option("--epochs", "epochs", default=50, type=click.IntRange(min=0), help="optimization epochs")
 @click.option("--lr", "lr", default=0.01, help="learning rate")
-@click.option("--layer", "layer", default=None)
 @click.option("--out-lambda", "out_lambda", default=None, type=click.Path())
 def cli_galt(ctx, cfg, problems) -> None:
     """Fit the per-channel smoothing vector; write it and record the loss history."""
@@ -433,7 +433,7 @@ def cli_galt(ctx, cfg, problems) -> None:
     else:
         for key in ("seed", "out_features", "outlier_channels", "outlier_magnitude"):
             del cfg[key]
-    layer = cfg["layer"] or (Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic")
+    layer = Path(cfg["weight_path"]).stem if cfg["weight_path"] else "synthetic"
     out_lambda = cfg["out_lambda"] or f"{layer}.lambda.fpqt"
     inputs = [(p, f"calibration step {i}") for i, p in enumerate(cfg["calib_paths"])]
     inputs += [(cfg["weight_path"], "the weight")] if cfg["weight_path"] else []
@@ -471,8 +471,7 @@ def cli_galt(ctx, cfg, problems) -> None:
 
     _write(out_lambda, best_lam, "f64")
     # The schedule and dim that ran: calibration files set their own.
-    cfg.update(out_lambda=out_lambda, layer=layer,
-               schedule=list(calib.step_token_counts), dim=calib.dim)
+    cfg.update(out_lambda=out_lambda, schedule=list(calib.step_token_counts), dim=calib.dim)
     _report(ctx, cfg, {
         "layer": layer,
         "baseline_loss": history[0],

@@ -98,10 +98,10 @@ class TestQuantize:
     def test_writes_the_codes_and_f64_scales(self, tmp_path) -> None:
         src = tmp_path / "w.fpqt"
         write_tensor(src, np.random.default_rng(5).standard_normal((6, 64)).astype(np.float32))
-        codes, scales = tmp_path / "c.fpqt", tmp_path / "s.fpqt"
+        codes, scales = tmp_path / "q.codes.fpqt", tmp_path / "q.scales.fpqt"
         result = CliRunner().invoke(main, [
             "quantize", "--input", str(src), "--granularity", "per_group", "--group", "16",
-            "--out-codes", str(codes), "--out-scales", str(scales),
+            "--out-prefix", str(tmp_path / "q"),
         ])
         assert result.exit_code == 0, result.output
         want = quantize(read_tensor(src).data, E2M1, Granularity.per_group(16))
@@ -109,6 +109,60 @@ class TestQuantize:
         assert written.kind == "f64" and written.data.tobytes() == want.scales.tobytes()
         assert read_tensor(codes).kind == "code4"
         np.testing.assert_array_equal(read_tensor(codes).data, want.codes)
+
+
+class TestOutputRule:
+    """``quantize`` and ``dfq`` name every plane's files from one prefix, the
+    input path minus its suffix unless --out-prefix gives it, and label the
+    record with the input's stem."""
+
+    # Each input's stem, then the files each command writes beside it by default, named in full.
+    DEFAULTS = {
+        "x.rot.fpqt": ("x.rot", {
+            "quantize": ["x.rot.codes.fpqt", "x.rot.scales.fpqt"],
+            "dfq": ["x.rot.neg_codes.fpqt", "x.rot.neg_scales.fpqt", "x.rot.pos_codes.fpqt", "x.rot.pos_scales.fpqt"],
+        }),
+        "x": ("x", {
+            "quantize": ["x.codes.fpqt", "x.scales.fpqt"],
+            "dfq": ["x.neg_codes.fpqt", "x.neg_scales.fpqt", "x.pos_codes.fpqt", "x.pos_scales.fpqt"],
+        }),
+        "x.tar.fpqt": ("x.tar", {
+            "quantize": ["x.tar.codes.fpqt", "x.tar.scales.fpqt"],
+            "dfq": ["x.tar.neg_codes.fpqt", "x.tar.neg_scales.fpqt", "x.tar.pos_codes.fpqt", "x.tar.pos_scales.fpqt"],
+        }),
+    }
+    PARTS = {"quantize": ["codes", "scales"], "dfq": ["neg_codes", "neg_scales", "pos_codes", "pos_scales"]}
+
+    def _run(self, tmp_path, command, src, *flags) -> tuple[dict, set]:
+        """The run's record and the files it added under ``tmp_path``."""
+        report = tmp_path / "r.jsonl"
+        before = _contents(tmp_path)
+        result = CliRunner().invoke(main, [command, "--input", str(src), *flags, "--report", str(report)])
+        assert result.exit_code == 0, result.output
+        (record,) = _records(report)
+        return record, set(_contents(tmp_path)) - set(before) - {report}
+
+    @pytest.mark.parametrize("command", PARTS)
+    @pytest.mark.parametrize("name", DEFAULTS)
+    def test_default_names(self, tmp_path, name, command) -> None:
+        src = tmp_path / name
+        write_tensor(src, np.random.default_rng(0).standard_normal((4, 32)))
+        stem, names = self.DEFAULTS[name]
+        record, written = self._run(tmp_path, command, src)
+        assert written == {tmp_path / n for n in names[command]}
+        assert record["config"]["out_prefix"] == str(tmp_path / stem)
+        assert record["metrics"]["layer"] == stem
+        assert list(record["metrics"]["outputs"]) == self.PARTS[command]
+        assert sorted(record["metrics"]["outputs"].values()) == sorted(str(p) for p in written)
+
+    @pytest.mark.parametrize("command", PARTS)
+    def test_prefix_moves_every_plane(self, tmp_path, activation, monkeypatch, command) -> None:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        record, written = self._run(tmp_path, command, activation, "--out-prefix", "d/p")
+        assert written == {tmp_path / "d" / f"p.{part}.fpqt" for part in self.PARTS[command]}
+        assert record["metrics"]["outputs"] == {part: f"d/p.{part}.fpqt" for part in self.PARTS[command]}
+        assert (record["config"]["out_prefix"], record["metrics"]["layer"]) == ("d/p", "act")
 
 
 class TestOverflowingMse:
@@ -185,11 +239,11 @@ class TestUnwritableOutputs:
     before any input is read or any work done, and nothing is written."""
 
     def test_quantize_writes_nothing(self, tmp_path, activation) -> None:
-        bad = tmp_path / "missing" / "s.fpqt"
+        bad = tmp_path / "missing" / "p"
         before = sorted(tmp_path.iterdir())
         problems = _problems(CliRunner().invoke(main, ["quantize", "--input", str(activation),
-                                                       "--out-scales", str(bad)]))
-        assert problems == [f"output: {bad}: no directory {bad.parent}"]
+                                                       "--out-prefix", str(bad)]))
+        assert problems == [f"output: {bad}.{part}.fpqt: no directory {bad.parent}" for part in ("codes", "scales")]
         assert sorted(tmp_path.iterdir()) == before
 
     def test_every_bad_path_is_reported(self, tmp_path, activation) -> None:
@@ -345,14 +399,10 @@ class TestOneFileWrittenTwice:
         return problems
 
     def test_quantize_outputs_that_differ_only_in_spelling(self, tmp_path, activation, monkeypatch) -> None:
+        # The codes and the report: one prefix never names one file twice.
         monkeypatch.chdir(tmp_path)
-        args = ["quantize", "--input", str(activation), "--out-codes", "a.fpqt", "--out-scales", "./a.fpqt"]
-        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == ["output: ./a.fpqt: same file as a.fpqt"]
-
-    def test_quantize_scales_on_the_default_codes_path(self, tmp_path, activation) -> None:
-        codes = activation.with_suffix(".codes.fpqt")
-        args = ["quantize", "--input", str(activation), "--out-scales", str(codes)]
-        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == [f"output: {codes}: same file as {codes}"]
+        args = ["quantize", "--input", str(activation), "--out-prefix", "./a"]
+        assert self._run(tmp_path, args, "a.codes.fpqt") == ["output: ./a.codes.fpqt: same file as the report"]
 
     def test_rotate_output_on_the_report(self, tmp_path, activation) -> None:
         out = tmp_path / "r.fpqt"
@@ -373,9 +423,9 @@ class TestOneFileWrittenTwice:
         return tmp_path / "d1", tmp_path / "d2"
 
     def test_quantize_outputs_through_a_symlinked_directory(self, tmp_path, activation, linked) -> None:
-        codes, scales = linked[0] / "a.fpqt", linked[1] / "a.fpqt"
-        args = ["quantize", "--input", str(activation), "--out-codes", str(codes), "--out-scales", str(scales)]
-        assert self._run(tmp_path, args, tmp_path / "r.jsonl") == [f"output: {scales}: same file as {codes}"]
+        args = ["quantize", "--input", str(activation), "--out-prefix", str(linked[1] / "a")]
+        scales = linked[1] / "a.scales.fpqt"
+        assert self._run(tmp_path, args, linked[0] / "a.scales.fpqt") == [f"output: {scales}: same file as the report"]
         assert list(linked[0].iterdir()) == []
 
     def test_rotate_output_on_the_report_through_a_symlinked_directory(self, tmp_path, activation, linked) -> None:
@@ -465,8 +515,17 @@ class TestUsageErrors:
         (["bogus"], "usage: No such command 'bogus'."),
         (["--bogus"], "usage: No such option '--bogus'."),
         (["rotate", "--input"], "usage: Option '--input' requires an argument."),
+        # The layer label is the input's stem and --out-prefix names every output: no such flags.
+        (["quantize", "--input", "x", "--layer", "a"], "usage: No such option '--layer'."),
+        (["quantize", "--input", "x", "--out-codes", "a"],
+         "usage: No such option '--out-codes'. Did you mean '--out-prefix'?"),
+        (["quantize", "--input", "x", "--out-scales", "a"], "usage: No such option '--out-scales'."),
+        (["dfq", "--input", "x", "--layer", "a"], "usage: No such option '--layer'."),
+        (["galt", "--layer", "a"], "usage: No such option '--layer'. Did you mean '--lr'?"),
     ], ids=["missing_option", "report_missing_input", "unknown_flag", "unknown_command",
-            "unknown_top_level_flag", "flag_without_value"])
+            "unknown_top_level_flag", "flag_without_value", "removed_quantize_layer",
+            "removed_quantize_out_codes", "removed_quantize_out_scales", "removed_dfq_layer",
+            "removed_galt_layer"])
     def test_is_one_json_problem(self, args, want) -> None:
         result = CliRunner().invoke(main, args)
         assert _problems(result) == [want]
@@ -492,8 +551,8 @@ class TestConfigTypes:
         (["emu-check"], {"seed": "x"}, "seed"),
         (["emu-check"], {"seed": -1}, "seed"),
         # click.Path would take a number as a file descriptor.
-        (["quantize"], {"out_codes": 7}, "out_codes"),
-        (["quantize"], {"out_codes": ["a"]}, "out_codes"),
+        (["quantize"], {"out_prefix": 7}, "out_prefix"),
+        (["quantize"], {"out_prefix": ["a"]}, "out_prefix"),
         (["dfq"], {"out_prefix": 7}, "out_prefix"),
         (["galt"], {"out_lambda": 7}, "out_lambda"),
     ])
@@ -515,9 +574,9 @@ class TestConfigTypes:
         assert problem.startswith(f"config: cannot read {config}: 'utf-8' codec can't decode")
 
     def test_non_json_constant_in_config_is_a_json_error(self, tmp_path) -> None:
-        # Python's json would read NaN, and the layer would be labelled "nan".
+        # Python's json would read NaN, and the run would take it as its seed.
         config = tmp_path / "config.json"
-        config.write_text('{"layer": NaN}')
+        config.write_text('{"seed": NaN}')
         result = CliRunner().invoke(main, ["emu-check", "--samples", "10", "--config", str(config)])
         assert _problems(result) == [f"config: invalid JSON in {config}: NaN is not a JSON value"]
 
@@ -826,14 +885,19 @@ class TestOneRecordShape:
 class TestRecordReplays:
     """A record's config alone, as --config, replays the run, its required options too."""
 
-    @pytest.mark.parametrize("command", ["quantize", "dfq", "search", "rotate"])
-    def test_config_alone_replays_the_run(self, tmp_path, wide, command) -> None:
-        report = tmp_path / "r.jsonl"
+    @pytest.mark.parametrize("command, prefix", [
+        ("quantize", False), ("dfq", False), ("search", False), ("rotate", False), ("quantize", True), ("dfq", True),
+    ], ids=["quantize", "dfq", "search", "rotate", "quantize-out_prefix", "dfq-out_prefix"])
+    def test_config_alone_replays_the_run(self, tmp_path, wide, command, prefix) -> None:
+        report, sub = tmp_path / "r.jsonl", tmp_path / "sub"
+        sub.mkdir()
+        extra = ["--out-prefix", str(sub / "p")] if prefix else []
         before = _contents(tmp_path)
-        result = CliRunner().invoke(main, [*_base_args(command, tmp_path, wide), "--report", str(report)])
+        result = CliRunner().invoke(main, [*_base_args(command, tmp_path, wide), *extra, "--report", str(report)])
         assert result.exit_code == 0, result.output
         outputs = {p: b for p, b in _contents(tmp_path).items() if p not in before and p != report}
         assert bool(outputs) == (command != "search")
+        assert all(p.parent == (sub if prefix else tmp_path) for p in outputs)
         for path in outputs:
             path.unlink()
         (record,) = _records(report)
@@ -899,6 +963,33 @@ class TestEmptyPath:
             "output_path: empty path", "usage: Missing option '--input'."]
 
 
+# Each free-text option (a click.STRING) and the problem its empty value gives.
+# A text option has no empty-path check, and ``cfg[key] or default`` would
+# quietly replace its '' (as ``--layer ''`` once gave the input's stem), so a
+# new one joins this table with a check of its own.
+EMPTY_TEXT = {("galt", "schedule"): "schedule: token counts must be positive, got ''"}
+
+
+class TestEmptyText:
+    def test_every_free_text_option_has_a_named_check(self) -> None:
+        text = {(command, p.name) for command, cmd in main.commands.items() for p in cmd.params
+                if isinstance(p.type, click.types.StringParamType)}
+        assert text == set(EMPTY_TEXT)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key", EMPTY_TEXT)
+    def test_empty_value_is_its_problem(self, tmp_path, wide, source, command, key) -> None:
+        flag = next(p.opts[0] for p in main.commands[command].params if p.name == key)
+        args = _base_args(command, tmp_path, wide)
+        if flag in args:
+            del args[args.index(flag):args.index(flag) + 2]
+        args += [flag, ""] if source == "flag" else ["--config", _write_config(tmp_path, {key: ""})]
+        before = _contents(tmp_path)
+        assert _problems(CliRunner().invoke(main, [*args, "--report", str(tmp_path / "r.jsonl")])) == [
+            EMPTY_TEXT[command, key]]
+        assert _contents(tmp_path) == before
+
+
 class TestReportOnAFileTheCommandUses:
     """A report that is an input, the config or an output, through any
     spelling or symlink, is one problem: every file keeps its bytes, nothing
@@ -953,16 +1044,18 @@ class TestOutputOverASymlinkedReport:
     """An output renamed over a symlink on the report's path replaces only
     the link: the record is appended to the file the link reached."""
 
-    def _run(self, tmp_path, args, links: int, output_at: int, output_flag: str) -> list[dict]:
-        """Run ``args`` with the report a chain of ``links`` symlinks to d1/r.log and the output
-        the ``output_at``-th link; the output reads back and the records follow the earlier line."""
+    def _run(self, tmp_path, args, links: int, output_at: int, output_flag: str, suffix: str = "") -> list[dict]:
+        """Run ``args`` with the report a chain of ``links`` symlinks to d1/r.log, each named with
+        ``suffix``, and the output the ``output_at``-th link, given to ``output_flag`` without the
+        suffix; the output reads back and the records follow the earlier line."""
         (tmp_path / "d1").mkdir()
         chain = [tmp_path / "d1" / "r.log"]
         chain[0].write_text("an earlier report\n")
         for i in range(links):
-            chain.insert(0, tmp_path / f"l{i}")
+            chain.insert(0, tmp_path / f"l{i}{suffix}")
             chain[0].symlink_to(chain[1])
-        result = CliRunner().invoke(main, [*args, output_flag, str(chain[output_at]), "--report", str(chain[0])])
+        output = str(chain[output_at]).removesuffix(suffix)
+        result = CliRunner().invoke(main, [*args, output_flag, output, "--report", str(chain[0])])
         assert result.exit_code == 0, result.output
         assert not chain[output_at].is_symlink()
         read_tensor(chain[output_at])
@@ -981,9 +1074,10 @@ class TestOutputOverASymlinkedReport:
         assert [r["command"] for r in records] == ["galt"]
         assert len(records[0]["metrics"]["history"]) == 2
 
-    def test_quantize_out_codes(self, tmp_path, activation) -> None:
-        records = self._run(tmp_path, ["quantize", "--input", str(activation)], 1, 0, "--out-codes")
+    def test_quantize_out_prefix(self, tmp_path, activation) -> None:
+        records = self._run(tmp_path, ["quantize", "--input", str(activation)], 1, 0, "--out-prefix", ".codes.fpqt")
         assert [r["command"] for r in records] == ["quantize"]
+        read_tensor(tmp_path / "l0.scales.fpqt")
 
 
 class TestPrecedence:
@@ -1031,7 +1125,8 @@ class TestOptionTable:
     """Config keys, record keys and --help all follow each command's options."""
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("key", ["bogus", "report_path", "config_path"])
+    # The input's stem is the layer and --out-prefix names the outputs: a config with these keys does not run.
+    @pytest.mark.parametrize("key", ["bogus", "report_path", "config_path", "layer", "out_codes", "out_scales"])
     def test_unknown_config_key_is_one_problem(self, tmp_path, wide, command, key) -> None:
         report = tmp_path / "r.jsonl"
         args = [*_base_args(command, tmp_path, wide), "--report", str(report),
@@ -1051,7 +1146,7 @@ class TestOptionTable:
         assert not report.exists()
 
     @pytest.mark.parametrize("command, key", [
-        ("quantize", "layer"), ("quantize", "out_codes"), ("dfq", "out_prefix"), ("galt", "out_lambda"),
+        ("quantize", "out_prefix"), ("dfq", "out_prefix"), ("galt", "out_lambda"),
     ])
     def test_null_for_an_option_without_a_default_is_its_default(self, tmp_path, wide, command, key) -> None:
         report = tmp_path / "r.jsonl"
@@ -1120,18 +1215,16 @@ class TestOptionTable:
     # The options of each command in --help order, with their defaults.
     HELP = {
         "quantize": [("--input", None), ("--format", "E2M1"), ("--granularity", "per_tensor"),
-                     ("--group", 128), ("--layer", None),
-                     ("--out-codes", None), ("--out-scales", None)],
+                     ("--group", 128), ("--out-prefix", None)],
         "dfq": [("--input", None), ("--neg-format", "E1M2"), ("--pos-format", "E2M1"),
-                ("--granularity", "per_tensor"), ("--group", 128),
-                ("--layer", None), ("--out-prefix", None)],
+                ("--granularity", "per_tensor"), ("--group", 128), ("--out-prefix", None)],
         "search": [("--input", None), ("--granularity", "per_tensor"), ("--group", 128)],
         "rotate": [("--input", None), ("--output", None), ("--group", 128)],
         "galt": [("--weight", None), ("--calib", None), ("--dim", 256),
                  ("--out-features", 256), ("--schedule", "1,4,9,16,25,36,64,100,169,256"),
                  ("--seed", 0), ("--outlier-channels", 4), ("--outlier-magnitude", 50.0),
                  ("--format", "E2M1"), ("--granularity", "per_group"), ("--group", 128),
-                 ("--epochs", 50), ("--lr", 0.01), ("--layer", None), ("--out-lambda", None)],
+                 ("--epochs", 50), ("--lr", 0.01), ("--out-lambda", None)],
         "emu-check": [("--samples", 1_000_000), ("--seed", 0)],
     }
 
